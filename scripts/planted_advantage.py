@@ -9,12 +9,12 @@ import argparse
 
 import numpy as np
 
-from crossmodal import Hyperparameters, SynthConfig, TrainData, generate, predict_label, train
+from crossmodal import Hyperparameters, SynthConfig, TrainData, generate, scores, train
 
 
 def error(model, examples):
     truth = np.array([int(e.label) for e in examples])
-    pred = np.array([predict_label(model, e.features) for e in examples])
+    pred = np.where(scores(model, np.stack([e.features for e in examples])) > 0, 1, -1)
     return float(np.mean(pred != truth))
 
 

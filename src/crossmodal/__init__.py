@@ -9,8 +9,8 @@ from .model import (
     Hyperparameters,
     KernelSpec,
     TrainedModel,
-    discriminant,
-    predict_label,
+    scores,
+    unseen_scores,
 )
 from .solver import TrainData, TrainReport, train
 from .zeroshot import ZeroShotDataset, train_zeroshot
@@ -32,10 +32,10 @@ __all__ = [
     "TrainedModel",
     "ZeroShotDataset",
     "crossval_select",
-    "discriminant",
     "evaluate_model",
     "generate",
-    "predict_label",
+    "scores",
     "train",
     "train_zeroshot",
+    "unseen_scores",
 ]

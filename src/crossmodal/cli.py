@@ -12,7 +12,7 @@ import numpy as np
 
 from . import data_io, evaluation, synth, zeroshot
 from .errors import DataError, NumericalError
-from .model import Hyperparameters, KernelSpec, discriminant, l2_normalize
+from .model import Hyperparameters, KernelSpec, scores, stack_features, unseen_scores
 from .solver import TrainData, train
 
 EXIT_OK = 0
@@ -129,6 +129,7 @@ def _cmd_train(args) -> int:
     data_io.write_model(model, args.out)
     print(
         f"converged {report.converged}\n"
+        f"stop_reason {report.stop_reason}\n"
         f"iterations {report.iterations}\n"
         f"final_objective {report.final_objective!r}\n"
         f"final_rank {report.final_rank}"
@@ -139,24 +140,24 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model, mode, unseen = data_io.read_model(args.model)
     corpora = data_io.parse_dataset(args.images)
-    lines = []
+    if mode == "zeroshot" and not unseen:
+        raise DataError("zero-shot model lists no unseen classes")
+    try:
+        Z = stack_features(corpora.images, model.S.shape[1], "query image")
+        table = unseen_scores(model, Z, unseen) if mode == "zeroshot" else scores(model, Z)
+    except DataError as exc:
+        raise DataError(f"{args.images}: {exc}") from exc
     if mode == "zeroshot":
-        if not unseen:
-            raise DataError("zero-shot model lists no unseen classes")
-        class_texts = {
-            c: zeroshot.one_vs_rest_texts(model.source_texts, c) for c in unseen
-        }
-        for ex in corpora.images:
-            z = l2_normalize(ex.features) if model.normalize else ex.features
-            scores = {
-                c: zeroshot.score_unseen(model.S, class_texts[c], z) for c in unseen
-            }
-            lines.append(json.dumps({"id": ex.id, "scores": scores}))
+        lines = [
+            json.dumps({"id": ex.id, "scores": dict(zip(unseen, map(float, row)))})
+            for ex, row in zip(corpora.images, table)
+        ]
     else:
-        for ex in corpora.images:
-            score = discriminant(model, ex.features)
-            label = 1 if score > 0 else -1
-            lines.append(json.dumps({"id": ex.id, "score": score, "label": label}))
+        labels = np.where(table > 0, 1, -1)
+        lines = [
+            json.dumps({"id": ex.id, "score": float(s), "label": int(y)})
+            for ex, s, y in zip(corpora.images, table, labels)
+        ]
     data_io.atomic_write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
 
@@ -253,6 +254,7 @@ def _cmd_zeroshot(args) -> int:
     data_io.write_model(model, args.out, mode="zeroshot", unseen_classes=sorted(unseen))
     print(
         f"converged {report.converged}\n"
+        f"stop_reason {report.stop_reason}\n"
         f"iterations {report.iterations}\n"
         f"final_objective {report.final_objective!r}\n"
         f"final_rank {report.final_rank}"

@@ -76,18 +76,37 @@ def write_dataset(corpora: Corpora, path: str) -> None:
     atomic_write_text(path, serialize_dataset(corpora))
 
 
+def _parse_class(rec: dict) -> str | None:
+    if "class" not in rec:
+        return None
+    cls = rec["class"]
+    if not isinstance(cls, str):
+        raise DataError("class must be a string")
+    return cls
+
+
 def _parse_label(rec: dict):
     if "label" in rec:
         label = rec["label"]
         if not isinstance(label, int) or isinstance(label, bool):
             raise DataError("label must be an integer")
         return label
-    if "class" in rec:
-        cls = rec["class"]
-        if not isinstance(cls, str):
-            raise DataError("class must be a string")
-        return cls
-    return None
+    return _parse_class(rec)
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """Float array of `values`; json accepts NaN and Infinity, the model does not."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{what} must hold numbers: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{what} holds a non-finite number")
+    return arr
+
+
+def _reject_constant(token: str):
+    raise DataError(f"non-finite number {token} is not allowed")
 
 
 def _features(rec: dict, key: str) -> np.ndarray:
@@ -96,7 +115,7 @@ def _features(rec: dict, key: str) -> np.ndarray:
     values = rec[key]
     if not isinstance(values, list) or not values:
         raise DataError(f"{key!r} must be a non-empty array of numbers")
-    return np.array(values, dtype=float)
+    return _finite(values, repr(key))
 
 
 def parse_dataset(path: str) -> Corpora:
@@ -138,7 +157,7 @@ def parse_dataset(path: str) -> Corpora:
                     check_dim("pair_text", x, lineno)
                     check_dim("pair_image", z, lineno)
                     corpora.pairs.append(
-                        CooccurrencePair(x, z, class_id=rec.get("class"))
+                        CooccurrencePair(x, z, class_id=_parse_class(rec))
                     )
                 else:
                     v = _features(rec, "features")
@@ -214,7 +233,7 @@ def write_model(model, path, mode="binary", unseen_classes=None) -> None:
 def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
     """Returns (model, mode, unseen_classes). Raises DataError on bad input."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed model file: {exc}") from exc
     version = doc.get("format_version")
@@ -225,24 +244,27 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
         )
     try:
         p, q = doc["p"], doc["q"]
-        S = np.array(doc["S"], dtype=float)
+        S = _finite(doc["S"], "S")
         if S.size != p * q:
             raise DataError(f"S has {S.size} entries, expected {p * q}")
         kernel = KernelSpec(
             kind=doc["kernel"]["kind"], bandwidth=doc["kernel"]["bandwidth"]
         )
 
-        def examples(key):
-            return [
-                CorpusExample(r["id"], np.array(r["features"], float), _parse_label(r))
-                for r in doc[key]
-            ]
+        def examples(key, dim):
+            out = []
+            for r in doc[key]:
+                v = _finite(r["features"], f"{key} {r['id']!r}")
+                if v.shape != (dim,):
+                    raise DataError(f"{key} {r['id']!r} has shape {v.shape}, expected ({dim},)")
+                out.append(CorpusExample(r["id"], v, _parse_label(r)))
+            return out
 
         model = TrainedModel(
             S=S.reshape(p, q),
-            alpha=np.array(doc["alpha"], dtype=float),
-            source_texts=examples("source_texts"),
-            train_images=examples("train_images"),
+            alpha=_finite(doc["alpha"], "alpha"),
+            source_texts=examples("source_texts", p),
+            train_images=examples("train_images", q),
             kernel=kernel,
             hyper=_hyper_from_dict(doc["hyper"]),
             normalize=doc.get("normalize", False),
@@ -255,4 +277,8 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
 
 def read_model(path: str):
     with open(path) as fh:
-        return parse_model(fh.read())
+        text = fh.read()
+    try:
+        return parse_model(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DataError
-from .model import CorpusExample, Hyperparameters, discriminant, predict_label
+from .model import CorpusExample, Hyperparameters, scores, stack_features
 from .solver import TrainData, train
 
 # Grid searched by twofold cross-validation, in selection order
@@ -92,13 +92,13 @@ def mean_ap(per_class_aps) -> float:
 
 def evaluate_model(model, test_images: list[CorpusExample]) -> EvalReport:
     """Score labeled test images with a binary model and report all metrics."""
-    scores = np.array([discriminant(model, ex.features) for ex in test_images])
-    preds = np.where(scores > 0, 1, -1)
+    s = scores(model, stack_features(test_images, model.S.shape[1], "test image"))
+    preds = np.where(s > 0, 1, -1)
     truth = np.array([int(ex.label) for ex in test_images])
     return EvalReport(
         error_rate=error_rate(preds, truth),
-        ap=average_precision(scores, truth),
-        auc=auc(scores, truth),
+        ap=average_precision(s, truth),
+        auc=auc(s, truth),
     )
 
 
@@ -136,6 +136,8 @@ def crossval_select(
         raise DataError("twofold cross-validation needs at least 2 labeled images")
     fold_a, fold_b = _stratified_folds(data.train_images, seed)
     splits = [(fold_a, fold_b), (fold_b, fold_a)]
+    Z = stack_features(data.train_images, data.image_dim(), "training image")
+    truth = np.array([int(ex.label) for ex in data.train_images])
 
     best = None
     best_err = np.inf
@@ -153,9 +155,8 @@ def crossval_select(
                 q=data.q,
             )
             model, _ = train(fold_data, cand)
-            preds = [predict_label(model, data.train_images[i].features) for i in val_idx]
-            truth = [int(data.train_images[i].label) for i in val_idx]
-            errs.append(error_rate(preds, truth))
+            preds = np.where(scores(model, Z[val_idx]) > 0, 1, -1)
+            errs.append(error_rate(preds, truth[val_idx]))
         mean_err = float(np.mean(errs)) if errs else np.inf
         if mean_err < best_err:
             best_err = mean_err

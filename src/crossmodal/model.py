@@ -1,4 +1,4 @@
-"""Domain types plus the transfer function, discriminants, and image kernel."""
+"""Domain types, the image kernel, and batched scoring of query images."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -103,50 +103,30 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v if norm == 0 else v / norm
 
 
-def _check_dim(v: np.ndarray, dim: int, name: str):
-    if v.shape != (dim,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+def stack_features(examples: list[CorpusExample], dim: int, what: str) -> np.ndarray:
+    """(N, dim) matrix of the examples' feature vectors; (0, dim) when empty."""
+    if not examples:
+        return np.zeros((0, dim))
+    X = np.stack([e.features for e in examples])
+    if X.shape[1] != dim:
+        raise DataError(f"{what} dimension {X.shape[1]} != expected {dim}")
+    return X
 
 
-def transfer_score(x: np.ndarray, S: np.ndarray, z: np.ndarray) -> float:
-    """Alignment of a text vector and an image vector: tanh(x' S z)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    p, q = S.shape
-    _check_dim(x, p, "text features")
-    _check_dim(z, q, "image features")
-    t = float(np.tanh(x @ S @ z))
-    # tanh saturates to +/-1.0 in double precision around |arg| ~ 19; keep the
-    # advertised open interval.
-    bound = np.nextafter(1.0, 0.0)
-    return min(max(t, -bound), bound)
+def signs(examples: list[CorpusExample]) -> np.ndarray:
+    """The +1/-1 labels of binary-mode examples as floats."""
+    return np.array([float(e.label) for e in examples])
 
 
-def f_inter(S: np.ndarray, source_texts: list[CorpusExample], z: np.ndarray) -> float:
-    """Intermodal discriminant: sum_i y_i * tanh(x_i' S z) over the text corpus."""
-    z = np.asarray(z, dtype=float)
-    p, q = S.shape
-    _check_dim(z, q, "image features")
-    if not source_texts:
-        return 0.0
-    X = np.stack([t.features for t in source_texts])
-    if X.shape[1] != p:
-        raise ValueError(f"text corpus dimension {X.shape[1]} != {p}")
-    y = np.array([float(t.label) for t in source_texts])
-    return float(y @ np.tanh(X @ (S @ z)))
-
-
-def kernel_eval(kernel: KernelSpec, z1: np.ndarray, z2: np.ndarray) -> float:
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if z1.shape != z2.shape:
-        raise ValueError(f"kernel arguments have shapes {z1.shape} vs {z2.shape}")
-    if kernel.kind == "linear":
-        return float(z1 @ z2)
-    if kernel.bandwidth is None:
-        raise ValueError("gaussian kernel bandwidth not resolved")
-    d2 = float(np.sum((z1 - z2) ** 2))
-    return float(np.exp(-d2 / (2.0 * kernel.bandwidth**2)))
+def ovr_labels(examples: list[CorpusExample], classes: list[str]) -> np.ndarray:
+    """(N, B) one-vs-rest label matrix over an ordered class list."""
+    labels = np.full((len(examples), len(classes)), -1.0)
+    index = {c: b for b, c in enumerate(classes)}
+    for i, ex in enumerate(examples):
+        b = index.get(ex.label)
+        if b is not None:
+            labels[i, b] = 1.0
+    return labels
 
 
 def kernel_matrix(kernel: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -187,25 +167,42 @@ def median_bandwidth(images: list[np.ndarray], max_pairs: int = 10_000) -> float
     return med
 
 
-def f_intra(model: TrainedModel, z: np.ndarray) -> float:
-    """Intramodal discriminant: sum_j y_j alpha_j K(z_j, z) over training images."""
-    z = np.asarray(z, dtype=float)
-    if not model.train_images:
-        return 0.0
-    total = 0.0
-    for ex, a in zip(model.train_images, model.alpha):
-        total += float(ex.label) * a * kernel_eval(model.kernel, ex.features, z)
-    return total
-
-
-def discriminant(model: TrainedModel, z: np.ndarray) -> float:
-    """Joint discriminant f_inter + f_intra for a query image."""
-    z = np.asarray(z, dtype=float)
+def _queries(model: TrainedModel, Z) -> np.ndarray:
+    """Query images as a (k, q) matrix, rows L2-normalized when the model was
+    trained on normalized features; a zero row stays zero."""
+    Z = np.asarray(Z, dtype=float)
+    q = model.S.shape[1]
+    if Z.ndim != 2 or Z.shape[1] != q:
+        raise DataError(f"query images have shape {Z.shape}, expected (k, {q})")
     if model.normalize:
-        z = l2_normalize(z)
-    return f_inter(model.S, model.source_texts, z) + f_intra(model, z)
+        norms = np.linalg.norm(Z, axis=1, keepdims=True)
+        Z = Z / np.where(norms == 0.0, 1.0, norms)
+    return Z
 
 
-def predict_label(model: TrainedModel, z: np.ndarray) -> int:
-    """sign of the discriminant; exactly zero maps to -1 for determinism."""
-    return 1 if discriminant(model, z) > 0 else -1
+def _text_votes(model: TrainedModel, Z: np.ndarray) -> np.ndarray:
+    """tanh(x_i' S z) for every query row z and source text x_i, shape (k, n)."""
+    X = stack_features(model.source_texts, model.S.shape[0], "source text")
+    return np.tanh(Z @ model.S.T @ X.T)
+
+
+def scores(model: TrainedModel, Z) -> np.ndarray:
+    """Joint discriminant f(z) = sum_i y_i tanh(x_i' S z) + sum_j alpha_j y_j K(z_j, z)
+    of every row z of the (k, q) query matrix Z, shape (k,).
+
+    The label of an image is +1 where its score is > 0 and -1 otherwise, so an
+    exact 0 maps to -1.
+    """
+    Z = _queries(model, Z)
+    s = _text_votes(model, Z) @ signs(model.source_texts)
+    if model.train_images:
+        Z_train = stack_features(model.train_images, Z.shape[1], "training image")
+        s += kernel_matrix(model.kernel, Z, Z_train) @ (model.alpha * signs(model.train_images))
+    return s
+
+
+def unseen_scores(model: TrainedModel, Z, classes: list[str]) -> np.ndarray:
+    """Intermodal score of every row z of Z for each class, shape (k, B): texts
+    of class b vote +1 and all other texts -1, sum_i y_ib tanh(x_i' S z)."""
+    Z = _queries(model, Z)
+    return _text_votes(model, Z) @ ovr_labels(model.source_texts, classes)

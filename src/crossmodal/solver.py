@@ -20,6 +20,8 @@ from .model import (
     kernel_matrix,
     l2_normalize,
     median_bandwidth,
+    signs,
+    stack_features,
 )
 
 _MAX_BACKTRACKS = 100
@@ -62,6 +64,7 @@ class TrainData:
 @dataclass
 class TrainReport:
     converged: bool
+    stop_reason: str  # "tol", "max_iter", or "linesearch" (no step could be accepted)
     iterations: int
     final_objective: float
     final_rank: int
@@ -100,20 +103,10 @@ class _Problem:
         return self.K is not None and self.m > 0
 
 
-def _stack(examples: list[CorpusExample], dim: int, what: str):
-    if not examples:
-        return np.zeros((0, dim)), np.zeros(0)
-    X = np.stack([e.features for e in examples])
-    if X.shape[1] != dim:
-        raise DataError(f"{what} dimension {X.shape[1]} != expected {dim}")
-    y = np.array([float(e.label) for e in examples])
-    return X, y
-
-
 def _build_problem(data: TrainData, hyper: Hyperparameters) -> _Problem:
     p, q = data.text_dim(), data.image_dim()
-    text_X, text_y = _stack(data.source_texts, p, "source text")
-    img_Z, img_y = _stack(data.train_images, q, "training image")
+    text_X = stack_features(data.source_texts, p, "source text")
+    img_Z = stack_features(data.train_images, q, "training image")
     if data.pairs:
         pair_X = np.stack([c.text_features for c in data.pairs])
         pair_Z = np.stack([c.image_features for c in data.pairs])
@@ -125,9 +118,9 @@ def _build_problem(data: TrainData, hyper: Hyperparameters) -> _Problem:
     K = kernel_matrix(kernel, img_Z, img_Z) if img_Z.shape[0] > 0 else None
     return _Problem(
         text_X=text_X,
-        text_Y=text_y[:, None],
+        text_Y=signs(data.source_texts)[:, None],
         img_Z=img_Z,
-        img_Y=img_y[:, None],
+        img_Y=signs(data.train_images)[:, None],
         pair_X=pair_X,
         pair_Z=pair_Z,
         K=K,
@@ -266,7 +259,7 @@ def _train_loop(
     L = hyper.L0
     eps = hyper.eps_alpha0
     trace = [_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
 
     for it in range(1, hyper.max_iter + 1):
@@ -278,16 +271,16 @@ def _train_loop(
         # S step: backtrack on L until the quadratic majorizer holds.
         g = _grad_S_arrays(S, alpha, pb, hyper)
         F_cur = _smooth(S, alpha, pb, hyper)
-        S_new = S
+        moved = False
         for _ in range(_MAX_BACKTRACKS):
             cand = prox_step(S, g, L)
             delta = cand - S
             bound = F_cur + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
             if _smooth(cand, alpha, pb, hyper) <= bound + _ACCEPT_SLACK:
-                S_new = cand
+                S = cand
+                moved = True
                 break
             L *= hyper.eta
-        S = S_new
 
         # alpha step: projected gradient with its own backtracking.
         if alpha.size:
@@ -299,6 +292,7 @@ def _train_loop(
                 bound = F_cur + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
                 if _smooth(S, cand, pb, hyper) <= bound + _ACCEPT_SLACK:
                     alpha = cand
+                    moved = True
                     break
                 eps /= hyper.eta
 
@@ -308,12 +302,18 @@ def _train_loop(
         trace.append(obj)
         if verbose:
             log(f"{it},{obj:.12g},{linalg.numerical_rank(S)},{L:.6g},{eps:.6g}")
+        if not moved:
+            # Both line searches ran out: the iterate and the objective are
+            # unchanged, which is not convergence.
+            stop_reason = "linesearch"
+            break
         if abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) < hyper.tol:
-            converged = True
+            stop_reason = "tol"
             break
 
     report = TrainReport(
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
         iterations=iterations,
         final_objective=trace[-1],
         final_rank=linalg.numerical_rank(S),
@@ -356,7 +356,7 @@ def train(
 
     Returns (TrainedModel, TrainReport). The objective trace is non-increasing
     up to floating-point slack; convergence means the relative decrease dropped
-    below hyper.tol before max_iter.
+    below hyper.tol before max_iter, with an accepted step in that iteration.
     """
     if hyper.normalize:
         data = normalize_data(data)

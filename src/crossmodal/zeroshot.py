@@ -1,6 +1,6 @@
 """Zero-shot label transfer: one class-independent transfer matrix trained on
 seen classes only, then applied to rank images of classes that have labeled
-text but no labeled images."""
+text but no labeled images (`model.unseen_scores`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -13,8 +13,9 @@ from .model import (
     CorpusExample,
     Hyperparameters,
     TrainedModel,
-    f_inter,
     l2_normalize,
+    ovr_labels,
+    stack_features,
 )
 from .solver import TrainReport, _Problem, _train_loop
 
@@ -62,24 +63,6 @@ def filter_pairs(
     return [p for p in all_pairs if p.class_id not in unseen]
 
 
-def one_vs_rest_texts(texts: list[CorpusExample], cls: str) -> list[CorpusExample]:
-    """Relabel class-tagged texts to +1 for `cls` and -1 for everything else."""
-    return [
-        CorpusExample(t.id, t.features, 1 if t.label == cls else -1) for t in texts
-    ]
-
-
-def _ovr_labels(examples: list[CorpusExample], classes: list[str]) -> np.ndarray:
-    """(N, B) one-vs-rest label matrix over an ordered class list."""
-    labels = np.full((len(examples), len(classes)), -1.0)
-    index = {c: b for b, c in enumerate(classes)}
-    for i, ex in enumerate(examples):
-        b = index.get(ex.label)
-        if b is not None:
-            labels[i, b] = 1.0
-    return labels
-
-
 def train_zeroshot(
     ds: ZeroShotDataset, hyper: Hyperparameters, verbose=False, log=None
 ) -> tuple[TrainedModel, TrainReport]:
@@ -120,26 +103,16 @@ def train_zeroshot(
     else:
         raise DataError("zero-shot training needs images or pairs to fix q")
 
-    text_X = (
-        np.stack([t.features for t in seen_texts])
-        if seen_texts
-        else np.zeros((0, p))
-    )
-    img_Z = (
-        np.stack([i.features for i in train_images])
-        if train_images
-        else np.zeros((0, q))
-    )
+    text_X = stack_features(seen_texts, p, "source text")
+    img_Z = stack_features(train_images, q, "training image")
     pair_X = np.stack([c.text_features for c in pairs]) if pairs else np.zeros((0, p))
     pair_Z = np.stack([c.image_features for c in pairs]) if pairs else np.zeros((0, q))
-    if text_X.shape[0] and text_X.shape[1] != p:
-        raise DataError("inconsistent text dimensions")
 
     pb = _Problem(
         text_X=text_X,
-        text_Y=_ovr_labels(seen_texts, seen),
+        text_Y=ovr_labels(seen_texts, seen),
         img_Z=img_Z,
-        img_Y=_ovr_labels(train_images, seen),
+        img_Y=ovr_labels(train_images, seen),
         pair_X=pair_X,
         pair_Z=pair_Z,
         K=None,
@@ -158,10 +131,3 @@ def train_zeroshot(
         final_objective=report.final_objective,
     )
     return model, report
-
-
-def score_unseen(
-    S: np.ndarray, class_texts: list[CorpusExample], z: np.ndarray
-) -> float:
-    """Intermodal score of image z for a class given one-vs-rest labeled texts."""
-    return f_inter(S, class_texts, z)

@@ -1,11 +1,104 @@
 """Shared independent oracles: finite differences, brute-force ranking metrics,
-and random small training instances."""
+the per-image scalar discriminants the batched scoring path is checked
+against, and random small training instances."""
 import itertools
 
 import numpy as np
 
-from crossmodal.model import CorpusExample, CooccurrencePair, Hyperparameters, KernelSpec
+from crossmodal.model import (
+    CooccurrencePair,
+    CorpusExample,
+    Hyperparameters,
+    KernelSpec,
+    TrainedModel,
+    l2_normalize,
+)
 from crossmodal.solver import TrainData, smooth_value
+
+
+# Scalar scoring oracles: one image, one text or one training image at a time.
+
+def _check_dim(v: np.ndarray, dim: int, name: str):
+    if v.shape != (dim,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+
+
+def transfer_score(x: np.ndarray, S: np.ndarray, z: np.ndarray) -> float:
+    """Alignment of a text vector and an image vector: tanh(x' S z)."""
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    p, q = S.shape
+    _check_dim(x, p, "text features")
+    _check_dim(z, q, "image features")
+    t = float(np.tanh(x @ S @ z))
+    # tanh saturates to +/-1.0 in double precision around |arg| ~ 19; keep the
+    # advertised open interval.
+    bound = np.nextafter(1.0, 0.0)
+    return min(max(t, -bound), bound)
+
+
+def f_inter(S: np.ndarray, source_texts: list[CorpusExample], z: np.ndarray) -> float:
+    """Intermodal discriminant: sum_i y_i * tanh(x_i' S z) over the text corpus."""
+    z = np.asarray(z, dtype=float)
+    p, q = S.shape
+    _check_dim(z, q, "image features")
+    total = 0.0
+    for t in source_texts:
+        _check_dim(t.features, p, "text features")
+        total += float(t.label) * float(np.tanh(t.features @ S @ z))
+    return total
+
+
+def kernel_eval(kernel: KernelSpec, z1: np.ndarray, z2: np.ndarray) -> float:
+    z1 = np.asarray(z1, dtype=float)
+    z2 = np.asarray(z2, dtype=float)
+    if z1.shape != z2.shape:
+        raise ValueError(f"kernel arguments have shapes {z1.shape} vs {z2.shape}")
+    if kernel.kind == "linear":
+        return float(z1 @ z2)
+    if kernel.bandwidth is None:
+        raise ValueError("gaussian kernel bandwidth not resolved")
+    d2 = float(np.sum((z1 - z2) ** 2))
+    return float(np.exp(-d2 / (2.0 * kernel.bandwidth**2)))
+
+
+def f_intra(model: TrainedModel, z: np.ndarray) -> float:
+    """Intramodal discriminant: sum_j y_j alpha_j K(z_j, z) over training images."""
+    z = np.asarray(z, dtype=float)
+    total = 0.0
+    for ex, a in zip(model.train_images, model.alpha):
+        total += float(ex.label) * a * kernel_eval(model.kernel, ex.features, z)
+    return total
+
+
+def discriminant(model: TrainedModel, z: np.ndarray) -> float:
+    """Joint discriminant f_inter + f_intra for a query image."""
+    z = np.asarray(z, dtype=float)
+    if model.normalize:
+        z = l2_normalize(z)
+    return f_inter(model.S, model.source_texts, z) + f_intra(model, z)
+
+
+def predict_label(model: TrainedModel, z: np.ndarray) -> int:
+    """sign of the discriminant; exactly zero maps to -1 for determinism."""
+    return 1 if discriminant(model, z) > 0 else -1
+
+
+def one_vs_rest_texts(texts: list[CorpusExample], cls: str) -> list[CorpusExample]:
+    """Relabel class-tagged texts to +1 for `cls` and -1 for everything else."""
+    return [
+        CorpusExample(t.id, t.features, 1 if t.label == cls else -1) for t in texts
+    ]
+
+
+def score_unseen(
+    S: np.ndarray, class_texts: list[CorpusExample], z: np.ndarray
+) -> float:
+    """Intermodal score of image z for a class given one-vs-rest labeled texts."""
+    return f_inter(S, class_texts, z)
+
+
+# Random instances and finite differences.
 
 
 def random_instance(rng, p=3, q=4, n=2, m=2, l=3):
@@ -39,8 +132,6 @@ def random_instance(rng, p=3, q=4, n=2, m=2, l=3):
 
 
 def _near_kink(S, alpha, data, hyper, margin_tol=1e-4):
-    from crossmodal.model import TrainedModel, discriminant
-
     model = TrainedModel(
         S=S,
         alpha=alpha,

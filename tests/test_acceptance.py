@@ -16,16 +16,13 @@ from crossmodal.losses import misalign, misalign_deriv
 from crossmodal.model import (
     CorpusExample,
     Hyperparameters,
-    predict_label,
+    scores,
+    stack_features,
+    unseen_scores,
 )
 from crossmodal.solver import TrainData, grad_S, grad_alpha, train
 from crossmodal.synth import SynthConfig, generate
-from crossmodal.zeroshot import (
-    ZeroShotDataset,
-    one_vs_rest_texts,
-    score_unseen,
-    train_zeroshot,
-)
+from crossmodal.zeroshot import ZeroShotDataset, train_zeroshot
 from oracle_utils import (
     brute_force_auc,
     brute_force_average_precision,
@@ -125,8 +122,9 @@ def test_criterion_05_planted_advantage():
             TrainData([], ds.images, [], p=ds.config.p), base_hyper
         )
         truth = np.array([int(e.label) for e in ds.test_images])
-        full_pred = np.array([predict_label(full, e.features) for e in ds.test_images])
-        base_pred = np.array([predict_label(base, e.features) for e in ds.test_images])
+        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        full_pred = np.where(scores(full, Z) > 0, 1, -1)
+        base_pred = np.where(scores(base, Z) > 0, 1, -1)
         full_errs.append(float(np.mean(full_pred != truth)))
         base_errs.append(float(np.mean(base_pred != truth)))
     diffs = np.array(base_errs) - np.array(full_errs)
@@ -196,12 +194,10 @@ def test_criterion_08_zeroshot_sanity():
         )
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=100, tol=1e-7)
         model, _ = train_zeroshot(zds, hyper)
-        texts = one_vs_rest_texts(model.source_texts, "c0")
-        scores = np.array(
-            [score_unseen(model.S, texts, e.features) for e in ds.test_images]
-        )
+        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        c0_scores = unseen_scores(model, Z, ["c0"])[:, 0]
         truth = np.array([1 if e.label == "c0" else -1 for e in ds.test_images])
-        aucs.append(auc(scores, truth))
+        aucs.append(auc(c0_scores, truth))
     aucs = np.array(aucs)
     se = aucs.std(ddof=1) / np.sqrt(aucs.size)
     elapsed = time.time() - start
@@ -267,15 +263,11 @@ def test_criterion_10_pipeline_determinism(tmp_path, capsys):
     out2, _, pred2 = pipeline("b")
 
     from crossmodal import data_io
-    from crossmodal.model import discriminant
 
     model, _, _ = data_io.parse_model(model_bytes.decode())
     back, _, _ = data_io.parse_model(data_io.serialize_model(model))
-    rng = np.random.default_rng(22)
-    round_trip_exact = all(
-        discriminant(back, z) == discriminant(model, z)
-        for z in rng.standard_normal((10, cfg["q"]))
-    )
+    Z = np.random.default_rng(22).standard_normal((10, cfg["q"]))
+    round_trip_exact = bool(np.all(scores(back, Z) == scores(model, Z)))
     report(
         "criterion 10: pipeline determinism and model round-trip",
         out1 == out2 and pred1 == pred2 and round_trip_exact,

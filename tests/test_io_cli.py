@@ -12,7 +12,7 @@ from crossmodal.model import (
     Hyperparameters,
     KernelSpec,
     TrainedModel,
-    discriminant,
+    scores,
 )
 from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
@@ -64,6 +64,29 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=":1"):
             data_io.parse_dataset(str(path))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_feature_names_line(self, tmp_path, token):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(
+            '{"kind": "image", "id": "a", "label": 1, "features": [1.0, 2.0]}\n'
+            f'{{"kind": "image", "id": "b", "label": -1, "features": [1.0, {token}]}}\n'
+        )
+        with pytest.raises(DataError, match=r"nan\.jsonl:2: .*non-finite"):
+            data_io.parse_dataset(str(path))
+
+    def test_non_numeric_feature_names_line(self, tmp_path):
+        path = tmp_path / "text.jsonl"
+        path.write_text('{"kind": "image", "id": "a", "label": 1, "features": ["x", 2.0]}\n')
+        with pytest.raises(DataError, match=r"text\.jsonl:1: .*must hold numbers"):
+            data_io.parse_dataset(str(path))
+
+    def test_pair_class_must_be_string(self, tmp_path):
+        path = tmp_path / "pair.jsonl"
+        path.write_text(json.dumps({"kind": "pair", "id": "p0", "class": 7,
+                                    "text_features": [1.0], "image_features": [2.0]}) + "\n")
+        with pytest.raises(DataError, match=r":1: class must be a string"):
+            data_io.parse_dataset(str(path))
+
 
 class TestModelIO:
     def trained_model(self):
@@ -87,10 +110,8 @@ class TestModelIO:
         text = data_io.serialize_model(model)
         back, mode, unseen = data_io.parse_model(text)
         assert mode == "binary" and unseen == []
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            z = rng.standard_normal(2)
-            assert discriminant(back, z) == discriminant(model, z)
+        Z = np.random.default_rng(1).standard_normal((10, 2))
+        assert np.all(scores(back, Z) == scores(model, Z))
         assert data_io.serialize_model(back) == text
 
     def test_truncated_file(self):
@@ -102,6 +123,25 @@ class TestModelIO:
         doc = json.loads(data_io.serialize_model(self.trained_model()))
         doc["format_version"] = 99
         with pytest.raises(DataError, match="format_version"):
+            data_io.parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["S", "alpha", "bandwidth", "features"])
+    def test_non_finite_number_rejected(self, field):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        if field == "bandwidth":
+            doc["kernel"]["bandwidth"] = float("nan")
+        elif field == "features":
+            doc["train_images"][1]["features"][0] = float("inf")
+        else:
+            doc[field][0] = float("nan")
+        text = json.dumps(doc)  # writes the NaN and Infinity tokens
+        with pytest.raises(DataError, match="non-finite"):
+            data_io.parse_model(text)
+
+    def test_example_dimension_checked(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["source_texts"][0]["features"].append(1.0)
+        with pytest.raises(DataError, match="expected"):
             data_io.parse_model(json.dumps(doc))
 
 
@@ -156,6 +196,7 @@ class TestCli:
         code = main(["train", "--data", str(data), "--out", str(model_path),
                      "--gamma", "0", "--lambda", "0"])
         assert code == 0
+        assert "converged True\nstop_reason tol\n" in capsys.readouterr().out
         model, _, _ = data_io.read_model(str(model_path))
         assert np.all(model.S == 0) and np.all(model.alpha == 0)
 
@@ -189,6 +230,55 @@ class TestCli:
         out = tmp_path / "model.json"
         assert main(["train", "--data", str(missing), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_non_finite_inputs_exit_2(self, tmp_path, synth_config, capsys):
+        data = tmp_path / "train.jsonl"
+        test = tmp_path / "test.jsonl"
+        model = tmp_path / "model.json"
+        pred = tmp_path / "pred.jsonl"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data),
+                     "--test-out", str(test)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--max-iter", "5"]) == 0
+        capsys.readouterr()
+
+        def poison(path, line_index):
+            lines = path.read_text().splitlines()
+            rec = json.loads(lines[line_index])
+            key = "features" if "features" in rec else "text_features"
+            rec[key][0] = float("nan")
+            lines[line_index] = json.dumps(rec)
+            bad = tmp_path / f"bad-{path.name}"
+            bad.write_text("\n".join(lines) + "\n")
+            return bad
+
+        bad_train = poison(data, 3)
+        assert main(["train", "--data", str(bad_train), "--out", str(model)]) == 2
+        assert f"{bad_train}:4:" in capsys.readouterr().err
+        bad_test = poison(test, 0)
+        assert main(["predict", "--model", str(model), "--images", str(bad_test),
+                     "--out", str(pred)]) == 2
+        assert f"{bad_test}:1:" in capsys.readouterr().err
+        assert not pred.exists()
+
+    def test_predict_wrong_dimension_exit_2(self, tmp_path, synth_config, capsys):
+        data = tmp_path / "train.jsonl"
+        model = tmp_path / "model.json"
+        images = tmp_path / "images.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--max-iter", "5"]) == 0
+        capsys.readouterr()
+        images.write_text("".join(
+            json.dumps({"kind": "image", "id": f"i{k}", "features": [1.0, 2.0, 3.0]}) + "\n"
+            for k in range(4)
+        ))
+        assert main(["predict", "--model", str(model), "--images", str(images),
+                     "--out", str(pred)]) == 2
+        err = capsys.readouterr().err
+        assert str(images) in err and "dimension 3" in err
+        assert not pred.exists()
 
     def test_crossval_prints_selection(self, tmp_path, synth_config, capsys):
         data = tmp_path / "train.jsonl"

@@ -2,26 +2,37 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossmodal.errors import DataError
 from crossmodal.model import (
     CorpusExample,
     Hyperparameters,
     KernelSpec,
     TrainedModel,
+    kernel_matrix,
+    l2_normalize,
+    median_bandwidth,
+    scores,
+    stack_features,
+    unseen_scores,
+)
+from crossmodal.solver import TrainData, train
+from crossmodal.synth import SynthConfig, generate
+from oracle_utils import (
     discriminant,
     f_inter,
     f_intra,
     kernel_eval,
-    kernel_matrix,
-    median_bandwidth,
+    one_vs_rest_texts,
     predict_label,
+    score_unseen,
     transfer_score,
 )
 
 
-def make_model(S, alpha, texts, images, kernel=None):
+def make_model(S, alpha, texts, images, kernel=None, normalize=False):
     kernel = kernel or KernelSpec(bandwidth=1.0)
     return TrainedModel(
         S=S,
@@ -29,8 +40,19 @@ def make_model(S, alpha, texts, images, kernel=None):
         source_texts=texts,
         train_images=images,
         kernel=kernel,
-        hyper=Hyperparameters(kernel=kernel),
+        hyper=Hyperparameters(kernel=kernel, normalize=normalize),
+        normalize=normalize,
     )
+
+
+def labels(s):
+    return np.where(s > 0, 1, -1)
+
+
+def close_to_oracle(batched, oracle, rtol=1e-12):
+    """Relative agreement, with a unit floor for scores that cancel to ~0."""
+    oracle = np.asarray(oracle, dtype=float)
+    return bool(np.all(np.abs(batched - oracle) <= rtol * np.maximum(1.0, np.abs(oracle))))
 
 
 class TestTransferScore:
@@ -148,8 +170,14 @@ class TestMedianBandwidth:
 
 
 class TestDiscriminant:
+    """The package's discriminant is the batched `scores`; an intramodal-only
+    model (no texts) scores by f_intra alone."""
+
     def test_all_zero(self):
         model = make_model(np.zeros((2, 2)), [], [], [])
+        s = scores(model, np.ones((1, 2)))
+        assert s.tolist() == [0.0]
+        assert labels(s).tolist() == [-1]
         assert discriminant(model, np.ones(2)) == 0.0
         assert predict_label(model, np.ones(2)) == -1
 
@@ -158,17 +186,21 @@ class TestDiscriminant:
         model = make_model(
             np.zeros((2, 2)), [1.0], [], [CorpusExample("i0", z, 1)]
         )
+        assert scores(model, z[None])[0] == pytest.approx(1.0)
         assert f_intra(model, z) == pytest.approx(1.0)
 
     def test_intra_cancellation(self):
         z = np.array([0.5, -0.5])
         imgs = [CorpusExample("a", z, 1), CorpusExample("b", z, -1)]
         model = make_model(np.zeros((2, 2)), [0.7, 0.7], [], imgs)
-        assert f_intra(model, np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+        q = np.array([[1.0, 1.0]])
+        assert scores(model, q)[0] == pytest.approx(0.0, abs=1e-15)
+        assert f_intra(model, q[0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_intra_zero_alpha(self):
         imgs = [CorpusExample("a", np.ones(2), 1)]
         model = make_model(np.zeros((2, 2)), [0.0], [], imgs)
+        assert scores(model, np.zeros((1, 2))).tolist() == [0.0]
         assert f_intra(model, np.zeros(2)) == 0.0
 
     def test_sum_of_parts(self):
@@ -179,6 +211,7 @@ class TestDiscriminant:
         z = rng.standard_normal(2)
         total = f_inter(model.S, texts, z) + f_intra(model, z)
         assert discriminant(model, z) == pytest.approx(total)
+        assert scores(model, z[None])[0] == pytest.approx(total)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -201,5 +234,92 @@ class TestDiscriminant:
             [CorpusExample(t.id, t.features, -t.label) for t in texts],
             [CorpusExample(i.id, i.features, -i.label) for i in imgs],
         )
-        z = rng.standard_normal(2)
+        Z = rng.standard_normal((4, 2))
+        np.testing.assert_allclose(scores(flipped, Z), -scores(model, Z), rtol=0, atol=1e-10)
+        z = Z[0]
         assert discriminant(flipped, z) == pytest.approx(-discriminant(model, z), abs=1e-10)
+
+
+def random_model(rng, kind, normalize, n, m, p=3, q=2, classes=None):
+    """Random small model; texts carry class ids when `classes` is given."""
+    if classes is None:
+        text_labels = [int(v) for v in rng.choice([-1, 1], n)]
+    else:
+        text_labels = [str(v) for v in rng.choice(classes, n)]
+    texts = [
+        CorpusExample(f"t{i}", rng.standard_normal(p), y) for i, y in enumerate(text_labels)
+    ]
+    imgs = [
+        CorpusExample(f"i{j}", rng.standard_normal(q), int(y))
+        for j, y in enumerate(rng.choice([-1, 1], m))
+    ]
+    kernel = KernelSpec(kind=kind, bandwidth=float(rng.uniform(0.5, 2.0)))
+    return make_model(
+        rng.standard_normal((p, q)) * 2.0, rng.uniform(0.0, 2.0, m), texts, imgs,
+        kernel=kernel, normalize=normalize,
+    )
+
+
+def queries(rng, k, q):
+    """k random query rows plus a zero row, which normalization leaves alone."""
+    return np.vstack([rng.standard_normal((k, q)) * 3.0, np.zeros((1, q))])
+
+
+class TestBatchedScores:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["gaussian", "linear"]),
+        normalize=st.booleans(),
+        n=st.integers(0, 5),
+        m=st.integers(0, 5),
+        k=st.integers(0, 6),
+    )
+    @example(seed=0, kind="gaussian", normalize=False, n=0, m=3, k=4)
+    @example(seed=1, kind="linear", normalize=True, n=4, m=0, k=4)
+    @example(seed=2, kind="gaussian", normalize=True, n=0, m=0, k=2)
+    def test_matches_scalar_oracle(self, seed, kind, normalize, n, m, k):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, kind, normalize, n, m)
+        Z = queries(rng, k, 2)
+        batched = scores(model, Z)
+        assert batched.shape == (k + 1,)
+        assert close_to_oracle(batched, [discriminant(model, z) for z in Z])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        normalize=st.booleans(),
+        n=st.integers(0, 6),
+        k=st.integers(0, 5),
+    )
+    @example(seed=0, normalize=False, n=0, k=3)
+    def test_unseen_matches_scalar_oracle(self, seed, normalize, n, k):
+        rng = np.random.default_rng(seed)
+        classes = ["a", "b", "c"]
+        model = random_model(rng, "gaussian", normalize, n, 0, classes=classes)
+        Z = queries(rng, k, 2)
+        batched = unseen_scores(model, Z, ["c", "a"])
+        assert batched.shape == (k + 1, 2)
+        for b, cls in enumerate(["c", "a"]):
+            texts = one_vs_rest_texts(model.source_texts, cls)
+            Zs = [l2_normalize(z) for z in Z] if normalize else Z
+            assert close_to_oracle(batched[:, b], [score_unseen(model.S, texts, z) for z in Zs])
+
+    def test_labels_identical_on_synth_seeds(self):
+        for seed in range(10):
+            ds = generate(SynthConfig(seed=seed, n_test=100))
+            model, _ = train(
+                TrainData(ds.texts, ds.images, ds.pairs),
+                Hyperparameters(max_iter=15, normalize=seed % 2 == 1),
+            )
+            Z = stack_features(ds.test_images, ds.config.q, "test image")
+            oracle = [predict_label(model, z) for z in Z]
+            assert labels(scores(model, Z)).tolist() == oracle
+
+    def test_wrong_query_dimension_rejected(self):
+        model = make_model(np.zeros((3, 2)), [], [], [])
+        with pytest.raises(DataError, match="expected"):
+            scores(model, np.ones((4, 3)))
+        with pytest.raises(DataError, match="expected"):
+            unseen_scores(model, np.ones(2), ["a"])

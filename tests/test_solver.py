@@ -10,7 +10,7 @@ from crossmodal.model import (
     Hyperparameters,
     KernelSpec,
 )
-from crossmodal import linalg
+from crossmodal import linalg, solver
 from crossmodal.solver import (
     TrainData,
     grad_S,
@@ -136,7 +136,7 @@ class TestTrain:
         data, hyper, _, _ = small_instance
         hyper0 = Hyperparameters(gamma=0.0, lam=0.0, kernel=hyper.kernel)
         model, report = train(data, hyper0)
-        assert report.converged
+        assert report.converged and report.stop_reason == "tol"
         assert report.iterations == 1
         np.testing.assert_allclose(model.S, 0.0)
         np.testing.assert_allclose(model.alpha, 0.0)
@@ -212,6 +212,27 @@ class TestTrain:
         assert np.any(model.alpha > 0)
         trace = np.array(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9)
+
+    def test_stop_reasons(self, small_instance):
+        data, hyper, _, _ = small_instance
+        from dataclasses import replace
+
+        _, report = train(data, replace(hyper, max_iter=3, tol=1e-16))
+        assert report.stop_reason == "max_iter" and report.converged is False
+        assert report.iterations == 3
+
+    def test_linesearch_exhaustion_is_not_convergence(self, monkeypatch):
+        # One probe per line search: the first S and alpha probes both fail,
+        # the iterate stays where it was and the objective does not move.
+        from crossmodal.synth import SynthConfig, generate
+
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 1)
+        ds = generate(SynthConfig(seed=0))
+        _, report = train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters())
+        assert report.converged is False
+        assert report.stop_reason == "linesearch"
+        assert report.iterations == 1
+        assert report.objective_trace[-1] == report.objective_trace[-2]
 
     def test_dimension_mismatch_rejected(self):
         from crossmodal.errors import DataError

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from crossmodal.errors import DataError
-from crossmodal.model import CooccurrencePair, CorpusExample, Hyperparameters
+from crossmodal.model import (
+    CooccurrencePair,
+    CorpusExample,
+    Hyperparameters,
+    KernelSpec,
+    TrainedModel,
+    stack_features,
+    unseen_scores,
+)
 from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
-from crossmodal.zeroshot import (
-    ZeroShotDataset,
-    filter_pairs,
-    one_vs_rest_texts,
-    score_unseen,
-    train_zeroshot,
-)
+from crossmodal.zeroshot import ZeroShotDataset, filter_pairs, train_zeroshot
+from oracle_utils import one_vs_rest_texts, score_unseen
 
 
 def tagged_pairs(rng, tags, p=3, q=2):
@@ -138,40 +141,54 @@ class TestTrainZeroshot:
         ds, zds = multiclass_split(seed=7)
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=80, tol=1e-7)
         model, _ = train_zeroshot(zds, hyper)
-        texts = one_vs_rest_texts(model.source_texts, "c0")
-        scores = np.array(
-            [score_unseen(model.S, texts, e.features) for e in ds.test_images]
-        )
+        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        scores = unseen_scores(model, Z, ["c0"])[:, 0]
         truth = np.array([1 if e.label == "c0" else -1 for e in ds.test_images])
         assert auc(scores, truth) > 0.75
+
+
+def text_model(S, texts):
+    """A zero-shot model: class-tagged source texts and no intramodal term."""
+    return TrainedModel(
+        S=S, alpha=np.zeros(0), source_texts=texts, train_images=[],
+        kernel=KernelSpec(), hyper=Hyperparameters(),
+    )
 
 
 class TestScoreUnseen:
     def test_zero_matrix_scores_zero(self):
         rng = np.random.default_rng(5)
-        texts = one_vs_rest_texts(
-            [CorpusExample("t", rng.standard_normal(3), "a")], "a"
-        )
-        assert score_unseen(np.zeros((3, 2)), texts, rng.standard_normal(2)) == 0.0
+        texts = [CorpusExample("t", rng.standard_normal(3), "a")]
+        z = rng.standard_normal(2)
+        assert unseen_scores(text_model(np.zeros((3, 2)), texts), z[None], ["a"]).tolist() == [[0.0]]
+        assert score_unseen(np.zeros((3, 2)), one_vs_rest_texts(texts, "a"), z) == 0.0
 
     def test_single_positive_text(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3)
         S = rng.standard_normal((3, 2))
         z = rng.standard_normal(2)
-        texts = one_vs_rest_texts([CorpusExample("t", x, "a")], "a")
-        assert score_unseen(S, texts, z) == pytest.approx(np.tanh(x @ S @ z))
+        texts = [CorpusExample("t", x, "a")]
+        got = unseen_scores(text_model(S, texts), z[None], ["a"])[0, 0]
+        assert got == pytest.approx(np.tanh(x @ S @ z))
+        assert score_unseen(S, one_vs_rest_texts(texts, "a"), z) == pytest.approx(
+            np.tanh(x @ S @ z)
+        )
 
     def test_label_flip_antisymmetry(self):
+        # With two classes, the one-vs-rest labels of one are the negated
+        # labels of the other.
         rng = np.random.default_rng(7)
         base = [
             CorpusExample(f"t{i}", rng.standard_normal(3), "a" if i % 2 else "b")
             for i in range(6)
         ]
         S = rng.standard_normal((3, 2))
-        z = rng.standard_normal(2)
+        Z = rng.standard_normal((3, 2))
+        table = unseen_scores(text_model(S, base), Z, ["a", "b"])
+        np.testing.assert_allclose(table[:, 1], -table[:, 0], rtol=1e-12)
         texts = one_vs_rest_texts(base, "a")
         flipped = [CorpusExample(t.id, t.features, -t.label) for t in texts]
-        assert score_unseen(S, flipped, z) == pytest.approx(
-            -score_unseen(S, texts, z)
+        assert score_unseen(S, flipped, Z[0]) == pytest.approx(
+            -score_unseen(S, texts, Z[0])
         )
