@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from . import data_io, evaluation, synth, zeroshot
 from .errors import DataError, NumericalError
 from .model import Hyperparameters, KernelSpec, scores, stack_features, unseen_scores
-from .solver import TrainData, train
+from .solver import TrainData, TrainReport, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,16 +118,16 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    corpora = data_io.parse_dataset(args.data)
-    hyper = _hyper_from_args(args)
-    data = TrainData(
+def _read_train_data(path: str) -> TrainData:
+    corpora = data_io.parse_dataset(path)
+    return TrainData(
         source_texts=corpora.texts,
         train_images=corpora.images,
         pairs=corpora.pairs,
     )
-    model, report = train(data, hyper, verbose=args.verbose)
-    data_io.write_model(model, args.out)
+
+
+def _print_report(report: TrainReport) -> None:
     print(
         f"converged {report.converged}\n"
         f"stop_reason {report.stop_reason}\n"
@@ -134,6 +135,14 @@ def _cmd_train(args) -> int:
         f"final_objective {report.final_objective!r}\n"
         f"final_rank {report.final_rank}"
     )
+
+
+def _cmd_train(args) -> int:
+    data = _read_train_data(args.data)
+    hyper = _hyper_from_args(args)
+    model, report = train(data, hyper, verbose=args.verbose)
+    data_io.write_model(model, args.out)
+    _print_report(report)
     return EXIT_OK
 
 
@@ -162,6 +171,35 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _finite_number(value, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataError(f"{what} must be a finite number")
+
+
+def _check_prediction(rec, first) -> None:
+    """A prediction record has a string id and, in the mode of the first record,
+    either a finite score and a +1/-1 label, or finite per-class scores over
+    the first record's classes."""
+    if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+        raise DataError("missing string id")
+    if "scores" in first:
+        table = rec.get("scores")
+        if not isinstance(table, dict) or not table:
+            raise DataError("'scores' must be a non-empty object")
+        if table.keys() != first["scores"].keys():
+            raise DataError(
+                f"classes {sorted(table)} differ from the first record's "
+                f"{sorted(first['scores'])}"
+            )
+        for c, v in table.items():
+            _finite_number(v, f"score of class {c!r}")
+    else:
+        _finite_number(rec.get("score"), "'score'")
+        label = rec.get("label")
+        if isinstance(label, bool) or label not in (1, -1):
+            raise DataError("'label' must be 1 or -1")
+
+
 def _read_predictions(path: str) -> list[dict]:
     records = []
     with open(path) as fh:
@@ -170,9 +208,13 @@ def _read_predictions(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line, parse_constant=data_io._reject_constant)
+                _check_prediction(rec, records[0] if records else rec)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction: {exc}") from exc
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            records.append(rec)
     return records
 
 
@@ -182,7 +224,7 @@ def _cmd_evaluate(args) -> int:
     truth_by_id = {ex.id: ex.label for ex in truth_corpora.images}
     if not preds:
         raise DataError("no predictions to evaluate")
-    missing = [r.get("id") for r in preds if r.get("id") not in truth_by_id]
+    missing = [r["id"] for r in preds if r["id"] not in truth_by_id]
     if missing:
         raise DataError(f"no truth for predicted ids {missing[:3]}")
 
@@ -220,12 +262,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    corpora = data_io.parse_dataset(args.data)
-    data = TrainData(
-        source_texts=corpora.texts,
-        train_images=corpora.images,
-        pairs=corpora.pairs,
-    )
+    data = _read_train_data(args.data)
     base = _hyper_from_args(args)
     best = evaluation.crossval_select(data, base=base, seed=args.seed)
     print(f"lambda {best.lam}\ngamma {best.gamma}\nC {best.C}")
@@ -252,13 +289,7 @@ def _cmd_zeroshot(args) -> int:
     hyper = _hyper_from_args(args)
     model, report = zeroshot.train_zeroshot(ds, hyper, verbose=args.verbose)
     data_io.write_model(model, args.out, mode="zeroshot", unseen_classes=sorted(unseen))
-    print(
-        f"converged {report.converged}\n"
-        f"stop_reason {report.stop_reason}\n"
-        f"iterations {report.iterations}\n"
-        f"final_objective {report.final_objective!r}\n"
-        f"final_rank {report.final_rank}"
-    )
+    _print_report(report)
     return EXIT_OK
 
 

@@ -4,7 +4,7 @@ constrained alpha coefficients, both with backtracking so the objective never
 increases."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class TrainData:
             return self.pairs[0].text_features.shape[0]
         if self.p is not None:
             return self.p
-        raise DataError("text dimension p cannot be inferred; set TrainData.p")
+        raise DataError("no texts or pairs to infer the text dimension p; set TrainData.p")
 
     def image_dim(self) -> int:
         if self.train_images:
@@ -58,7 +58,7 @@ class TrainData:
             return self.pairs[0].image_features.shape[0]
         if self.q is not None:
             return self.q
-        raise DataError("image dimension q cannot be inferred; set TrainData.q")
+        raise DataError("no images or pairs to infer the image dimension q; set TrainData.q")
 
 
 @dataclass
@@ -86,7 +86,8 @@ class _Problem:
     img_Y: np.ndarray    # (m, B)
     pair_X: np.ndarray   # (l, p)
     pair_Z: np.ndarray   # (l, q)
-    K: np.ndarray | None  # (m, m) kernel Gram matrix; None disables alpha
+    K: np.ndarray | None  # (m, m) kernel Gram matrix; None (as when m = 0) disables alpha
+    kernel: KernelSpec | None  # the resolved kernel K was built with
     p: int
     q: int
 
@@ -98,12 +99,10 @@ class _Problem:
     def m(self) -> int:
         return self.img_Z.shape[0]
 
-    @property
-    def use_alpha(self) -> bool:
-        return self.K is not None and self.m > 0
 
-
-def _build_problem(data: TrainData, hyper: Hyperparameters) -> _Problem:
+def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) -> _Problem:
+    """Stack the corpora of `data` into arrays, with (n, B) and (m, B) label
+    blocks for texts and images. A `kernel` of None leaves alpha off."""
     p, q = data.text_dim(), data.image_dim()
     text_X = stack_features(data.source_texts, p, "source text")
     img_Z = stack_features(data.train_images, q, "training image")
@@ -114,16 +113,18 @@ def _build_problem(data: TrainData, hyper: Hyperparameters) -> _Problem:
             raise DataError("pair dimensions do not match the corpora")
     else:
         pair_X, pair_Z = np.zeros((0, p)), np.zeros((0, q))
-    kernel = resolve_kernel(hyper.kernel, img_Z)
-    K = kernel_matrix(kernel, img_Z, img_Z) if img_Z.shape[0] > 0 else None
+    if kernel is not None:
+        kernel = resolve_kernel(kernel, img_Z)
+    K = kernel_matrix(kernel, img_Z, img_Z) if kernel is not None and img_Z.shape[0] > 0 else None
     return _Problem(
         text_X=text_X,
-        text_Y=signs(data.source_texts)[:, None],
+        text_Y=text_Y,
         img_Z=img_Z,
-        img_Y=signs(data.train_images)[:, None],
+        img_Y=img_Y,
         pair_X=pair_X,
         pair_Z=pair_Z,
         K=K,
+        kernel=kernel,
         p=p,
         q=q,
     )
@@ -149,7 +150,7 @@ def _margins(S, alpha, pb: _Problem):
     else:
         T = None
         F = np.zeros((B, pb.m))
-    if pb.use_alpha and alpha is not None and alpha.size:
+    if pb.K is not None and alpha.size:
         F[0] += pb.K @ (alpha * pb.img_Y[:, 0])
     return F, T
 
@@ -188,7 +189,7 @@ def _grad_S_arrays(S, alpha, pb: _Problem, hyper: Hyperparameters) -> np.ndarray
 
 
 def _grad_alpha_arrays(S, alpha, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
-    if not pb.use_alpha:
+    if pb.K is None:
         return np.zeros(0)
     F, _ = _margins(S, alpha, pb)
     y = pb.img_Y[:, 0]
@@ -197,31 +198,6 @@ def _grad_alpha_arrays(S, alpha, pb: _Problem, hyper: Hyperparameters) -> np.nda
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient in alpha is non-finite")
     return grad
-
-
-# Public single-block wrappers -------------------------------------------------
-
-def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
-    """Full training objective: hinge + misalignment + trace norm of S."""
-    return smooth_value(S, alpha, data, hyper) + linalg.trace_norm(S)
-
-
-def smooth_value(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
-    """The objective minus the trace norm: the (sub)differentiable part."""
-    pb = _build_problem(data, hyper)
-    return _smooth(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
-
-
-def grad_S(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
-    """Subgradient of the smooth part with respect to S."""
-    pb = _build_problem(data, hyper)
-    return _grad_S_arrays(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
-
-
-def grad_alpha(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
-    """Subgradient of the smooth part with respect to alpha."""
-    pb = _build_problem(data, hyper)
-    return _grad_alpha_arrays(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
 
 
 def prox_step(S_tau: np.ndarray, grad: np.ndarray, L: float) -> np.ndarray:
@@ -253,7 +229,7 @@ def _train_loop(
         log = print
     S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
     if init_alpha is None:
-        alpha = np.zeros(pb.m) if pb.use_alpha else np.zeros(0)
+        alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:
         alpha = project_alpha(init_alpha, hyper.C)
     L = hyper.L0
@@ -322,25 +298,22 @@ def _train_loop(
     return S, alpha, report
 
 
+def _normalized(examples: list[CorpusExample]) -> list[CorpusExample]:
+    return [CorpusExample(e.id, l2_normalize(e.features), e.label) for e in examples]
+
+
 def normalize_data(data: TrainData) -> TrainData:
     """L2-normalize every feature vector, returning a new TrainData."""
-    return TrainData(
-        source_texts=[
-            CorpusExample(e.id, l2_normalize(e.features), e.label)
-            for e in data.source_texts
-        ],
-        train_images=[
-            CorpusExample(e.id, l2_normalize(e.features), e.label)
-            for e in data.train_images
-        ],
+    return replace(
+        data,
+        source_texts=_normalized(data.source_texts),
+        train_images=_normalized(data.train_images),
         pairs=[
             CooccurrencePair(
                 l2_normalize(c.text_features), l2_normalize(c.image_features), c.class_id
             )
             for c in data.pairs
         ],
-        p=data.p,
-        q=data.q,
     )
 
 
@@ -360,8 +333,9 @@ def train(
     """
     if hyper.normalize:
         data = normalize_data(data)
-    pb = _build_problem(data, hyper)
-    kernel = resolve_kernel(hyper.kernel, pb.img_Z)
+    pb = _build_problem(
+        data, signs(data.source_texts)[:, None], signs(data.train_images)[:, None], hyper.kernel
+    )
     S, alpha, report = _train_loop(
         pb, hyper, verbose=verbose, log=log, init_S=init_S, init_alpha=init_alpha
     )
@@ -370,7 +344,7 @@ def train(
         alpha=alpha if alpha.size else np.zeros(len(data.train_images)),
         source_texts=data.source_texts,
         train_images=data.train_images,
-        kernel=kernel,
+        kernel=pb.kernel,
         hyper=hyper,
         normalize=hyper.normalize,
         final_objective=report.final_objective,

@@ -3,21 +3,13 @@ seen classes only, then applied to rank images of classes that have labeled
 text but no labeled images (`model.unseen_scores`)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError
-from .model import (
-    CooccurrencePair,
-    CorpusExample,
-    Hyperparameters,
-    TrainedModel,
-    l2_normalize,
-    ovr_labels,
-    stack_features,
-)
-from .solver import TrainReport, _Problem, _train_loop
+from .model import CooccurrencePair, CorpusExample, Hyperparameters, TrainedModel, ovr_labels
+from .solver import TrainData, TrainReport, _build_problem, _train_loop, normalize_data
 
 
 @dataclass
@@ -74,56 +66,21 @@ def train_zeroshot(
     meaning for classes without labeled images.
     """
     seen = sorted(ds.seen_classes)
-    seen_texts = [t for t in ds.source_texts if t.label in ds.seen_classes]
-    train_images = ds.train_images
-    pairs = filter_pairs(ds.pairs, ds.unseen_classes) if ds.pairs else []
+    data = TrainData(ds.source_texts, ds.train_images, filter_pairs(ds.pairs, ds.unseen_classes))
     if hyper.normalize:
-        seen_texts = [
-            CorpusExample(t.id, l2_normalize(t.features), t.label) for t in seen_texts
-        ]
-        train_images = [
-            CorpusExample(i.id, l2_normalize(i.features), i.label) for i in train_images
-        ]
-        pairs = [
-            CooccurrencePair(
-                l2_normalize(c.text_features), l2_normalize(c.image_features), c.class_id
-            )
-            for c in pairs
-        ]
-
-    if seen_texts or pairs:
-        p = (seen_texts[0] if seen_texts else None)
-        p = p.features.shape[0] if p is not None else pairs[0].text_features.shape[0]
-    else:
-        raise DataError("zero-shot training needs seen-class texts or pairs")
-    if train_images:
-        q = train_images[0].features.shape[0]
-    elif pairs:
-        q = pairs[0].image_features.shape[0]
-    else:
-        raise DataError("zero-shot training needs images or pairs to fix q")
-
-    text_X = stack_features(seen_texts, p, "source text")
-    img_Z = stack_features(train_images, q, "training image")
-    pair_X = np.stack([c.text_features for c in pairs]) if pairs else np.zeros((0, p))
-    pair_Z = np.stack([c.image_features for c in pairs]) if pairs else np.zeros((0, q))
-
-    pb = _Problem(
-        text_X=text_X,
-        text_Y=ovr_labels(seen_texts, seen),
-        img_Z=img_Z,
-        img_Y=ovr_labels(train_images, seen),
-        pair_X=pair_X,
-        pair_Z=pair_Z,
-        K=None,
-        p=p,
-        q=q,
+        data = normalize_data(data)
+    seen_texts = [t for t in data.source_texts if t.label in ds.seen_classes]
+    pb = _build_problem(
+        replace(data, source_texts=seen_texts),
+        ovr_labels(seen_texts, seen),
+        ovr_labels(data.train_images, seen),
+        kernel=None,
     )
     S, _, report = _train_loop(pb, hyper, verbose=verbose, log=log)
     model = TrainedModel(
         S=S,
         alpha=np.zeros(0),
-        source_texts=ds.source_texts,
+        source_texts=data.source_texts,
         train_images=[],
         kernel=hyper.kernel,
         hyper=hyper,

@@ -1,10 +1,12 @@
 """Shared independent oracles: finite differences, brute-force ranking metrics,
 the per-image scalar discriminants the batched scoring path is checked
-against, and random small training instances."""
+against, the single-block objective and its gradients, and random small
+training instances."""
 import itertools
 
 import numpy as np
 
+from crossmodal import linalg
 from crossmodal.model import (
     CooccurrencePair,
     CorpusExample,
@@ -12,8 +14,15 @@ from crossmodal.model import (
     KernelSpec,
     TrainedModel,
     l2_normalize,
+    signs,
 )
-from crossmodal.solver import TrainData, smooth_value
+from crossmodal.solver import (
+    TrainData,
+    _build_problem,
+    _grad_alpha_arrays,
+    _grad_S_arrays,
+    _smooth,
+)
 
 
 # Scalar scoring oracles: one image, one text or one training image at a time.
@@ -96,6 +105,38 @@ def score_unseen(
 ) -> float:
     """Intermodal score of image z for a class given one-vs-rest labeled texts."""
     return f_inter(S, class_texts, z)
+
+
+# The binary training objective at a given (S, alpha), one call at a time.
+
+
+def _binary_problem(data: TrainData, hyper: Hyperparameters):
+    return _build_problem(
+        data, signs(data.source_texts)[:, None], signs(data.train_images)[:, None], hyper.kernel
+    )
+
+
+def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
+    """Full training objective: hinge + misalignment + trace norm of S."""
+    return smooth_value(S, alpha, data, hyper) + linalg.trace_norm(S)
+
+
+def smooth_value(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
+    """The objective minus the trace norm: the (sub)differentiable part."""
+    pb = _binary_problem(data, hyper)
+    return _smooth(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
+
+
+def grad_S(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
+    """Subgradient of the smooth part with respect to S."""
+    pb = _binary_problem(data, hyper)
+    return _grad_S_arrays(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
+
+
+def grad_alpha(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
+    """Subgradient of the smooth part with respect to alpha."""
+    pb = _binary_problem(data, hyper)
+    return _grad_alpha_arrays(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
 
 
 # Random instances and finite differences.

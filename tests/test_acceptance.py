@@ -20,7 +20,7 @@ from crossmodal.model import (
     stack_features,
     unseen_scores,
 )
-from crossmodal.solver import TrainData, grad_S, grad_alpha, train
+from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
 from crossmodal.zeroshot import ZeroShotDataset, train_zeroshot
 from oracle_utils import (
@@ -28,6 +28,8 @@ from oracle_utils import (
     brute_force_average_precision,
     fd_grad_S,
     fd_grad_alpha,
+    grad_S,
+    grad_alpha,
     random_instance,
 )
 

@@ -221,6 +221,46 @@ class TestCli:
         out = capsys.readouterr().out
         assert "error_rate 0.0" in out
 
+    @pytest.mark.parametrize("bad_line, expected", [
+        ('{"id": "i1", "label": 1}', "'score' must be a finite number"),
+        ('{"id": "i1", "score": NaN, "label": 1}', "non-finite number NaN"),
+        ('{"id": "i1", "score": 1e999, "label": 1}', "'score' must be a finite number"),
+        ('{"id": "i1", "score": 0.5, "label": 0}', "'label' must be 1 or -1"),
+        ('{"score": 0.5, "label": 1}', "missing string id"),
+        ('{"id": "i1", "scores": {"c0": 0.1}}', "'score' must be a finite number"),
+    ])
+    def test_evaluate_bad_binary_prediction_exit_2(self, tmp_path, capsys, bad_line, expected):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(
+            json.dumps({"kind": "image", "id": f"i{k}", "label": 1 if k % 2 else -1,
+                        "features": [float(k)]}) + "\n"
+            for k in range(3)
+        ))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": "i0", "score": -1.0, "label": -1}\n' + bad_line + "\n")
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}:2: {expected}" in err
+
+    @pytest.mark.parametrize("bad_line, expected", [
+        ('{"id": "i1", "scores": {"c0": 0.3}}', "classes ['c0'] differ"),
+        ('{"id": "i1", "scores": {"c0": 0.3, "c1": Infinity}}', "non-finite number Infinity"),
+        ('{"id": "i1", "scores": {"c0": 0.3, "c1": "x"}}', "score of class 'c1'"),
+        ('{"id": "i1", "score": 0.3, "label": 1}', "'scores' must be a non-empty object"),
+    ])
+    def test_evaluate_bad_zeroshot_prediction_exit_2(self, tmp_path, capsys, bad_line, expected):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(
+            json.dumps({"kind": "image", "id": f"i{k}", "class": f"c{k % 2}",
+                        "features": [float(k)]}) + "\n"
+            for k in range(3)
+        ))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": "i0", "scores": {"c0": 0.9, "c1": -0.9}}\n' + bad_line + "\n")
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}:2: {expected}" in err
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--data"]) == 1
         assert main(["frobnicate"]) == 1

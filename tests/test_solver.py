@@ -11,17 +11,16 @@ from crossmodal.model import (
     KernelSpec,
 )
 from crossmodal import linalg, solver
-from crossmodal.solver import (
-    TrainData,
+from crossmodal.solver import TrainData, project_alpha, prox_step, train
+from oracle_utils import (
+    fd_grad_S,
+    fd_grad_alpha,
     grad_S,
     grad_alpha,
     objective,
-    project_alpha,
-    prox_step,
+    random_instance,
     smooth_value,
-    train,
 )
-from oracle_utils import fd_grad_S, fd_grad_alpha, random_instance
 
 
 @pytest.fixture

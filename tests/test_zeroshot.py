@@ -135,6 +135,52 @@ class TestTrainZeroshot:
         _, without_unseen = train_zeroshot(stripped, hyper)
         assert with_unseen.objective_trace == without_unseen.objective_trace
 
+    def test_normalized_model_ignores_text_scale(self):
+        # With normalize, the stored texts are the normalized ones the shared S
+        # was fitted on, so unseen scores do not depend on the texts' scale.
+        ds, zds = multiclass_split(seed=2)
+        hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=20, normalize=True)
+        model, _ = train_zeroshot(zds, hyper)
+        scaled = ZeroShotDataset(
+            seen_classes=zds.seen_classes,
+            unseen_classes=zds.unseen_classes,
+            source_texts=[CorpusExample(t.id, 3.0 * t.features, t.label)
+                          for t in zds.source_texts],
+            train_images=zds.train_images,
+            pairs=[CooccurrencePair(3.0 * c.text_features, c.image_features, c.class_id)
+                   for c in zds.pairs],
+        )
+        scaled_model, _ = train_zeroshot(scaled, hyper)
+        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        np.testing.assert_allclose(
+            unseen_scores(scaled_model, Z, ["c0"]), unseen_scores(model, Z, ["c0"]),
+            rtol=1e-12, atol=1e-12,
+        )
+        norms = np.linalg.norm(stack_features(model.source_texts, ds.config.p, "text"), axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
+
+    def test_no_seen_texts_and_no_pairs_rejected(self):
+        rng = np.random.default_rng(6)
+        zds = ZeroShotDataset(
+            seen_classes=frozenset({"a"}),
+            unseen_classes=frozenset({"u"}),
+            source_texts=[CorpusExample("t0", rng.standard_normal(3), "u")],
+            train_images=[CorpusExample("i0", rng.standard_normal(2), "a")],
+        )
+        with pytest.raises(DataError, match="text dimension"):
+            train_zeroshot(zds, Hyperparameters(max_iter=5))
+
+    def test_no_images_and_no_pairs_rejected(self):
+        rng = np.random.default_rng(7)
+        zds = ZeroShotDataset(
+            seen_classes=frozenset({"a"}),
+            unseen_classes=frozenset({"u"}),
+            source_texts=[CorpusExample("t0", rng.standard_normal(3), "a")],
+            train_images=[],
+        )
+        with pytest.raises(DataError, match="image dimension"):
+            train_zeroshot(zds, Hyperparameters(max_iter=5))
+
     def test_unseen_class_ranking_beats_chance(self):
         from crossmodal.evaluation import auc
 
