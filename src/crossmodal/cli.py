@@ -1,6 +1,7 @@
 """Command-line surface: synth, train, predict, evaluate, crossval, zeroshot.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error or an option value out of
+range, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ class UsageError(Exception):
     pass
 
 
+class OptionValueError(Exception):
+    """An option value the parser accepts but the model rejects, such as --cap-c 0."""
+
+
 def _add_hyper_flags(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
@@ -47,15 +52,18 @@ def _add_hyper_flags(p: argparse.ArgumentParser):
 
 
 def _hyper_from_args(args) -> Hyperparameters:
-    return Hyperparameters(
-        gamma=args.gamma,
-        lam=args.lam,
-        C=args.cap_c,
-        kernel=KernelSpec(kind=args.kernel, bandwidth=args.bandwidth),
-        max_iter=args.max_iter,
-        tol=args.tol,
-        normalize=args.normalize,
-    )
+    try:
+        return Hyperparameters(
+            gamma=args.gamma,
+            lam=args.lam,
+            C=args.cap_c,
+            kernel=KernelSpec(kind=args.kernel, bandwidth=args.bandwidth),
+            max_iter=args.max_iter,
+            tol=args.tol,
+            normalize=args.normalize,
+        )
+    except ValueError as exc:
+        raise OptionValueError(f"bad option value: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +259,14 @@ def _cmd_evaluate(args) -> int:
     else:
         scores = np.array([r["score"] for r in preds])
         labels = np.array([r["label"] for r in preds])
-        truth = np.array([int(truth_by_id[r["id"]]) for r in preds])
+        for r in preds:
+            label = truth_by_id[r["id"]]
+            if label not in (1, -1):
+                raise DataError(
+                    f"{args.truth}: image {r['id']!r} has label {label!r}; "
+                    "binary predictions need +1/-1 truth labels"
+                )
+        truth = np.array([truth_by_id[r["id"]] for r in preds])
         report = evaluation.EvalReport(
             error_rate=evaluation.error_rate(labels, truth),
             ap=evaluation.average_precision(scores, truth),
@@ -311,6 +326,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OptionValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

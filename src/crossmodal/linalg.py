@@ -19,6 +19,9 @@ class SvdResult:
     sigma: np.ndarray
     V: np.ndarray
 
+    def matrix(self) -> np.ndarray:
+        return (self.U * self.sigma) @ self.V.T
+
 
 def check_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M, dtype=float)
@@ -45,21 +48,32 @@ def trace_norm(M: np.ndarray) -> float:
     return float(np.sum(svd(M).sigma))
 
 
+def svt_factors(M: np.ndarray, threshold: float) -> SvdResult:
+    """Thin SVD of svt(M, threshold): the singular values of M soft-thresholded
+    by `threshold`, keeping only the nonzero ones and their vectors."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    res = svd(M)
+    shrunk = res.sigma - threshold
+    r = int(np.count_nonzero(shrunk > 0.0))  # sigma is sorted non-increasing
+    return SvdResult(U=res.U[:, :r], sigma=shrunk[:r], V=res.V[:, :r])
+
+
 def svt(M: np.ndarray, threshold: float) -> np.ndarray:
     """Soft-threshold the singular values of M by `threshold`.
 
     Returns the unique minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    res = svd(M)
-    shrunk = np.maximum(res.sigma - threshold, 0.0)
-    return (res.U * shrunk) @ res.V.T
+    return svt_factors(M, threshold).matrix()
 
 
 def numerical_rank(M: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> int:
     """Number of singular values above rel_cutoff times the largest one."""
-    s = svd(M).sigma
-    if s.size == 0 or s[0] == 0.0:
+    return sigma_rank(svd(M).sigma, rel_cutoff)
+
+
+def sigma_rank(sigma: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> int:
+    """numerical_rank of a matrix with the non-increasing singular values `sigma`."""
+    if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_cutoff * s[0]))
+    return int(np.sum(sigma > rel_cutoff * sigma[0]))

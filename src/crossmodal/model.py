@@ -46,8 +46,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
 
 @dataclass
@@ -66,6 +66,9 @@ class Hyperparameters:
     normalize: bool = False  # L2-normalize feature vectors before training
 
     def __post_init__(self):
+        numbers = (self.gamma, self.lam, self.C, self.tol, self.L0, self.eta, self.eps_alpha0)
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError("hyperparameters must be finite")
         if self.gamma < 0 or self.lam < 0:
             raise ValueError("gamma and lam must be >= 0")
         if self.C <= 0:

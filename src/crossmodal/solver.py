@@ -140,58 +140,68 @@ def resolve_kernel(kernel: KernelSpec, img_Z: np.ndarray) -> KernelSpec:
     return KernelSpec(kind="gaussian", bandwidth=median_bandwidth(list(img_Z)))
 
 
-def _margins(S, alpha, pb: _Problem):
-    """Per-block discriminant values f_b(z_j), shape (B, m); also the tanh
-    matrix T = tanh(X S Z') reused by the gradient."""
-    B = pb.text_Y.shape[1]
-    if pb.n > 0 and pb.m > 0:
-        T = np.tanh(pb.text_X @ S @ pb.img_Z.T)
-        F = pb.text_Y.T @ T
-    else:
-        T = None
-        F = np.zeros((B, pb.m))
+@dataclass
+class _Iterate:
+    """Everything the smooth objective needs of one S, computed once per S:
+    alpha probes and the gradients at an accepted S reuse it."""
+
+    S: np.ndarray
+    sigma: np.ndarray    # the nonzero singular values of S; their sum is the trace norm
+    T: np.ndarray        # (n, m) tanh(X S Z')
+    F_inter: np.ndarray  # (B, m) text_Y' T, the intermodal margins of each block
+    a: np.ndarray        # (l,) pair scores x_k' S z_k
+    misalign_term: float  # lam * sum_k misalign(a_k)
+
+
+def _evaluate_S(factors: linalg.SvdResult, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
+    """The iterate S = U diag(s) V', with its products taken through the rank-r
+    factors: O((n + m + l)(p + q) r) instead of O((n + l) p q)."""
+    U, s, V = factors.U, factors.sigma, factors.V
+    US = U * s
+    T = np.tanh((pb.text_X @ US) @ (pb.img_Z @ V).T)
+    a = np.einsum("ij,ij->i", pb.pair_X @ US, pb.pair_Z @ V)
+    return _Iterate(
+        S=US @ V.T,
+        sigma=s,
+        T=T,
+        F_inter=pb.text_Y.T @ T,
+        a=a,
+        misalign_term=hyper.lam * float(np.sum(misalign(a))),
+    )
+
+
+def _smooth(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
+    """Per-block discriminant values F = f_b(z_j), shape (B, m), and the smooth
+    objective (the objective minus the trace norm) at (S, alpha). Beyond the
+    cached terms of S this costs one K(alpha * y), O(m^2)."""
+    F = it.F_inter.copy()
     if pb.K is not None and alpha.size:
         F[0] += pb.K @ (alpha * pb.img_Y[:, 0])
-    return F, T
-
-
-def _pair_scores(S, pb: _Problem) -> np.ndarray:
-    if pb.pair_X.shape[0] == 0:
-        return np.zeros(0)
-    return np.einsum("ij,ij->i", pb.pair_X @ S, pb.pair_Z)
-
-
-def _smooth(S, alpha, pb: _Problem, hyper: Hyperparameters) -> float:
-    F, _ = _margins(S, alpha, pb)
-    yf = pb.img_Y.T * F
-    total = hyper.gamma * float(np.sum(hinge(yf)))
-    a = _pair_scores(S, pb)
-    total += hyper.lam * float(np.sum(misalign(a)))
+    total = hyper.gamma * float(np.sum(hinge(pb.img_Y.T * F)))
+    total += it.misalign_term
     if not np.isfinite(total):
         raise NumericalError("smooth objective is non-finite")
-    return total
+    return F, total
 
 
-def _grad_S_arrays(S, alpha, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
+def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
     grad = np.zeros((pb.p, pb.q))
     if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
-        F, T = _margins(S, alpha, pb)
         yf = pb.img_Y.T * F                       # (B, m)
         G = hyper.gamma * hinge_subgrad(yf) * pb.img_Y.T
         M = pb.text_Y @ G                         # (n, m)
-        grad += pb.text_X.T @ (M * (1.0 - T**2)) @ pb.img_Z
+        grad += pb.text_X.T @ (M * (1.0 - it.T**2)) @ pb.img_Z
     if hyper.lam > 0 and pb.pair_X.shape[0] > 0:
-        d = misalign_deriv(_pair_scores(S, pb))
+        d = misalign_deriv(it.a)
         grad += hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient in S is non-finite")
     return grad
 
 
-def _grad_alpha_arrays(S, alpha, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
+def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
     if pb.K is None:
         return np.zeros(0)
-    F, _ = _margins(S, alpha, pb)
     y = pb.img_Y[:, 0]
     c = hyper.gamma * np.asarray(hinge_subgrad(y * F[0])) * y
     grad = y * (pb.K @ c)
@@ -200,11 +210,12 @@ def _grad_alpha_arrays(S, alpha, pb: _Problem, hyper: Hyperparameters) -> np.nda
     return grad
 
 
-def prox_step(S_tau: np.ndarray, grad: np.ndarray, L: float) -> np.ndarray:
-    """Minimize the quadratic majorizer plus trace norm: svt(S - grad/L, 1/L)."""
+def prox_step(S_tau: np.ndarray, grad: np.ndarray, L: float) -> linalg.SvdResult:
+    """Minimize the quadratic majorizer plus trace norm: svt(S - grad/L, 1/L),
+    as the thin factors of its nonzero singular values."""
     if L <= 0:
         raise ValueError("L must be positive")
-    return linalg.svt(S_tau - grad / L, 1.0 / L)
+    return linalg.svt_factors(S_tau - grad / L, 1.0 / L)
 
 
 def project_alpha(alpha, C: float) -> np.ndarray:
@@ -224,7 +235,12 @@ def _train_loop(
     init_S=None,
     init_alpha=None,
 ):
-    """Alternating prox/projected-gradient loop over the array problem."""
+    """Alternating prox/projected-gradient loop over the array problem.
+
+    Each S probe evaluates its S-dependent terms once (`_evaluate_S`); each
+    alpha probe adds only K(alpha * y) to them. `cur`, `F` and `f` always hold
+    the accepted iterate, its margins and its smooth value.
+    """
     if log is None:
         log = print
     S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
@@ -234,7 +250,9 @@ def _train_loop(
         alpha = project_alpha(init_alpha, hyper.C)
     L = hyper.L0
     eps = hyper.eps_alpha0
-    trace = [_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)]
+    cur = _evaluate_S(linalg.svt_factors(S, 0.0), pb, hyper)
+    F, f = _smooth(cur, alpha, pb, hyper)
+    trace = [f + float(np.sum(cur.sigma))]
     stop_reason = "max_iter"
     iterations = 0
 
@@ -245,39 +263,39 @@ def _train_loop(
             eps = min(eps * 2.0, 1e12)
 
         # S step: backtrack on L until the quadratic majorizer holds.
-        g = _grad_S_arrays(S, alpha, pb, hyper)
-        F_cur = _smooth(S, alpha, pb, hyper)
+        g = _grad_S(cur, F, pb, hyper)
         moved = False
         for _ in range(_MAX_BACKTRACKS):
-            cand = prox_step(S, g, L)
-            delta = cand - S
-            bound = F_cur + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
-            if _smooth(cand, alpha, pb, hyper) <= bound + _ACCEPT_SLACK:
-                S = cand
+            cand = _evaluate_S(prox_step(cur.S, g, L), pb, hyper)
+            delta = cand.S - cur.S
+            bound = f + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
+            F_cand, f_cand = _smooth(cand, alpha, pb, hyper)
+            if f_cand <= bound + _ACCEPT_SLACK:
+                cur, F, f = cand, F_cand, f_cand
                 moved = True
                 break
             L *= hyper.eta
 
         # alpha step: projected gradient with its own backtracking.
         if alpha.size:
-            ga = _grad_alpha_arrays(S, alpha, pb, hyper)
-            F_cur = _smooth(S, alpha, pb, hyper)
+            ga = _grad_alpha(F, pb, hyper)
             for _ in range(_MAX_BACKTRACKS):
                 cand = project_alpha(alpha - eps * ga, hyper.C)
                 delta = cand - alpha
-                bound = F_cur + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
-                if _smooth(S, cand, pb, hyper) <= bound + _ACCEPT_SLACK:
-                    alpha = cand
+                bound = f + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
+                F_cand, f_cand = _smooth(cur, cand, pb, hyper)
+                if f_cand <= bound + _ACCEPT_SLACK:
+                    alpha, F, f = cand, F_cand, f_cand
                     moved = True
                     break
                 eps /= hyper.eta
 
-        obj = _smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)
+        obj = f + float(np.sum(cur.sigma))
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
         trace.append(obj)
         if verbose:
-            log(f"{it},{obj:.12g},{linalg.numerical_rank(S)},{L:.6g},{eps:.6g}")
+            log(f"{it},{obj:.12g},{linalg.sigma_rank(cur.sigma)},{L:.6g},{eps:.6g}")
         if not moved:
             # Both line searches ran out: the iterate and the objective are
             # unchanged, which is not convergence.
@@ -292,10 +310,10 @@ def _train_loop(
         stop_reason=stop_reason,
         iterations=iterations,
         final_objective=trace[-1],
-        final_rank=linalg.numerical_rank(S),
+        final_rank=linalg.sigma_rank(cur.sigma),
         objective_trace=trace,
     )
-    return S, alpha, report
+    return cur.S, alpha, report
 
 
 def _normalized(examples: list[CorpusExample]) -> list[CorpusExample]:

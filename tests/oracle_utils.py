@@ -1,12 +1,15 @@
 """Shared independent oracles: finite differences, brute-force ranking metrics,
 the per-image scalar discriminants the batched scoring path is checked
-against, the single-block objective and its gradients, and random small
-training instances."""
+against, the single-block objective and its gradients, the uncached training
+loop the solver's loop is checked against, and random small training
+instances."""
 import itertools
 
 import numpy as np
 
-from crossmodal import linalg
+from crossmodal import linalg, solver
+from crossmodal.errors import NumericalError
+from crossmodal.losses import hinge, hinge_subgrad, misalign, misalign_deriv
 from crossmodal.model import (
     CooccurrencePair,
     CorpusExample,
@@ -18,10 +21,13 @@ from crossmodal.model import (
 )
 from crossmodal.solver import (
     TrainData,
+    TrainReport,
     _build_problem,
-    _grad_alpha_arrays,
-    _grad_S_arrays,
+    _evaluate_S,
+    _grad_alpha,
+    _grad_S,
     _smooth,
+    project_alpha,
 )
 
 
@@ -107,13 +113,22 @@ def score_unseen(
     return f_inter(S, class_texts, z)
 
 
-# The binary training objective at a given (S, alpha), one call at a time.
+# The binary training objective at a given (S, alpha), one call at a time,
+# through the package's own iterate, smooth value and gradient code.
 
 
 def _binary_problem(data: TrainData, hyper: Hyperparameters):
     return _build_problem(
         data, signs(data.source_texts)[:, None], signs(data.train_images)[:, None], hyper.kernel
     )
+
+
+def _at(S, alpha, data: TrainData, hyper: Hyperparameters):
+    """(problem, iterate of S, margins, smooth value) at (S, alpha)."""
+    pb = _binary_problem(data, hyper)
+    alpha = np.asarray(alpha, dtype=float)
+    it = _evaluate_S(linalg.svt_factors(np.asarray(S, dtype=float), 0.0), pb, hyper)
+    return (pb, it) + _smooth(it, alpha, pb, hyper)
 
 
 def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
@@ -123,20 +138,157 @@ def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
 
 def smooth_value(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
     """The objective minus the trace norm: the (sub)differentiable part."""
-    pb = _binary_problem(data, hyper)
-    return _smooth(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
+    return _at(S, alpha, data, hyper)[3]
 
 
 def grad_S(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
     """Subgradient of the smooth part with respect to S."""
-    pb = _binary_problem(data, hyper)
-    return _grad_S_arrays(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
+    pb, it, F, _ = _at(S, alpha, data, hyper)
+    return _grad_S(it, F, pb, hyper)
 
 
 def grad_alpha(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
     """Subgradient of the smooth part with respect to alpha."""
-    pb = _binary_problem(data, hyper)
-    return _grad_alpha_arrays(np.asarray(S, dtype=float), np.asarray(alpha, dtype=float), pb, hyper)
+    pb, _, F, _ = _at(S, alpha, data, hyper)
+    return _grad_alpha(F, pb, hyper)
+
+
+# The training loop as it was before it cached anything: every probe
+# re-evaluates the smooth objective from the dense S, the S step recomputes
+# the current smooth value, and each iteration takes two more SVDs for the
+# trace norm and the rank. solver._train_loop is checked against it.
+
+
+def _dense_margins(S, alpha, pb):
+    B = pb.text_Y.shape[1]
+    if pb.n > 0 and pb.m > 0:
+        T = np.tanh(pb.text_X @ S @ pb.img_Z.T)
+        F = pb.text_Y.T @ T
+    else:
+        T = None
+        F = np.zeros((B, pb.m))
+    if pb.K is not None and alpha.size:
+        F[0] += pb.K @ (alpha * pb.img_Y[:, 0])
+    return F, T
+
+
+def _dense_pair_scores(S, pb) -> np.ndarray:
+    if pb.pair_X.shape[0] == 0:
+        return np.zeros(0)
+    return np.einsum("ij,ij->i", pb.pair_X @ S, pb.pair_Z)
+
+
+def _dense_smooth(S, alpha, pb, hyper: Hyperparameters) -> float:
+    F, _ = _dense_margins(S, alpha, pb)
+    yf = pb.img_Y.T * F
+    total = hyper.gamma * float(np.sum(hinge(yf)))
+    a = _dense_pair_scores(S, pb)
+    total += hyper.lam * float(np.sum(misalign(a)))
+    if not np.isfinite(total):
+        raise NumericalError("smooth objective is non-finite")
+    return total
+
+
+def _dense_grad_S(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
+    grad = np.zeros((pb.p, pb.q))
+    if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
+        F, T = _dense_margins(S, alpha, pb)
+        yf = pb.img_Y.T * F
+        G = hyper.gamma * hinge_subgrad(yf) * pb.img_Y.T
+        M = pb.text_Y @ G
+        grad += pb.text_X.T @ (M * (1.0 - T**2)) @ pb.img_Z
+    if hyper.lam > 0 and pb.pair_X.shape[0] > 0:
+        d = misalign_deriv(_dense_pair_scores(S, pb))
+        grad += hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("gradient in S is non-finite")
+    return grad
+
+
+def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
+    if pb.K is None:
+        return np.zeros(0)
+    F, _ = _dense_margins(S, alpha, pb)
+    y = pb.img_Y[:, 0]
+    c = hyper.gamma * np.asarray(hinge_subgrad(y * F[0])) * y
+    grad = y * (pb.K @ c)
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("gradient in alpha is non-finite")
+    return grad
+
+
+def reference_train_loop(
+    pb, hyper: Hyperparameters, verbose=False, log=None, init_S=None, init_alpha=None
+):
+    """solver._train_loop without its caches, with the same signature and
+    results; it reads solver._MAX_BACKTRACKS, so a test can patch both."""
+    if log is None:
+        log = print
+    S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
+    if init_alpha is None:
+        alpha = np.zeros(pb.m if pb.K is not None else 0)
+    else:
+        alpha = project_alpha(init_alpha, hyper.C)
+    L = hyper.L0
+    eps = hyper.eps_alpha0
+    trace = [_dense_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)]
+    stop_reason = "max_iter"
+    iterations = 0
+
+    for it in range(1, hyper.max_iter + 1):
+        iterations = it
+        if it > 1:
+            L = max(L / 2.0, 1e-12)
+            eps = min(eps * 2.0, 1e12)
+
+        g = _dense_grad_S(S, alpha, pb, hyper)
+        F_cur = _dense_smooth(S, alpha, pb, hyper)
+        moved = False
+        for _ in range(solver._MAX_BACKTRACKS):
+            cand = linalg.svt(S - g / L, 1.0 / L)
+            delta = cand - S
+            bound = F_cur + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
+            if _dense_smooth(cand, alpha, pb, hyper) <= bound + solver._ACCEPT_SLACK:
+                S = cand
+                moved = True
+                break
+            L *= hyper.eta
+
+        if alpha.size:
+            ga = _dense_grad_alpha(S, alpha, pb, hyper)
+            F_cur = _dense_smooth(S, alpha, pb, hyper)
+            for _ in range(solver._MAX_BACKTRACKS):
+                cand = project_alpha(alpha - eps * ga, hyper.C)
+                delta = cand - alpha
+                bound = F_cur + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
+                if _dense_smooth(S, cand, pb, hyper) <= bound + solver._ACCEPT_SLACK:
+                    alpha = cand
+                    moved = True
+                    break
+                eps /= hyper.eta
+
+        obj = _dense_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)
+        if not np.isfinite(obj):
+            raise NumericalError(f"objective became non-finite at iteration {it}")
+        trace.append(obj)
+        if verbose:
+            log(f"{it},{obj:.12g},{linalg.numerical_rank(S)},{L:.6g},{eps:.6g}")
+        if not moved:
+            stop_reason = "linesearch"
+            break
+        if abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) < hyper.tol:
+            stop_reason = "tol"
+            break
+
+    report = TrainReport(
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
+        iterations=iterations,
+        final_objective=trace[-1],
+        final_rank=linalg.numerical_rank(S),
+        objective_trace=trace,
+    )
+    return S, alpha, report
 
 
 # Random instances and finite differences.

@@ -261,6 +261,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{pred}:2: {expected}" in err
 
+    def test_evaluate_binary_against_class_truth_exit_2(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps(
+            {"kind": "image", "id": "i0", "class": "c0", "features": [0.0]}) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": "i0", "score": 0.5, "label": 1}\n')
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {truth}: image 'i0' has label 'c0'")
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--cap-c", "0", "C must be > 0"),
+        ("--gamma", "-1", "gamma and lam must be >= 0"),
+        ("--tol", "0", "bad stopping/step parameters"),
+        ("--tol", "nan", "hyperparameters must be finite"),
+        ("--lambda", "inf", "hyperparameters must be finite"),
+        ("--bandwidth", "nan", "bandwidth must be positive and finite"),
+    ])
+    def test_out_of_range_option_exit_2(self, tmp_path, capsys, flag, value, expected):
+        data = tmp_path / "train.jsonl"
+        data.write_text(json.dumps(
+            {"kind": "image", "id": "i0", "label": 1, "features": [1.0]}) + "\n")
+        out = tmp_path / "model.json"
+        assert main(["train", "--data", str(data), "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad option value: {expected}\n"
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--data"]) == 1
         assert main(["frobnicate"]) == 1

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from crossmodal.model import (
     CorpusExample,
     Hyperparameters,
     KernelSpec,
+    scores,
+    stack_features,
 )
-from crossmodal import linalg, solver
+from crossmodal import linalg, solver, zeroshot
 from crossmodal.solver import TrainData, project_alpha, prox_step, train
+from crossmodal.synth import SynthConfig, generate
+from crossmodal.zeroshot import ZeroShotDataset, train_zeroshot
 from oracle_utils import (
     fd_grad_S,
     fd_grad_alpha,
@@ -19,6 +24,7 @@ from oracle_utils import (
     grad_alpha,
     objective,
     random_instance,
+    reference_train_loop,
     smooth_value,
 )
 
@@ -107,18 +113,20 @@ class TestGradients:
 class TestSteps:
     def test_prox_pure_shrinkage(self):
         out = prox_step(np.diag([0.5, 0.3]), np.zeros((2, 2)), 1.0)
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        assert out.sigma.size == 0
+        np.testing.assert_allclose(out.matrix(), 0.0, atol=1e-12)
 
     def test_prox_diag_example(self):
         out = prox_step(np.diag([3.0, 1.0]), np.zeros((2, 2)), 1.0)
-        np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(out.sigma, [2.0], atol=1e-12)
+        np.testing.assert_allclose(out.matrix(), np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_prox_large_L_keeps_point(self):
         rng = np.random.default_rng(3)
         S = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4))
         out = prox_step(S, g, 1e12)
-        np.testing.assert_allclose(out, S, atol=1e-9)
+        np.testing.assert_allclose(out.matrix(), S, atol=1e-9)
 
     def test_project_alpha(self):
         np.testing.assert_allclose(
@@ -240,3 +248,123 @@ class TestTrain:
         pairs = [CooccurrencePair(np.ones(4), np.ones(2))]
         with pytest.raises(DataError):
             train(TrainData(source_texts=texts, pairs=pairs), Hyperparameters())
+
+
+def _assert_close(got, want, rtol=1e-12):
+    """Elementwise agreement to rtol relative, with a unit floor."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
+
+
+def _fit_both(monkeypatch, fit, *args, **kwargs):
+    """Run a trainer on the solver's loop, then on the uncached reference loop."""
+    fast = fit(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_train_loop", reference_train_loop)
+        mp.setattr(zeroshot, "_train_loop", reference_train_loop)
+        ref = fit(*args, **kwargs)
+    return fast, ref
+
+
+def _assert_same_fit(fast, ref):
+    (model, report), (ref_model, ref_report) = fast, ref
+    assert report.iterations == ref_report.iterations
+    assert report.stop_reason == ref_report.stop_reason
+    assert report.final_rank == ref_report.final_rank
+    _assert_close(report.objective_trace, ref_report.objective_trace)
+    _assert_close(model.S, ref_model.S)
+    _assert_close(model.alpha, ref_model.alpha)
+
+
+def _small_synth(seed, **kw):
+    cfg = dict(p=20, q=15, r_true=4, n_texts=80, m_images=30, l_pairs=400, n_test=100)
+    cfg.update(kw)
+    return generate(SynthConfig(seed=seed, **cfg))
+
+
+class TestLoopMatchesReference:
+    """solver._train_loop evaluates each S once and reuses it across alpha
+    probes; it must follow the uncached loop's path."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_binary(self, monkeypatch, seed, normalize, kind):
+        ds = _small_synth(seed)
+        hyper = Hyperparameters(
+            gamma=0.7, lam=1.3, C=2.0, kernel=KernelSpec(kind=kind), normalize=normalize,
+            max_iter=80,
+        )
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        _assert_same_fit(*_fit_both(monkeypatch, train, data, hyper))
+
+    def test_zeroshot_three_blocks(self, monkeypatch):
+        ds = _small_synth(0, classes=4)
+        unseen = frozenset({"c3"})
+        zds = ZeroShotDataset(
+            seen_classes=frozenset(ds.class_ids) - unseen,
+            unseen_classes=unseen,
+            source_texts=ds.texts,
+            train_images=[i for i in ds.images if i.label not in unseen],
+            pairs=ds.pairs,
+        )
+        hyper = Hyperparameters(gamma=0.5, max_iter=80)
+        _assert_same_fit(*_fit_both(monkeypatch, train_zeroshot, zds, hyper))
+
+    def test_intramodal_only(self, monkeypatch):
+        ds = _small_synth(1)
+        data = TrainData(train_images=ds.images, p=20)
+        _assert_same_fit(*_fit_both(monkeypatch, train, data, Hyperparameters(max_iter=80)))
+
+    def test_no_images(self, monkeypatch):
+        ds = _small_synth(2)
+        data = TrainData(ds.texts, [], ds.pairs)
+        _assert_same_fit(*_fit_both(monkeypatch, train, data, Hyperparameters(max_iter=80)))
+
+    def test_warm_start(self, monkeypatch):
+        ds = _small_synth(3)
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        warm, _ = train(data, Hyperparameters(max_iter=10))
+        hyper = Hyperparameters(max_iter=60)
+        _assert_same_fit(*_fit_both(
+            monkeypatch, train, data, hyper, init_S=warm.S, init_alpha=warm.alpha + 0.5
+        ))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_backtrack(self, monkeypatch, seed):
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 1)
+        ds = _small_synth(seed)
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        _assert_same_fit(*_fit_both(monkeypatch, train, data, Hyperparameters(max_iter=80)))
+
+    def test_identical_labels(self, monkeypatch):
+        for seed in range(10):
+            ds = _small_synth(seed)
+            data = TrainData(ds.texts, ds.images, ds.pairs)
+            fast, ref = _fit_both(monkeypatch, train, data, Hyperparameters(max_iter=80))
+            Z = stack_features(ds.test_images, 15, "test image")
+            assert np.array_equal(scores(fast[0], Z) > 0, scores(ref[0], Z) > 0)
+
+    def test_one_svd_and_one_misalignment_per_s_probe(self, monkeypatch):
+        # Alpha probes and the per-iteration objective reuse the accepted
+        # S probe's terms; only the starting point adds one of each.
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(solver, "prox_step")
+        counted(solver, "misalign")
+        counted(linalg, "svd")
+        ds = _small_synth(0)
+        _, report = train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
+        assert calls["prox_step"] >= report.iterations
+        assert calls["misalign"] == calls["prox_step"] + 1
+        assert calls["svd"] == calls["prox_step"] + 1
