@@ -48,7 +48,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--normalize", action="store_true",
                    help="L2-normalize feature vectors before training")
-    p.add_argument("--verbose", action="store_true")
 
 
 def _hyper_from_args(args) -> Hyperparameters:
@@ -80,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     _add_hyper_flags(p)
+    p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("predict", help="score images with a trained model")
     p.add_argument("--model", required=True)
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crossval", help="twofold cross-validated grid search")
     p.add_argument("--data", required=True)
-    p.add_argument("--grid", choices=["default"], default="default")
     p.add_argument("--seed", type=int, default=0)
     _add_hyper_flags(p)
 
@@ -101,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unseen", required=True, help="comma-separated class ids")
     p.add_argument("--out", required=True)
     _add_hyper_flags(p)
+    p.add_argument("--verbose", action="store_true")
 
     return parser
 
@@ -148,7 +148,7 @@ def _print_report(report: TrainReport) -> None:
 def _cmd_train(args) -> int:
     data = _read_train_data(args.data)
     hyper = _hyper_from_args(args)
-    model, report = train(data, hyper, verbose=args.verbose)
+    model, report = train(data, hyper, log=print if args.verbose else None)
     data_io.write_model(model, args.out)
     _print_report(report)
     return EXIT_OK
@@ -302,7 +302,7 @@ def _cmd_zeroshot(args) -> int:
         pairs=corpora.pairs,
     )
     hyper = _hyper_from_args(args)
-    model, report = zeroshot.train_zeroshot(ds, hyper, verbose=args.verbose)
+    model, report = zeroshot.train_zeroshot(ds, hyper, log=print if args.verbose else None)
     data_io.write_model(model, args.out, mode="zeroshot", unseen_classes=sorted(unseen))
     _print_report(report)
     return EXIT_OK

@@ -88,8 +88,8 @@ def _parse_class(rec: dict) -> str | None:
 def _parse_label(rec: dict):
     if "label" in rec:
         label = rec["label"]
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise DataError("label must be an integer")
+        if not isinstance(label, int) or isinstance(label, bool) or label not in (1, -1):
+            raise DataError(f"label must be 1 or -1, got {label!r}")
         return label
     return _parse_class(rec)
 
@@ -181,9 +181,6 @@ def _hyper_dict(h: Hyperparameters) -> dict:
         "kernel": {"kind": h.kernel.kind, "bandwidth": h.kernel.bandwidth},
         "max_iter": h.max_iter,
         "tol": h.tol,
-        "L0": h.L0,
-        "eta": h.eta,
-        "eps_alpha0": h.eps_alpha0,
         "normalize": h.normalize,
     }
 
@@ -197,9 +194,6 @@ def _hyper_from_dict(d: dict) -> Hyperparameters:
         kernel=KernelSpec(kind=kernel["kind"], bandwidth=kernel["bandwidth"]),
         max_iter=d["max_iter"],
         tol=d["tol"],
-        L0=d["L0"],
-        eta=d["eta"],
-        eps_alpha0=d["eps_alpha0"],
         normalize=d.get("normalize", False),
     )
 
@@ -216,7 +210,6 @@ def serialize_model(
         "S": list(map(float, model.S.ravel())),
         "alpha": list(map(float, model.alpha)),
         "kernel": {"kind": model.kernel.kind, "bandwidth": model.kernel.bandwidth},
-        "normalize": model.normalize,
         "source_texts": [_example_record("text", t) for t in model.source_texts],
         "train_images": [_example_record("image", i) for i in model.train_images],
         "hyper": _hyper_dict(model.hyper),
@@ -267,7 +260,6 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
             train_images=examples("train_images", q),
             kernel=kernel,
             hyper=_hyper_from_dict(doc["hyper"]),
-            normalize=doc.get("normalize", False),
             final_objective=doc.get("final_objective"),
         )
     except (KeyError, TypeError, ValueError) as exc:

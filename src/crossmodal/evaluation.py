@@ -8,7 +8,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DataError
-from .model import CorpusExample, Hyperparameters, scores, stack_features
+from .model import CorpusExample, Hyperparameters, scores, signs, stack_features
 from .solver import TrainData, train
 
 # Grid searched by twofold cross-validation, in selection order
@@ -94,7 +94,7 @@ def evaluate_model(model, test_images: list[CorpusExample]) -> EvalReport:
     """Score labeled test images with a binary model and report all metrics."""
     s = scores(model, stack_features(test_images, model.S.shape[1], "test image"))
     preds = np.where(s > 0, 1, -1)
-    truth = np.array([int(ex.label) for ex in test_images])
+    truth = signs(test_images)
     return EvalReport(
         error_rate=error_rate(preds, truth),
         ap=average_precision(s, truth),
@@ -135,9 +135,14 @@ def crossval_select(
     if len(data.train_images) < 2:
         raise DataError("twofold cross-validation needs at least 2 labeled images")
     fold_a, fold_b = _stratified_folds(data.train_images, seed)
+    if not fold_b:
+        # Each label's first image goes to the first fold.
+        raise DataError(
+            "the second cross-validation fold is empty: every label has only one image"
+        )
     splits = [(fold_a, fold_b), (fold_b, fold_a)]
     Z = stack_features(data.train_images, data.image_dim(), "training image")
-    truth = np.array([int(ex.label) for ex in data.train_images])
+    truth = signs(data.train_images)
 
     best = None
     best_err = np.inf
@@ -145,8 +150,6 @@ def crossval_select(
         cand = replace(base, lam=lam, gamma=gamma, C=C)
         errs = []
         for train_idx, val_idx in splits:
-            if not train_idx or not val_idx:
-                continue
             fold_data = TrainData(
                 source_texts=data.source_texts,
                 train_images=[data.train_images[i] for i in train_idx],
@@ -157,7 +160,7 @@ def crossval_select(
             model, _ = train(fold_data, cand)
             preds = np.where(scores(model, Z[val_idx]) > 0, 1, -1)
             errs.append(error_rate(preds, truth[val_idx]))
-        mean_err = float(np.mean(errs)) if errs else np.inf
+        mean_err = float(np.mean(errs))
         if mean_err < best_err:
             best_err = mean_err
             best = cand

@@ -67,13 +67,13 @@ def svt(M: np.ndarray, threshold: float) -> np.ndarray:
     return svt_factors(M, threshold).matrix()
 
 
-def numerical_rank(M: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> int:
-    """Number of singular values above rel_cutoff times the largest one."""
-    return sigma_rank(svd(M).sigma, rel_cutoff)
+def numerical_rank(M: np.ndarray) -> int:
+    """Number of singular values above RANK_CUTOFF times the largest one."""
+    return sigma_rank(svd(M).sigma)
 
 
-def sigma_rank(sigma: np.ndarray, rel_cutoff: float = RANK_CUTOFF) -> int:
+def sigma_rank(sigma: np.ndarray) -> int:
     """numerical_rank of a matrix with the non-increasing singular values `sigma`."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > rel_cutoff * sigma[0]))
+    return int(np.sum(sigma > RANK_CUTOFF * sigma[0]))

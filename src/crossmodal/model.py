@@ -60,23 +60,17 @@ class Hyperparameters:
     kernel: KernelSpec = field(default_factory=KernelSpec)
     max_iter: int = 500
     tol: float = 1e-6        # relative objective decrease
-    L0: float = 1.0          # initial curvature estimate for the prox step
-    eta: float = 2.0         # backtracking multiplier
-    eps_alpha0: float = 0.1  # initial step for the alpha update
     normalize: bool = False  # L2-normalize feature vectors before training
 
     def __post_init__(self):
-        numbers = (self.gamma, self.lam, self.C, self.tol, self.L0, self.eta, self.eps_alpha0)
-        if not np.all(np.isfinite(numbers)):
+        if not np.all(np.isfinite((self.gamma, self.lam, self.C, self.tol))):
             raise ValueError("hyperparameters must be finite")
         if self.gamma < 0 or self.lam < 0:
             raise ValueError("gamma and lam must be >= 0")
         if self.C <= 0:
             raise ValueError("C must be > 0")
-        if self.max_iter < 1 or self.tol <= 0 or self.L0 <= 0:
+        if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("bad stopping/step parameters")
-        if self.eta <= 1 or self.eps_alpha0 <= 0:
-            raise ValueError("eta must exceed 1 and eps_alpha0 must be positive")
 
 
 @dataclass
@@ -90,7 +84,6 @@ class TrainedModel:
     train_images: list[CorpusExample]
     kernel: KernelSpec
     hyper: Hyperparameters
-    normalize: bool = False
     final_objective: float | None = None
 
     def __post_init__(self):
@@ -98,6 +91,11 @@ class TrainedModel:
         self.alpha = np.asarray(self.alpha, dtype=float)
         if self.alpha.shape != (len(self.train_images),):
             raise DataError("alpha length must match the number of training images")
+
+    @property
+    def normalize(self) -> bool:
+        """Whether the model was trained on, and so scores, L2-normalized features."""
+        return self.hyper.normalize
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -118,6 +116,9 @@ def stack_features(examples: list[CorpusExample], dim: int, what: str) -> np.nda
 
 def signs(examples: list[CorpusExample]) -> np.ndarray:
     """The +1/-1 labels of binary-mode examples as floats."""
+    for e in examples:
+        if isinstance(e.label, bool) or e.label not in (1, -1):
+            raise DataError(f"example {e.id!r} has label {e.label!r}; binary mode needs +1/-1")
     return np.array([float(e.label) for e in examples])
 
 
@@ -146,12 +147,13 @@ def kernel_matrix(kernel: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndar
     return np.exp(-np.maximum(d2, 0.0) / (2.0 * kernel.bandwidth**2))
 
 
-def median_bandwidth(images: list[np.ndarray], max_pairs: int = 10_000) -> float:
-    """Median pairwise Euclidean distance, subsampled above `max_pairs` pairs."""
-    if len(images) < 2:
-        raise ValueError("median bandwidth needs at least 2 images")
-    Z = np.stack([np.asarray(z, dtype=float) for z in images])
+def median_bandwidth(Z: np.ndarray, max_pairs: int = 10_000) -> float:
+    """Median pairwise Euclidean distance between the rows of the (m, q) matrix
+    Z, subsampled above `max_pairs` pairs."""
+    Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
+    if n < 2:
+        raise ValueError("median bandwidth needs at least 2 images")
     n_pairs = n * (n - 1) // 2
     if n_pairs <= max_pairs:
         i, j = np.triu_indices(n, k=1)

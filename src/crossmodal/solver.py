@@ -24,6 +24,12 @@ from .model import (
     stack_features,
 )
 
+# Backtracking step controls (Beck & Teboulle 2009): the first curvature
+# estimate of the S step, the first step size of the alpha step, and the factor
+# a rejected probe scales them by.
+_L0 = 1.0
+_EPS_ALPHA0 = 0.1
+_ETA = 2.0
 _MAX_BACKTRACKS = 100
 _ACCEPT_SLACK = 1e-12
 
@@ -63,12 +69,18 @@ class TrainData:
 
 @dataclass
 class TrainReport:
-    converged: bool
     stop_reason: str  # "tol", "max_iter", or "linesearch" (no step could be accepted)
     iterations: int
-    final_objective: float
     final_rank: int
     objective_trace: list[float]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
+
+    @property
+    def final_objective(self) -> float:
+        return self.objective_trace[-1]
 
 
 @dataclass
@@ -137,7 +149,7 @@ def resolve_kernel(kernel: KernelSpec, img_Z: np.ndarray) -> KernelSpec:
     if img_Z.shape[0] < 2:
         # A single training image gives K(z, z) = 1 for any bandwidth.
         return KernelSpec(kind="gaussian", bandwidth=1.0)
-    return KernelSpec(kind="gaussian", bandwidth=median_bandwidth(list(img_Z)))
+    return KernelSpec(kind="gaussian", bandwidth=median_bandwidth(img_Z))
 
 
 @dataclass
@@ -227,29 +239,21 @@ def project_alpha(alpha, C: float) -> np.ndarray:
 
 # Training loop ----------------------------------------------------------------
 
-def _train_loop(
-    pb: _Problem,
-    hyper: Hyperparameters,
-    verbose=False,
-    log=None,
-    init_S=None,
-    init_alpha=None,
-):
+def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
     """Alternating prox/projected-gradient loop over the array problem.
 
     Each S probe evaluates its S-dependent terms once (`_evaluate_S`); each
     alpha probe adds only K(alpha * y) to them. `cur`, `F` and `f` always hold
-    the accepted iterate, its margins and its smooth value.
+    the accepted iterate, its margins and its smooth value. `log`, when given,
+    receives one CSV line per iteration: iteration, objective, rank, L, eps.
     """
-    if log is None:
-        log = print
     S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
     if init_alpha is None:
         alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:
         alpha = project_alpha(init_alpha, hyper.C)
-    L = hyper.L0
-    eps = hyper.eps_alpha0
+    L = _L0
+    eps = _EPS_ALPHA0
     cur = _evaluate_S(linalg.svt_factors(S, 0.0), pb, hyper)
     F, f = _smooth(cur, alpha, pb, hyper)
     trace = [f + float(np.sum(cur.sigma))]
@@ -274,7 +278,7 @@ def _train_loop(
                 cur, F, f = cand, F_cand, f_cand
                 moved = True
                 break
-            L *= hyper.eta
+            L *= _ETA
 
         # alpha step: projected gradient with its own backtracking.
         if alpha.size:
@@ -288,13 +292,13 @@ def _train_loop(
                     alpha, F, f = cand, F_cand, f_cand
                     moved = True
                     break
-                eps /= hyper.eta
+                eps /= _ETA
 
         obj = f + float(np.sum(cur.sigma))
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
         trace.append(obj)
-        if verbose:
+        if log is not None:
             log(f"{it},{obj:.12g},{linalg.sigma_rank(cur.sigma)},{L:.6g},{eps:.6g}")
         if not moved:
             # Both line searches ran out: the iterate and the objective are
@@ -306,10 +310,8 @@ def _train_loop(
             break
 
     report = TrainReport(
-        converged=stop_reason == "tol",
         stop_reason=stop_reason,
         iterations=iterations,
-        final_objective=trace[-1],
         final_rank=linalg.sigma_rank(cur.sigma),
         objective_trace=trace,
     )
@@ -335,28 +337,21 @@ def normalize_data(data: TrainData) -> TrainData:
     )
 
 
-def train(
-    data: TrainData,
-    hyper: Hyperparameters,
-    verbose=False,
-    log=None,
-    init_S=None,
-    init_alpha=None,
-):
+def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
     """Run the alternating optimization, by default from S = 0, alpha = 0.
 
     Returns (TrainedModel, TrainReport). The objective trace is non-increasing
     up to floating-point slack; convergence means the relative decrease dropped
     below hyper.tol before max_iter, with an accepted step in that iteration.
+    `log`, when given, receives one line per iteration (see `_train_loop`);
+    None trains silently.
     """
     if hyper.normalize:
         data = normalize_data(data)
     pb = _build_problem(
         data, signs(data.source_texts)[:, None], signs(data.train_images)[:, None], hyper.kernel
     )
-    S, alpha, report = _train_loop(
-        pb, hyper, verbose=verbose, log=log, init_S=init_S, init_alpha=init_alpha
-    )
+    S, alpha, report = _train_loop(pb, hyper, log=log, init_S=init_S, init_alpha=init_alpha)
     model = TrainedModel(
         S=S,
         alpha=alpha if alpha.size else np.zeros(len(data.train_images)),
@@ -364,7 +359,6 @@ def train(
         train_images=data.train_images,
         kernel=pb.kernel,
         hyper=hyper,
-        normalize=hyper.normalize,
         final_objective=report.final_objective,
     )
     return model, report

@@ -56,7 +56,7 @@ def filter_pairs(
 
 
 def train_zeroshot(
-    ds: ZeroShotDataset, hyper: Hyperparameters, verbose=False, log=None
+    ds: ZeroShotDataset, hyper: Hyperparameters, log=None
 ) -> tuple[TrainedModel, TrainReport]:
     """Train the shared transfer matrix on seen classes only.
 
@@ -76,7 +76,7 @@ def train_zeroshot(
         ovr_labels(data.train_images, seen),
         kernel=None,
     )
-    S, _, report = _train_loop(pb, hyper, verbose=verbose, log=log)
+    S, _, report = _train_loop(pb, hyper, log=log)
     model = TrainedModel(
         S=S,
         alpha=np.zeros(0),
@@ -84,7 +84,6 @@ def train_zeroshot(
         train_images=[],
         kernel=hyper.kernel,
         hyper=hyper,
-        normalize=hyper.normalize,
         final_objective=report.final_objective,
     )
     return model, report

@@ -217,20 +217,17 @@ def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
     return grad
 
 
-def reference_train_loop(
-    pb, hyper: Hyperparameters, verbose=False, log=None, init_S=None, init_alpha=None
-):
+def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
     """solver._train_loop without its caches, with the same signature and
-    results; it reads solver._MAX_BACKTRACKS, so a test can patch both."""
-    if log is None:
-        log = print
+    results; it reads the solver's step constants and solver._MAX_BACKTRACKS,
+    so a test can patch both loops at once."""
     S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
     if init_alpha is None:
         alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:
         alpha = project_alpha(init_alpha, hyper.C)
-    L = hyper.L0
-    eps = hyper.eps_alpha0
+    L = solver._L0
+    eps = solver._EPS_ALPHA0
     trace = [_dense_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)]
     stop_reason = "max_iter"
     iterations = 0
@@ -252,7 +249,7 @@ def reference_train_loop(
                 S = cand
                 moved = True
                 break
-            L *= hyper.eta
+            L *= solver._ETA
 
         if alpha.size:
             ga = _dense_grad_alpha(S, alpha, pb, hyper)
@@ -265,13 +262,13 @@ def reference_train_loop(
                     alpha = cand
                     moved = True
                     break
-                eps /= hyper.eta
+                eps /= solver._ETA
 
         obj = _dense_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
         trace.append(obj)
-        if verbose:
+        if log is not None:
             log(f"{it},{obj:.12g},{linalg.numerical_rank(S)},{L:.6g},{eps:.6g}")
         if not moved:
             stop_reason = "linesearch"
@@ -281,10 +278,8 @@ def reference_train_loop(
             break
 
     report = TrainReport(
-        converged=stop_reason == "tol",
         stop_reason=stop_reason,
         iterations=iterations,
-        final_objective=trace[-1],
         final_rank=linalg.numerical_rank(S),
         objective_trace=trace,
     )

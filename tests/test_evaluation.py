@@ -14,7 +14,7 @@ from crossmodal.evaluation import (
     error_rate,
     mean_ap,
 )
-from crossmodal.model import Hyperparameters, KernelSpec
+from crossmodal.model import CorpusExample, Hyperparameters, KernelSpec
 from crossmodal.solver import TrainData
 from crossmodal.synth import SynthConfig, generate
 from oracle_utils import brute_force_auc, brute_force_average_precision
@@ -205,3 +205,9 @@ class TestCrossval:
     def test_insufficient_data_rejected(self):
         with pytest.raises(DataError):
             crossval_select(TrainData(p=2, q=2), base=self.base())
+
+    def test_empty_fold_named(self):
+        # One image per label: stratification puts both in the first fold.
+        images = [CorpusExample("i0", np.array([1.0]), 1), CorpusExample("i1", np.array([-1.0]), -1)]
+        with pytest.raises(DataError, match="second cross-validation fold is empty"):
+            crossval_select(TrainData(train_images=images, p=1), base=self.base())

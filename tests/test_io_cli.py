@@ -80,6 +80,16 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=r"text\.jsonl:1: .*must hold numbers"):
             data_io.parse_dataset(str(path))
 
+    @pytest.mark.parametrize("label", [0, 7, 1.0, True])
+    def test_label_must_be_plus_or_minus_one(self, tmp_path, label):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            json.dumps({"kind": "image", "id": "i0", "label": 1, "features": [1.0]}) + "\n"
+            + json.dumps({"kind": "image", "id": "i1", "label": label, "features": [2.0]}) + "\n"
+        )
+        with pytest.raises(DataError, match=r"data\.jsonl:2: label must be 1 or -1"):
+            data_io.parse_dataset(str(path))
+
     def test_pair_class_must_be_string(self, tmp_path):
         path = tmp_path / "pair.jsonl"
         path.write_text(json.dumps({"kind": "pair", "id": "p0", "class": 7,
@@ -89,7 +99,7 @@ class TestDatasetIO:
 
 
 class TestModelIO:
-    def trained_model(self):
+    def trained_model(self, normalize=False):
         rng = np.random.default_rng(0)
         kernel = KernelSpec(bandwidth=1.3)
         return TrainedModel(
@@ -101,7 +111,7 @@ class TestModelIO:
                 CorpusExample("i1", rng.standard_normal(2), -1),
             ],
             kernel=kernel,
-            hyper=Hyperparameters(kernel=kernel),
+            hyper=Hyperparameters(kernel=kernel, normalize=normalize),
             final_objective=4.25,
         )
 
@@ -110,6 +120,27 @@ class TestModelIO:
         text = data_io.serialize_model(model)
         back, mode, unseen = data_io.parse_model(text)
         assert mode == "binary" and unseen == []
+        Z = np.random.default_rng(1).standard_normal((10, 2))
+        assert np.all(scores(back, Z) == scores(model, Z))
+        assert data_io.serialize_model(back) == text
+
+    def test_file_without_step_keys_loads(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model(normalize=True)))
+        assert "normalize" not in doc
+        assert not {"L0", "eta", "eps_alpha0"} & doc["hyper"].keys()
+        model, _, _ = data_io.parse_model(json.dumps(doc))
+        assert model.normalize is True
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_earlier_layout_loads(self, normalize):
+        # Earlier builds also wrote the backtracking step controls into "hyper"
+        # and a top-level copy of hyper.normalize.
+        model = self.trained_model(normalize)
+        text = data_io.serialize_model(model)
+        doc = json.loads(text)
+        doc["normalize"] = normalize
+        doc["hyper"].update({"L0": 1.0, "eta": 2.0, "eps_alpha0": 0.1})
+        back, _, _ = data_io.parse_model(json.dumps(doc))
         Z = np.random.default_rng(1).standard_normal((10, 2))
         assert np.all(scores(back, Z) == scores(model, Z))
         assert data_io.serialize_model(back) == text
@@ -288,6 +319,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: bad option value: {expected}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--grid", "default"], ["--verbose"]])
+    def test_crossval_rejects_unused_flags(self, tmp_path, capsys, flags):
+        assert main(["crossval", "--data", str(tmp_path / "d.jsonl"), *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_train_verbose_prints_iterations_then_report(self, tmp_path, synth_config, capsys):
+        data, out = tmp_path / "train.jsonl", tmp_path / "model.json"
+        main(["synth", "--config", str(synth_config), "--out", str(data)])
+        args = ["train", "--data", str(data), "--out", str(out), "--max-iter", "3", "--tol", "1e-16"]
+        assert main(args) == 0
+        report = capsys.readouterr().out
+        assert report.startswith("converged False\n")
+        assert main(args + ["--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert [line.split(",")[0] for line in lines[:3]] == ["1", "2", "3"]
+        assert all(len(line.split(",")) == 5 for line in lines[:3])
+        assert "".join(lines[3:]) == report
+
+    def test_train_class_labels_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "train.jsonl"
+        data.write_text(
+            json.dumps({"kind": "text", "id": "t0", "class": "a", "features": [1.0]}) + "\n"
+            + json.dumps({"kind": "image", "id": "i0", "label": 1, "features": [1.0]}) + "\n"
+        )
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+        assert "example 't0' has label 'a'" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--data"]) == 1

@@ -15,6 +15,7 @@ from crossmodal.model import (
     l2_normalize,
     median_bandwidth,
     scores,
+    signs,
     stack_features,
     unseen_scores,
 )
@@ -41,7 +42,6 @@ def make_model(S, alpha, texts, images, kernel=None, normalize=False):
         train_images=images,
         kernel=kernel,
         hyper=Hyperparameters(kernel=kernel, normalize=normalize),
-        normalize=normalize,
     )
 
 
@@ -167,6 +167,18 @@ class TestMedianBandwidth:
         assert bw > 0
         # subsampled estimate stays near the exhaustive median
         assert abs(bw - median_bandwidth(pts)) < 0.3
+
+
+class TestSigns:
+    def test_binary_labels(self):
+        examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), -1)]
+        assert signs(examples).tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("label", ["c0", 0, 7, None, True])
+    def test_other_label_names_example(self, label):
+        examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), label)]
+        with pytest.raises(DataError, match=r"example 'b' has label .*\+1/-1"):
+            signs(examples)
 
 
 class TestDiscriminant:

@@ -201,7 +201,7 @@ class TestTrain:
         lines = []
         from dataclasses import replace
 
-        train(data, replace(hyper, max_iter=3, tol=1e-16), verbose=True, log=lines.append)
+        train(data, replace(hyper, max_iter=3, tol=1e-16), log=lines.append)
         assert len(lines) == 3
         first = lines[0].split(",")
         assert len(first) == 5 and first[0] == "1"
