@@ -32,7 +32,7 @@ def main() -> int:
     for seed in range(args.seeds):
         ds = generate(SynthConfig(seed=seed, m_images=args.images, l_pairs=args.pairs))
         full, _ = train(TrainData(ds.texts, ds.images, ds.pairs), hyper)
-        base, _ = train(TrainData([], ds.images, [], p=ds.config.p), baseline_hyper)
+        base, _ = train(TrainData([], ds.images, []), baseline_hyper)
         e_full, e_base = error(full, ds.test_images), error(base, ds.test_images)
         diffs.append(e_base - e_full)
         print(f"seed {seed:2d}: full {e_full:.3f}  intramodal-only {e_base:.3f}")

@@ -210,6 +210,7 @@ def _check_prediction(rec, first) -> None:
 
 def _read_predictions(path: str) -> list[dict]:
     records = []
+    ids = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -218,6 +219,9 @@ def _read_predictions(path: str) -> list[dict]:
             try:
                 rec = json.loads(line, parse_constant=data_io._reject_constant)
                 _check_prediction(rec, records[0] if records else rec)
+                if rec["id"] in ids:
+                    raise DataError(f"duplicate id {rec['id']!r}")
+                ids.add(rec["id"])
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed prediction: {exc}") from exc
             except DataError as exc:
@@ -289,16 +293,17 @@ def _cmd_zeroshot(args) -> int:
     unseen = frozenset(c for c in args.unseen.split(",") if c)
     if not unseen:
         raise UsageError("--unseen must name at least one class")
-    all_classes = {ex.label for ex in corpora.texts if isinstance(ex.label, str)}
-    all_classes |= {ex.label for ex in corpora.images if isinstance(ex.label, str)}
-    unknown = unseen - all_classes
+    unknown = unseen - {ex.label for ex in corpora.texts + corpora.images}
     if unknown:
         raise DataError(f"unseen classes not present in data: {sorted(unknown)}")
+    images = [ex for ex in corpora.images if ex.label not in unseen]
+    dropped = len(corpora.images) - len(images)
+    if dropped:
+        print(f"dropped {dropped} training images of unseen classes", file=sys.stderr)
     ds = zeroshot.ZeroShotDataset(
-        seen_classes=frozenset(all_classes - unseen),
         unseen_classes=unseen,
         source_texts=corpora.texts,
-        train_images=corpora.images,
+        train_images=images,
         pairs=corpora.pairs,
     )
     hyper = _hyper_from_args(args)

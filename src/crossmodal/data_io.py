@@ -124,11 +124,12 @@ def parse_dataset(path: str) -> Corpora:
     dims: dict[str, int] = {}
     seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
 
-    def check_dim(kind: str, vec: np.ndarray, lineno: int):
-        dim = dims.setdefault(kind, vec.shape[0])
+    def check_dim(modality: str, vec: np.ndarray, lineno: int):
+        # Pairs share each modality's width with the texts or the images.
+        dim = dims.setdefault(modality, vec.shape[0])
         if vec.shape[0] != dim:
             raise DataError(
-                f"{path}:{lineno}: {kind} feature dimension {vec.shape[0]} != "
+                f"{path}:{lineno}: {modality} feature dimension {vec.shape[0]} != "
                 f"established {dim}"
             )
 
@@ -154,8 +155,8 @@ def parse_dataset(path: str) -> Corpora:
                 if kind == "pair":
                     x = _features(rec, "text_features")
                     z = _features(rec, "image_features")
-                    check_dim("pair_text", x, lineno)
-                    check_dim("pair_image", z, lineno)
+                    check_dim("text", x, lineno)
+                    check_dim("image", z, lineno)
                     corpora.pairs.append(
                         CooccurrencePair(x, z, class_id=_parse_class(rec))
                     )

@@ -141,7 +141,8 @@ def crossval_select(
             "the second cross-validation fold is empty: every label has only one image"
         )
     splits = [(fold_a, fold_b), (fold_b, fold_a)]
-    Z = stack_features(data.train_images, data.image_dim(), "training image")
+    q = data.train_images[0].features.shape[0]
+    Z = stack_features(data.train_images, q, "training image")
     truth = signs(data.train_images)
 
     best = None
@@ -154,8 +155,6 @@ def crossval_select(
                 source_texts=data.source_texts,
                 train_images=[data.train_images[i] for i in train_idx],
                 pairs=data.pairs,
-                p=data.p,
-                q=data.q,
             )
             model, _ = train(fold_data, cand)
             preds = np.where(scores(model, Z[val_idx]) > 0, 1, -1)

@@ -1,4 +1,4 @@
-"""Dense SVD, the trace norm, and the singular-value-thresholding prox operator."""
+"""Dense SVD and the singular-value-thresholding prox operator, as thin factors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -43,14 +43,10 @@ def svd(M: np.ndarray) -> SvdResult:
     return SvdResult(U=U, sigma=s, V=Vt.T)
 
 
-def trace_norm(M: np.ndarray) -> float:
-    """Sum of singular values of M."""
-    return float(np.sum(svd(M).sigma))
-
-
 def svt_factors(M: np.ndarray, threshold: float) -> SvdResult:
-    """Thin SVD of svt(M, threshold): the singular values of M soft-thresholded
-    by `threshold`, keeping only the nonzero ones and their vectors."""
+    """Thin SVD of the minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr:
+    the singular values of M soft-thresholded by `threshold`, keeping only the
+    nonzero ones and their vectors."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     res = svd(M)
@@ -59,21 +55,9 @@ def svt_factors(M: np.ndarray, threshold: float) -> SvdResult:
     return SvdResult(U=res.U[:, :r], sigma=shrunk[:r], V=res.V[:, :r])
 
 
-def svt(M: np.ndarray, threshold: float) -> np.ndarray:
-    """Soft-threshold the singular values of M by `threshold`.
-
-    Returns the unique minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr.
-    """
-    return svt_factors(M, threshold).matrix()
-
-
-def numerical_rank(M: np.ndarray) -> int:
-    """Number of singular values above RANK_CUTOFF times the largest one."""
-    return sigma_rank(svd(M).sigma)
-
-
 def sigma_rank(sigma: np.ndarray) -> int:
-    """numerical_rank of a matrix with the non-increasing singular values `sigma`."""
+    """Number of the non-increasing singular values `sigma` above RANK_CUTOFF
+    times the largest one: the numerical rank of their matrix."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.sum(sigma > RANK_CUTOFF * sigma[0]))

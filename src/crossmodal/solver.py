@@ -38,33 +38,14 @@ _ACCEPT_SLACK = 1e-12
 class TrainData:
     """Labeled text corpus, labeled image set, and co-occurrence pairs.
 
-    p and q are inferred from the data when omitted; pass them explicitly when a
-    side is empty (e.g. the intramodal-only baseline with no texts and no pairs).
+    The feature widths p and q come from the data. With no texts and no pairs
+    (the intramodal-only baseline) the intermodal term is zero and S has no
+    rows.
     """
 
     source_texts: list[CorpusExample] = field(default_factory=list)
     train_images: list[CorpusExample] = field(default_factory=list)
     pairs: list[CooccurrencePair] = field(default_factory=list)
-    p: int | None = None
-    q: int | None = None
-
-    def text_dim(self) -> int:
-        if self.source_texts:
-            return self.source_texts[0].features.shape[0]
-        if self.pairs:
-            return self.pairs[0].text_features.shape[0]
-        if self.p is not None:
-            return self.p
-        raise DataError("no texts or pairs to infer the text dimension p; set TrainData.p")
-
-    def image_dim(self) -> int:
-        if self.train_images:
-            return self.train_images[0].features.shape[0]
-        if self.pairs:
-            return self.pairs[0].image_features.shape[0]
-        if self.q is not None:
-            return self.q
-        raise DataError("no images or pairs to infer the image dimension q; set TrainData.q")
 
 
 @dataclass
@@ -100,8 +81,6 @@ class _Problem:
     pair_Z: np.ndarray   # (l, q)
     K: np.ndarray | None  # (m, m) kernel Gram matrix; None (as when m = 0) disables alpha
     kernel: KernelSpec | None  # the resolved kernel K was built with
-    p: int
-    q: int
 
     @property
     def n(self) -> int:
@@ -114,13 +93,20 @@ class _Problem:
 
 def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) -> _Problem:
     """Stack the corpora of `data` into arrays, with (n, B) and (m, B) label
-    blocks for texts and images. A `kernel` of None leaves alpha off."""
-    p, q = data.text_dim(), data.image_dim()
-    text_X = stack_features(data.source_texts, p, "source text")
-    img_Z = stack_features(data.train_images, q, "training image")
-    if data.pairs:
-        pair_X = np.stack([c.text_features for c in data.pairs])
-        pair_Z = np.stack([c.image_features for c in data.pairs])
+    blocks for texts and images. A `kernel` of None leaves alpha off.
+
+    p is the width of the texts, else of the pairs' texts, else 0; q is the
+    width of the images, else of the pairs' images."""
+    texts, images, pairs = data.source_texts, data.train_images, data.pairs
+    if not images and not pairs:
+        raise DataError("no images or pairs to infer the image dimension q")
+    p = texts[0].features.shape[0] if texts else pairs[0].text_features.shape[0] if pairs else 0
+    q = images[0].features.shape[0] if images else pairs[0].image_features.shape[0]
+    text_X = stack_features(texts, p, "source text")
+    img_Z = stack_features(images, q, "training image")
+    if pairs:
+        pair_X = np.stack([c.text_features for c in pairs])
+        pair_Z = np.stack([c.image_features for c in pairs])
         if pair_X.shape[1] != p or pair_Z.shape[1] != q:
             raise DataError("pair dimensions do not match the corpora")
     else:
@@ -137,8 +123,6 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) ->
         pair_Z=pair_Z,
         K=K,
         kernel=kernel,
-        p=p,
-        q=q,
     )
 
 
@@ -197,7 +181,7 @@ def _smooth(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
 
 
 def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
-    grad = np.zeros((pb.p, pb.q))
+    grad = np.zeros_like(it.S)
     if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
         yf = pb.img_Y.T * F                       # (B, m)
         G = hyper.gamma * hinge_subgrad(yf) * pb.img_Y.T
@@ -247,7 +231,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     the accepted iterate, its margins and its smooth value. `log`, when given,
     receives one CSV line per iteration: iteration, objective, rank, L, eps.
     """
-    S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
+    S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1])) if init_S is None else init_S
     if init_alpha is None:
         alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:

@@ -21,28 +21,30 @@ class ZeroShotDataset:
     image is an error.
     """
 
-    seen_classes: frozenset[str]
     unseen_classes: frozenset[str]
     source_texts: list[CorpusExample]
     train_images: list[CorpusExample]
     pairs: list[CooccurrencePair] = field(default_factory=list)
 
     def __post_init__(self):
-        self.seen_classes = frozenset(self.seen_classes)
         self.unseen_classes = frozenset(self.unseen_classes)
-        if self.seen_classes & self.unseen_classes:
-            raise DataError("seen and unseen class sets overlap")
-        if not self.seen_classes:
-            raise DataError("at least one seen class is required")
         for img in self.train_images:
             if img.label in self.unseen_classes:
                 raise DataError(
                     f"training image {img.id!r} carries unseen class {img.label!r}"
                 )
-            if img.label not in self.seen_classes:
+            if not isinstance(img.label, str):
                 raise DataError(
-                    f"training image {img.id!r} has unknown class {img.label!r}"
+                    f"training image {img.id!r} has label {img.label!r}, not a class id"
                 )
+        if not self.seen_classes:
+            raise DataError("at least one seen class is required")
+
+    @property
+    def seen_classes(self) -> frozenset[str]:
+        """Every class of the texts and training images that is not unseen."""
+        labels = {e.label for e in self.source_texts + self.train_images}
+        return frozenset(c for c in labels if isinstance(c, str)) - self.unseen_classes
 
 
 def filter_pairs(
@@ -65,15 +67,19 @@ def train_zeroshot(
     are excluded. No alpha coefficients are learned: the intramodal term has no
     meaning for classes without labeled images.
     """
-    seen = sorted(ds.seen_classes)
+    seen = ds.seen_classes
+    classes = sorted(seen)
     data = TrainData(ds.source_texts, ds.train_images, filter_pairs(ds.pairs, ds.unseen_classes))
     if hyper.normalize:
         data = normalize_data(data)
-    seen_texts = [t for t in data.source_texts if t.label in ds.seen_classes]
+    seen_texts = [t for t in data.source_texts if t.label in seen]
+    if not seen_texts and not data.pairs:
+        # Unseen classes are scored through S, so it needs the texts' width.
+        raise DataError("no seen-class texts or pairs to infer the text dimension p")
     pb = _build_problem(
         replace(data, source_texts=seen_texts),
-        ovr_labels(seen_texts, seen),
-        ovr_labels(data.train_images, seen),
+        ovr_labels(seen_texts, classes),
+        ovr_labels(data.train_images, classes),
         kernel=None,
     )
     S, _, report = _train_loop(pb, hyper, log=log)

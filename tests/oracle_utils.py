@@ -1,8 +1,8 @@
 """Shared independent oracles: finite differences, brute-force ranking metrics,
 the per-image scalar discriminants the batched scoring path is checked
-against, the single-block objective and its gradients, the uncached training
-loop the solver's loop is checked against, and random small training
-instances."""
+against, the dense trace norm, SVT and numerical rank, the single-block
+objective and its gradients, the uncached training loop the solver's loop is
+checked against, and random small training instances."""
 import itertools
 
 import numpy as np
@@ -113,6 +113,27 @@ def score_unseen(
     return f_inter(S, class_texts, z)
 
 
+# Dense linear-algebra helpers built on the package's SVD.
+
+
+def trace_norm(M: np.ndarray) -> float:
+    """Sum of singular values of M."""
+    return float(np.sum(linalg.svd(M).sigma))
+
+
+def svt(M: np.ndarray, threshold: float) -> np.ndarray:
+    """Soft-threshold the singular values of M by `threshold`.
+
+    Returns the unique minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr.
+    """
+    return linalg.svt_factors(M, threshold).matrix()
+
+
+def numerical_rank(M: np.ndarray) -> int:
+    """Number of singular values above RANK_CUTOFF times the largest one."""
+    return linalg.sigma_rank(linalg.svd(M).sigma)
+
+
 # The binary training objective at a given (S, alpha), one call at a time,
 # through the package's own iterate, smooth value and gradient code.
 
@@ -133,7 +154,7 @@ def _at(S, alpha, data: TrainData, hyper: Hyperparameters):
 
 def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
     """Full training objective: hinge + misalignment + trace norm of S."""
-    return smooth_value(S, alpha, data, hyper) + linalg.trace_norm(S)
+    return smooth_value(S, alpha, data, hyper) + trace_norm(S)
 
 
 def smooth_value(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
@@ -190,7 +211,7 @@ def _dense_smooth(S, alpha, pb, hyper: Hyperparameters) -> float:
 
 
 def _dense_grad_S(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
-    grad = np.zeros((pb.p, pb.q))
+    grad = np.zeros(S.shape)
     if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
         F, T = _dense_margins(S, alpha, pb)
         yf = pb.img_Y.T * F
@@ -221,14 +242,17 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
     """solver._train_loop without its caches, with the same signature and
     results; it reads the solver's step constants and solver._MAX_BACKTRACKS,
     so a test can patch both loops at once."""
-    S = np.zeros((pb.p, pb.q)) if init_S is None else np.array(init_S, dtype=float)
+    if init_S is None:
+        S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
+    else:
+        S = np.array(init_S, dtype=float)
     if init_alpha is None:
         alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:
         alpha = project_alpha(init_alpha, hyper.C)
     L = solver._L0
     eps = solver._EPS_ALPHA0
-    trace = [_dense_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)]
+    trace = [_dense_smooth(S, alpha, pb, hyper) + trace_norm(S)]
     stop_reason = "max_iter"
     iterations = 0
 
@@ -242,7 +266,7 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
         F_cur = _dense_smooth(S, alpha, pb, hyper)
         moved = False
         for _ in range(solver._MAX_BACKTRACKS):
-            cand = linalg.svt(S - g / L, 1.0 / L)
+            cand = svt(S - g / L, 1.0 / L)
             delta = cand - S
             bound = F_cur + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
             if _dense_smooth(cand, alpha, pb, hyper) <= bound + solver._ACCEPT_SLACK:
@@ -264,12 +288,12 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
                     break
                 eps /= solver._ETA
 
-        obj = _dense_smooth(S, alpha, pb, hyper) + linalg.trace_norm(S)
+        obj = _dense_smooth(S, alpha, pb, hyper) + trace_norm(S)
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
         trace.append(obj)
         if log is not None:
-            log(f"{it},{obj:.12g},{linalg.numerical_rank(S)},{L:.6g},{eps:.6g}")
+            log(f"{it},{obj:.12g},{numerical_rank(S)},{L:.6g},{eps:.6g}")
         if not moved:
             stop_reason = "linesearch"
             break
@@ -280,7 +304,7 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
     report = TrainReport(
         stop_reason=stop_reason,
         iterations=iterations,
-        final_rank=linalg.numerical_rank(S),
+        final_rank=numerical_rank(S),
         objective_trace=trace,
     )
     return S, alpha, report
@@ -305,7 +329,7 @@ def random_instance(rng, p=3, q=4, n=2, m=2, l=3):
             CooccurrencePair(rng.standard_normal(p), rng.standard_normal(q))
             for _ in range(l)
         ]
-        data = TrainData(source_texts=texts, train_images=images, pairs=pairs, p=p, q=q)
+        data = TrainData(source_texts=texts, train_images=images, pairs=pairs)
         hyper = Hyperparameters(
             gamma=float(rng.uniform(0.2, 2.0)),
             lam=float(rng.uniform(0.2, 2.0)),

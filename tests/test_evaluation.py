@@ -204,10 +204,10 @@ class TestCrossval:
 
     def test_insufficient_data_rejected(self):
         with pytest.raises(DataError):
-            crossval_select(TrainData(p=2, q=2), base=self.base())
+            crossval_select(TrainData(), base=self.base())
 
     def test_empty_fold_named(self):
         # One image per label: stratification puts both in the first fold.
         images = [CorpusExample("i0", np.array([1.0]), 1), CorpusExample("i1", np.array([-1.0]), -1)]
         with pytest.raises(DataError, match="second cross-validation fold is empty"):
-            crossval_select(TrainData(train_images=images, p=1), base=self.base())
+            crossval_select(TrainData(train_images=images), base=self.base())

@@ -51,6 +51,23 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=":2"):
             data_io.parse_dataset(str(path))
 
+    @pytest.mark.parametrize("text_width, image_width", [(4, 2), (3, 3)])
+    def test_pair_width_must_match_corpora(self, tmp_path, text_width, image_width):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            json.dumps({"kind": "text", "id": "t0", "label": 1, "features": [1.0, 2.0, 3.0]})
+            + "\n"
+            + json.dumps({"kind": "text", "id": "t1", "label": -1, "features": [3.0, 2.0, 1.0]})
+            + "\n"
+            + json.dumps({"kind": "image", "id": "i0", "label": 1, "features": [1.0, 2.0]})
+            + "\n"
+            + json.dumps({"kind": "pair", "id": "p0", "text_features": [1.0] * text_width,
+                          "image_features": [1.0] * image_width})
+            + "\n"
+        )
+        with pytest.raises(DataError, match=r"data\.jsonl:4: .* feature dimension"):
+            data_io.parse_dataset(str(path))
+
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         rec = json.dumps({"kind": "image", "id": "x", "features": [1.0]})
@@ -259,6 +276,7 @@ class TestCli:
         ('{"id": "i1", "score": 0.5, "label": 0}', "'label' must be 1 or -1"),
         ('{"score": 0.5, "label": 1}', "missing string id"),
         ('{"id": "i1", "scores": {"c0": 0.1}}', "'score' must be a finite number"),
+        ('{"id": "i0", "score": 0.5, "label": 1}', "duplicate id 'i0'"),
     ])
     def test_evaluate_bad_binary_prediction_exit_2(self, tmp_path, capsys, bad_line, expected):
         truth = tmp_path / "truth.jsonl"
@@ -415,6 +433,51 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("lambda ") and "gamma" in out and "C " in out
+
+    def test_images_only_train_and_crossval(self, tmp_path, capsys):
+        # The intramodal-only baseline: no texts and no pairs, so S has no rows.
+        ds = generate(SynthConfig(p=6, q=5, r_true=2, n_texts=0, m_images=12, l_pairs=0,
+                                  n_test=20, seed=11))
+        data, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        model_path, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        data_io.write_dataset(data_io.Corpora(images=ds.images), str(data))
+        data_io.write_dataset(data_io.Corpora(images=ds.test_images), str(test))
+        assert main(["train", "--data", str(data), "--out", str(model_path),
+                     "--lambda", "0", "--max-iter", "40"]) == 0
+        assert main(["predict", "--model", str(model_path), "--images", str(test),
+                     "--out", str(pred)]) == 0
+        model, _ = train(TrainData(train_images=ds.images),
+                         Hyperparameters(lam=0.0, max_iter=40))
+        assert model.S.shape == (0, 5)
+        want = scores(model, np.stack([e.features for e in ds.test_images]))
+        got = [json.loads(line)["score"] for line in pred.read_text().splitlines()]
+        assert got == want.tolist()
+        assert main(["crossval", "--data", str(data), "--max-iter", "5", "--tol", "1e-3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-3].startswith("lambda ")
+
+    def test_zeroshot_drops_unseen_class_images(self, tmp_path, capsys):
+        # A raw multi-class synth file labels images of every class; zeroshot
+        # trains as if the unseen-class images were never in the file.
+        ds = generate(SynthConfig(p=6, q=5, r_true=2, classes=3, n_texts=45, m_images=24,
+                                  l_pairs=60, n_test=30, seed=3))
+        raw, seen_only = tmp_path / "raw.jsonl", tmp_path / "seen.jsonl"
+        data_io.write_dataset(
+            data_io.Corpora(texts=ds.texts, images=ds.images, pairs=ds.pairs), str(raw))
+        seen_imgs = [i for i in ds.images if i.label != "c2"]
+        data_io.write_dataset(
+            data_io.Corpora(texts=ds.texts, images=seen_imgs, pairs=ds.pairs), str(seen_only))
+        runs = []
+        for data in (raw, seen_only):
+            out = tmp_path / f"zs-{data.stem}.json"
+            assert main(["zeroshot", "--data", str(data), "--unseen", "c2",
+                         "--out", str(out), "--max-iter", "10"]) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+        (raw_io, raw_model), (seen_io, seen_model) = runs
+        dropped = len(ds.images) - len(seen_imgs)
+        assert dropped > 0
+        assert raw_io.err == f"dropped {dropped} training images of unseen classes\n"
+        assert seen_io.err == ""
+        assert raw_io.out == seen_io.out and raw_model == seen_model
 
     def test_zeroshot_pipeline(self, tmp_path, capsys):
         ds = generate(

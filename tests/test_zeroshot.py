@@ -54,19 +54,26 @@ class TestDatasetValidation:
         rng = np.random.default_rng(3)
         with pytest.raises(DataError, match="unseen"):
             ZeroShotDataset(
-                seen_classes=frozenset({"a"}),
                 unseen_classes=frozenset({"u"}),
                 source_texts=[],
                 train_images=[CorpusExample("i0", rng.standard_normal(2), "u")],
             )
 
-    def test_overlap_rejected(self):
-        with pytest.raises(DataError):
-            ZeroShotDataset(frozenset({"a"}), frozenset({"a"}), [], [])
+    @pytest.mark.parametrize("label", [1, None])
+    def test_image_without_class_rejected(self, label):
+        texts = [CorpusExample("t0", np.ones(3), "a")]
+        with pytest.raises(DataError, match="training image 'i0'"):
+            ZeroShotDataset(frozenset({"u"}), texts, [CorpusExample("i0", np.ones(2), label)])
+
+    def test_seen_classes_from_labels(self):
+        texts = [CorpusExample(f"t{k}", np.ones(3), c) for k, c in enumerate("abu")]
+        images = [CorpusExample("i0", np.ones(2), "c")]
+        zds = ZeroShotDataset(frozenset({"u", "v"}), texts, images)
+        assert zds.seen_classes == {"a", "b", "c"}
 
     def test_no_seen_classes_rejected(self):
         with pytest.raises(DataError):
-            ZeroShotDataset(frozenset(), frozenset({"u"}), [], [])
+            ZeroShotDataset(frozenset({"u"}), [], [])
 
 
 def multiclass_split(seed=0, unseen_cls="c0", **kw):
@@ -76,7 +83,6 @@ def multiclass_split(seed=0, unseen_cls="c0", **kw):
     ds = generate(cfg)
     unseen = frozenset({unseen_cls})
     zds = ZeroShotDataset(
-        seen_classes=frozenset(ds.class_ids) - unseen,
         unseen_classes=unseen,
         source_texts=ds.texts,
         train_images=[i for i in ds.images if i.label not in unseen],
@@ -102,7 +108,6 @@ class TestTrainZeroshot:
         ]
         pairs = tagged_pairs(rng, ["a"] * 5)
         zds = ZeroShotDataset(
-            seen_classes=frozenset({"a"}),
             unseen_classes=frozenset({"u"}),
             source_texts=texts,
             train_images=[],
@@ -115,7 +120,6 @@ class TestTrainZeroshot:
             source_texts=[CorpusExample(t.id, t.features, 1) for t in texts],
             train_images=[],
             pairs=pairs,
-            q=2,
         )
         ref_model, ref_report = train(binary, hyper)
         np.testing.assert_allclose(zs_model.S, ref_model.S)
@@ -126,7 +130,6 @@ class TestTrainZeroshot:
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=20, tol=1e-10)
         _, with_unseen = train_zeroshot(zds, hyper)
         stripped = ZeroShotDataset(
-            seen_classes=zds.seen_classes,
             unseen_classes=zds.unseen_classes,
             source_texts=[t for t in zds.source_texts if t.label != "c0"],
             train_images=zds.train_images,
@@ -142,7 +145,6 @@ class TestTrainZeroshot:
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=20, normalize=True)
         model, _ = train_zeroshot(zds, hyper)
         scaled = ZeroShotDataset(
-            seen_classes=zds.seen_classes,
             unseen_classes=zds.unseen_classes,
             source_texts=[CorpusExample(t.id, 3.0 * t.features, t.label)
                           for t in zds.source_texts],
@@ -162,7 +164,6 @@ class TestTrainZeroshot:
     def test_no_seen_texts_and_no_pairs_rejected(self):
         rng = np.random.default_rng(6)
         zds = ZeroShotDataset(
-            seen_classes=frozenset({"a"}),
             unseen_classes=frozenset({"u"}),
             source_texts=[CorpusExample("t0", rng.standard_normal(3), "u")],
             train_images=[CorpusExample("i0", rng.standard_normal(2), "a")],
@@ -173,7 +174,6 @@ class TestTrainZeroshot:
     def test_no_images_and_no_pairs_rejected(self):
         rng = np.random.default_rng(7)
         zds = ZeroShotDataset(
-            seen_classes=frozenset({"a"}),
             unseen_classes=frozenset({"u"}),
             source_texts=[CorpusExample("t0", rng.standard_normal(3), "a")],
             train_images=[],
