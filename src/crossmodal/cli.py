@@ -243,6 +243,11 @@ def _cmd_evaluate(args) -> int:
     if "scores" in preds[0]:
         # Zero-shot predictions: per-class AUC/AP against class-labeled truth.
         classes = sorted(preds[0]["scores"])
+        # A hard prediction is one of the scored classes, so only images of
+        # those classes can be classified right or wrong.
+        scored = [r for r in preds if truth_by_id[r["id"]] in classes]
+        if not scored:
+            raise DataError(f"{args.truth}: no predicted image is of a scored class {classes}")
         per_class = {}
         aps = []
         for c in classes:
@@ -252,8 +257,8 @@ def _cmd_evaluate(args) -> int:
             ap = evaluation.average_precision(scores, truth)
             per_class[f"ap_{c}"] = ap
             aps.append(ap)
-        hard_preds = [max(r["scores"], key=lambda c: r["scores"][c]) for r in preds]
-        truths = [truth_by_id[r["id"]] for r in preds]
+        hard_preds = [max(r["scores"], key=lambda c: r["scores"][c]) for r in scored]
+        truths = [truth_by_id[r["id"]] for r in scored]
         report = evaluation.EvalReport(
             error_rate=evaluation.error_rate(np.array(hard_preds), np.array(truths)),
             ap=evaluation.mean_ap(aps),

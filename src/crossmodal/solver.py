@@ -32,6 +32,9 @@ _EPS_ALPHA0 = 0.1
 _ETA = 2.0
 _MAX_BACKTRACKS = 100
 _ACCEPT_SLACK = 1e-12
+# Relative rounding margin of the misalignment lower bound (`_misalign_floor`),
+# far above the float error of the l-term sums on either side of the bound.
+_FLOOR_RTOL = 1e-9
 
 
 @dataclass
@@ -139,49 +142,84 @@ def resolve_kernel(kernel: KernelSpec, img_Z: np.ndarray) -> KernelSpec:
 @dataclass
 class _Iterate:
     """Everything the smooth objective needs of one S, computed once per S:
-    alpha probes and the gradients at an accepted S reuse it."""
+    alpha probes and the gradients at an accepted S reuse it.
+
+    `_text_terms` fills the terms of the texts and images; `_pair_terms` adds
+    those of the pairs, which an S probe the lower bound rejects never needs.
+    """
 
     S: np.ndarray
     sigma: np.ndarray    # the nonzero singular values of S; their sum is the trace norm
+    US: np.ndarray       # (p, r) U diag(sigma)
+    V: np.ndarray        # (q, r), so that S = US V'
     T: np.ndarray        # (n, m) tanh(X S Z')
     F_inter: np.ndarray  # (B, m) text_Y' T, the intermodal margins of each block
-    a: np.ndarray        # (l,) pair scores x_k' S z_k
-    misalign_term: float  # lam * sum_k misalign(a_k)
+    a: np.ndarray | None = None            # (l,) pair scores x_k' S z_k
+    misalign_term: float | None = None     # lam * sum_k misalign(a_k)
 
 
-def _evaluate_S(factors: linalg.SvdResult, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
-    """The iterate S = U diag(s) V', with its products taken through the rank-r
-    factors: O((n + m + l)(p + q) r) instead of O((n + l) p q)."""
-    U, s, V = factors.U, factors.sigma, factors.V
-    US = U * s
+def _text_terms(factors: linalg.SvdResult, pb: _Problem) -> _Iterate:
+    """The iterate S = U diag(s) V' without its pair terms, with its products
+    taken through the rank-r factors: O((n + m)(p + q) r) instead of O(n p q)."""
+    US = factors.U * factors.sigma
+    V = factors.V
     T = np.tanh((pb.text_X @ US) @ (pb.img_Z @ V).T)
-    a = np.einsum("ij,ij->i", pb.pair_X @ US, pb.pair_Z @ V)
-    return _Iterate(
-        S=US @ V.T,
-        sigma=s,
-        T=T,
-        F_inter=pb.text_Y.T @ T,
-        a=a,
-        misalign_term=hyper.lam * float(np.sum(misalign(a))),
-    )
+    return _Iterate(S=US @ V.T, sigma=factors.sigma, US=US, V=V, T=T, F_inter=pb.text_Y.T @ T)
 
 
-def _smooth(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
-    """Per-block discriminant values F = f_b(z_j), shape (B, m), and the smooth
-    objective (the objective minus the trace norm) at (S, alpha). Beyond the
-    cached terms of S this costs one K(alpha * y), O(m^2)."""
+def _pair_terms(it: _Iterate, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
+    """Add the pair scores and the misalignment term to `it`, in place:
+    O(l (p + q) r) instead of O(l p q)."""
+    it.a = np.einsum("ij,ij->i", pb.pair_X @ it.US, pb.pair_Z @ it.V)
+    it.misalign_term = hyper.lam * float(np.sum(misalign(it.a)))
+    return it
+
+
+def _hinge_term(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
+    """Per-block discriminant values F = f_b(z_j), shape (B, m), and the hinge
+    part of the smooth objective at (S, alpha). Beyond the cached terms of S
+    this costs one K(alpha * y), O(m^2)."""
     F = it.F_inter.copy()
     if pb.K is not None and alpha.size:
         F[0] += pb.K @ (alpha * pb.img_Y[:, 0])
     total = hyper.gamma * float(np.sum(hinge(pb.img_Y.T * F)))
-    total += it.misalign_term
     if not np.isfinite(total):
         raise NumericalError("smooth objective is non-finite")
     return F, total
 
 
-def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
+def _plus_misalign(hinge_total: float, it: _Iterate) -> float:
+    """The smooth objective: the hinge part plus the iterate's misalignment term."""
+    total = hinge_total + it.misalign_term
+    if not np.isfinite(total):
+        raise NumericalError("smooth objective is non-finite")
+    return total
+
+
+def _smooth(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
+    """Per-block discriminant values F, shape (B, m), and the smooth objective
+    (the objective minus the trace norm) at (S, alpha)."""
+    F, total = _hinge_term(it, alpha, pb, hyper)
+    return F, _plus_misalign(total, it)
+
+
+def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, delta: np.ndarray) -> float:
+    """A lower bound on the misalignment term at cur.S + delta, from cur alone.
+
+    misalign is convex and each pair score is linear in S, so the term lies
+    above its tangent at cur: M(cur.S + delta) >= M(cur.S) + <grad M, delta>,
+    with grad M = g_pair. The margin covers the rounding of both sides; its
+    unit floor covers the absolute error of tanh(a) - 1 where tanh saturates."""
+    step = float(np.vdot(g_pair, delta))
+    scale = max(1.0, abs(cur.misalign_term) + abs(step))
+    return cur.misalign_term + step - _FLOOR_RTOL * scale
+
+
+def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters):
+    """The gradient of the smooth objective in S, and its misalignment part
+    lam P_x' diag(tanh(a) - 1) P_z alone (zero without pairs or lam)."""
     grad = np.zeros_like(it.S)
+    g_pair = np.zeros_like(it.S)
     if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
         yf = pb.img_Y.T * F                       # (B, m)
         G = hyper.gamma * hinge_subgrad(yf) * pb.img_Y.T
@@ -189,10 +227,11 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray
         grad += pb.text_X.T @ (M * (1.0 - it.T**2)) @ pb.img_Z
     if hyper.lam > 0 and pb.pair_X.shape[0] > 0:
         d = misalign_deriv(it.a)
-        grad += hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
+        g_pair = hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
+        grad += g_pair
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient in S is non-finite")
-    return grad
+    return grad, g_pair
 
 
 def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
@@ -226,9 +265,12 @@ def project_alpha(alpha, C: float) -> np.ndarray:
 def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
     """Alternating prox/projected-gradient loop over the array problem.
 
-    Each S probe evaluates its S-dependent terms once (`_evaluate_S`); each
-    alpha probe adds only K(alpha * y) to them. `cur`, `F` and `f` always hold
-    the accepted iterate, its margins and its smooth value. `log`, when given,
+    Each S probe evaluates its text terms once (`_text_terms`). It adds its
+    pair terms (`_pair_terms`) only when the hinge value plus a lower bound on
+    the misalignment term (`_misalign_floor`) passes the acceptance test, so a
+    probe this skips would have failed it too. Each alpha probe adds only
+    K(alpha * y) to the accepted S's terms. `cur`, `F` and `f` always hold the
+    accepted iterate, its margins and its smooth value. `log`, when given,
     receives one CSV line per iteration: iteration, objective, rank, L, eps.
     """
     S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1])) if init_S is None else init_S
@@ -238,7 +280,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         alpha = project_alpha(init_alpha, hyper.C)
     L = _L0
     eps = _EPS_ALPHA0
-    cur = _evaluate_S(linalg.svt_factors(S, 0.0), pb, hyper)
+    cur = _pair_terms(_text_terms(linalg.svt_factors(S, 0.0), pb), pb, hyper)
     F, f = _smooth(cur, alpha, pb, hyper)
     trace = [f + float(np.sum(cur.sigma))]
     stop_reason = "max_iter"
@@ -251,17 +293,19 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
             eps = min(eps * 2.0, 1e12)
 
         # S step: backtrack on L until the quadratic majorizer holds.
-        g = _grad_S(cur, F, pb, hyper)
+        g, g_pair = _grad_S(cur, F, pb, hyper)
         moved = False
         for _ in range(_MAX_BACKTRACKS):
-            cand = _evaluate_S(prox_step(cur.S, g, L), pb, hyper)
+            cand = _text_terms(prox_step(cur.S, g, L), pb)
             delta = cand.S - cur.S
             bound = f + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
-            F_cand, f_cand = _smooth(cand, alpha, pb, hyper)
-            if f_cand <= bound + _ACCEPT_SLACK:
-                cur, F, f = cand, F_cand, f_cand
-                moved = True
-                break
+            F_cand, h_cand = _hinge_term(cand, alpha, pb, hyper)
+            if h_cand + _misalign_floor(cur, g_pair, delta) <= bound + _ACCEPT_SLACK:
+                f_cand = _plus_misalign(h_cand, _pair_terms(cand, pb, hyper))
+                if f_cand <= bound + _ACCEPT_SLACK:
+                    cur, F, f = cand, F_cand, f_cand
+                    moved = True
+                    break
             L *= _ETA
 
         # alpha step: projected gradient with its own backtracking.

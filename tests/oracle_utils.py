@@ -23,10 +23,11 @@ from crossmodal.solver import (
     TrainData,
     TrainReport,
     _build_problem,
-    _evaluate_S,
     _grad_alpha,
     _grad_S,
+    _pair_terms,
     _smooth,
+    _text_terms,
     project_alpha,
 )
 
@@ -144,11 +145,12 @@ def _binary_problem(data: TrainData, hyper: Hyperparameters):
     )
 
 
-def _at(S, alpha, data: TrainData, hyper: Hyperparameters):
+def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):
     """(problem, iterate of S, margins, smooth value) at (S, alpha)."""
     pb = _binary_problem(data, hyper)
     alpha = np.asarray(alpha, dtype=float)
-    it = _evaluate_S(linalg.svt_factors(np.asarray(S, dtype=float), 0.0), pb, hyper)
+    factors = linalg.svt_factors(np.asarray(S, dtype=float), 0.0)
+    it = _pair_terms(_text_terms(factors, pb), pb, hyper)
     return (pb, it) + _smooth(it, alpha, pb, hyper)
 
 
@@ -159,18 +161,18 @@ def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
 
 def smooth_value(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
     """The objective minus the trace norm: the (sub)differentiable part."""
-    return _at(S, alpha, data, hyper)[3]
+    return evaluate_at(S, alpha, data, hyper)[3]
 
 
 def grad_S(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
     """Subgradient of the smooth part with respect to S."""
-    pb, it, F, _ = _at(S, alpha, data, hyper)
-    return _grad_S(it, F, pb, hyper)
+    pb, it, F, _ = evaluate_at(S, alpha, data, hyper)
+    return _grad_S(it, F, pb, hyper)[0]
 
 
 def grad_alpha(S, alpha, data: TrainData, hyper: Hyperparameters) -> np.ndarray:
     """Subgradient of the smooth part with respect to alpha."""
-    pb, _, F, _ = _at(S, alpha, data, hyper)
+    pb, _, F, _ = evaluate_at(S, alpha, data, hyper)
     return _grad_alpha(F, pb, hyper)
 
 

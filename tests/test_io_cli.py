@@ -507,6 +507,49 @@ class TestCli:
         out = capsys.readouterr().out
         assert "auc_c0" in out
 
+    @pytest.mark.parametrize("unseen", ["c2", "c1,c2"])
+    def test_zeroshot_error_rate_counts_scored_classes_only(self, tmp_path, capsys, unseen):
+        # The README walkthrough's 3-class file. A hard prediction is one of
+        # the unseen classes, so images of the seen class c0 are left out of
+        # error_rate: with one unseen class it is 0, with two it is the share
+        # of c1 and c2 images whose higher score is not their own class.
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"p": 8, "q": 6, "r_true": 2, "classes": 3, "n_texts": 45,
+                                   "m_images": 24, "l_pairs": 90, "n_test": 30}))
+        data, test = tmp_path / "mc.jsonl", tmp_path / "mc_test.jsonl"
+        model, pred = tmp_path / "zs.json", tmp_path / "zs_pred.jsonl"
+        assert main(["synth", "--config", str(cfg), "--out", str(data),
+                     "--test-out", str(test)]) == 0
+        assert main(["zeroshot", "--data", str(data), "--unseen", unseen, "--out", str(model),
+                     "--max-iter", "50"]) == 0
+        assert main(["predict", "--model", str(model), "--images", str(test),
+                     "--out", str(pred)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(test)]) == 0
+        printed = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        truth = {e.id: e.label for e in data_io.parse_dataset(str(test)).images}
+        records = [json.loads(line) for line in pred.read_text().splitlines()]
+        scored = [r for r in records if truth[r["id"]] in unseen.split(",")]
+        assert 0 < len(scored) < len(records)
+        wrong = sum(max(r["scores"], key=r["scores"].get) != truth[r["id"]] for r in scored)
+        assert float(printed["error_rate"]) == wrong / len(scored)
+        if unseen == "c2":
+            assert wrong == 0
+
+    def test_zeroshot_evaluate_without_scored_class_images_exit_2(self, tmp_path, capsys):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("".join(
+            json.dumps({"kind": "image", "id": f"i{k}", "class": "c0",
+                        "features": [float(k)]}) + "\n"
+            for k in range(2)
+        ))
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text('{"id": "i0", "scores": {"c1": 0.2}}\n'
+                        '{"id": "i1", "scores": {"c1": -0.4}}\n')
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {truth}: no predicted image is of a scored class")
+
 
 class TestAtomicWrites:
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):

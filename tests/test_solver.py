@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossmodal.losses import misalign
 from crossmodal.model import (
@@ -14,10 +16,12 @@ from crossmodal.model import (
     stack_features,
 )
 from crossmodal import linalg, solver, zeroshot
+from crossmodal.errors import NumericalError
 from crossmodal.solver import TrainData, project_alpha, prox_step, train
 from crossmodal.synth import SynthConfig, generate
 from crossmodal.zeroshot import ZeroShotDataset, train_zeroshot
 from oracle_utils import (
+    evaluate_at,
     fd_grad_S,
     fd_grad_alpha,
     grad_S,
@@ -347,7 +351,10 @@ class TestLoopMatchesReference:
 
     def test_one_svd_and_one_misalignment_per_s_probe(self, monkeypatch):
         # Alpha probes and the per-iteration objective reuse the accepted
-        # S probe's terms; only the starting point adds one of each.
+        # S probe's terms; only the starting point adds one of each. An S
+        # probe computes its misalignment term only when the lower bound
+        # cannot reject it, so every accepted probe does and most rejected
+        # ones do not.
         calls = Counter()
 
         def counted(module, name):
@@ -365,5 +372,57 @@ class TestLoopMatchesReference:
         ds = _small_synth(0)
         _, report = train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
         assert calls["prox_step"] >= report.iterations
-        assert calls["misalign"] == calls["prox_step"] + 1
+        assert report.iterations + 1 <= calls["misalign"] <= calls["prox_step"] + 1
+        assert calls["misalign"] < calls["prox_step"]
         assert calls["svd"] == calls["prox_step"] + 1
+
+    def test_non_finite_hinge_on_a_probe_raises_there(self, monkeypatch):
+        # The third S probe of this fit fails the lower bound. A NaN in its
+        # hinge value raises at that probe, as the full evaluation does,
+        # instead of reading as a rejection.
+        probes = Counter()
+        prox_step, hinge = solver.prox_step, solver.hinge
+
+        def counted_prox_step(*args):
+            probes["n"] += 1
+            return prox_step(*args)
+
+        def poisoned_hinge(tau):
+            out = hinge(tau)
+            return out * np.nan if probes["n"] == 3 else out
+
+        monkeypatch.setattr(solver, "prox_step", counted_prox_step)
+        monkeypatch.setattr(solver, "hinge", poisoned_hinge)
+        ds = _small_synth(0)
+        with pytest.raises(NumericalError, match="smooth objective is non-finite"):
+            train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
+        assert probes["n"] == 3
+
+
+class TestMisalignFloor:
+    """solver._misalign_floor, the bound an S probe is rejected by before its
+    pair terms, never exceeds the misalignment term the full evaluation
+    computes at the probe: the shortcut cannot reject a probe the acceptance
+    test would take."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # At scale 20 most pair scores have |a| > 19, where tanh(a) rounds to
+        # +-1; at 1e3 most have |a| > 400, where logaddexp(0, -2a) is 0 or -2a.
+        scale=st.sampled_from([0.0, 1e-3, 0.5, 20.0, 1e3]),
+        step=st.sampled_from([0.0, 1e-13, 1e-8, 1e-3, 1.0, 1e3]),
+    )
+    def test_floor_below_misalignment_at_probe(self, seed, scale, step):
+        rng = np.random.default_rng(seed)
+        data, hyper, _, alpha = random_instance(rng, l=8)
+        S = scale * rng.standard_normal((3, 4))
+        S_probe = S + step * max(scale, 1.0) * rng.standard_normal((3, 4))
+        pb, cur, F, _ = evaluate_at(S, alpha, data, hyper)
+        _, probe, _, _ = evaluate_at(S_probe, alpha, data, hyper)
+        _, g_pair = solver._grad_S(cur, F, pb, hyper)
+        gap = probe.misalign_term - solver._misalign_floor(cur, g_pair, probe.S - cur.S)
+        assert gap >= 0.0
+        if step <= 1e-8:
+            # A tangent bound is tight to first order in the step.
+            assert gap <= 1e-6 * max(1.0, probe.misalign_term)
