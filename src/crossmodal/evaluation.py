@@ -5,7 +5,6 @@ import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DataError
 from .model import CorpusExample, Hyperparameters, scores, signs, stack_features
@@ -77,9 +76,22 @@ def auc(scores, truth) -> float:
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores)  # average ranks handle ties as 1/2
-    u = float(np.sum(ranks[pos])) - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(scores).any():
+        raise DataError("AUC is undefined for NaN scores")
+    u = float(np.sum(_average_ranks(scores)[pos])) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the values of x, each tie group given the mean of the
+    ranks it spans (so a tie contributes 1/2 to the AUC)."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def mean_ap(per_class_aps) -> float:
@@ -127,6 +139,14 @@ def crossval_select(
 
     Ties go to the first candidate in deterministic grid order. Other
     hyperparameters come from `base` unchanged.
+
+    The result is that of fitting every grid point on both folds, but two
+    kinds of fit are skipped because they cannot change it. A fit at C runs
+    the same path as a fit at C_fit of the same (lam, gamma) and fold when
+    both are at least the earlier fit's `alpha_peak`, so its error is reused.
+    And a point is picked only if its mean error is strictly below the best
+    so far, so its remaining fold is not fitted once the mean with that
+    fold's error taken as 0 is not.
     """
     if base is None:
         base = Hyperparameters()
@@ -140,25 +160,25 @@ def crossval_select(
         raise DataError(
             "the second cross-validation fold is empty: every label has only one image"
         )
-    splits = [(fold_a, fold_b), (fold_b, fold_a)]
     q = data.train_images[0].features.shape[0]
     Z = stack_features(data.train_images, q, "training image")
     truth = signs(data.train_images)
+    folds = [
+        _Fold(replace(data, train_images=[data.train_images[i] for i in train_idx]),
+              Z[val_idx], truth[val_idx])
+        for train_idx, val_idx in ((fold_a, fold_b), (fold_b, fold_a))
+    ]
 
     best = None
     best_err = np.inf
     for lam, gamma, C in itertools.product(grid["lam"], grid["gamma"], grid["C"]):
         cand = replace(base, lam=lam, gamma=gamma, C=C)
-        errs = []
-        for train_idx, val_idx in splits:
-            fold_data = TrainData(
-                source_texts=data.source_texts,
-                train_images=[data.train_images[i] for i in train_idx],
-                pairs=data.pairs,
-            )
-            model, _ = train(fold_data, cand)
-            preds = np.where(scores(model, Z[val_idx]) > 0, 1, -1)
-            errs.append(error_rate(preds, truth[val_idx]))
+        errs = [fold.known_error(cand) for fold in folds]
+        for k, fold in enumerate(folds):
+            if errs[k] is None and _mean_floor(errs) < best_err:
+                errs[k] = fold.fit_error(cand)
+        if None in errs:
+            continue
         mean_err = float(np.mean(errs))
         if mean_err < best_err:
             best_err = mean_err
@@ -166,3 +186,39 @@ def crossval_select(
     if best is None:
         raise DataError("empty hyperparameter grid")
     return best
+
+
+def _mean_floor(errs) -> float:
+    """The mean of the fold errors with each unknown one (None) taken as 0: a
+    lower bound on the mean once all are known."""
+    return float(np.mean([0.0 if e is None else e for e in errs]))
+
+
+@dataclass
+class _Fold:
+    """One cross-validation split: the data its fits train on, the held-out
+    images they are scored on, and per (lam, gamma) the (C, alpha_peak,
+    error) of each fit run so far."""
+
+    data: TrainData
+    Z_val: np.ndarray
+    truth_val: np.ndarray
+    fits: dict = field(default_factory=dict)
+
+    def known_error(self, hyper: Hyperparameters) -> float | None:
+        """The error of a fit already run whose path a fit at `hyper` repeats:
+        the clip to [0, C] is the only place C enters, and it never bit in a
+        fit whose alpha_peak is at most both C values."""
+        for C_fit, peak, err in self.fits.get((hyper.lam, hyper.gamma), ()):
+            if hyper.C == C_fit or peak <= min(hyper.C, C_fit):
+                return err
+        return None
+
+    def fit_error(self, hyper: Hyperparameters) -> float:
+        """Fit at `hyper` and return its error rate on the held-out images."""
+        model, report = train(self.data, hyper)
+        err = error_rate(np.where(scores(model, self.Z_val) > 0, 1, -1), self.truth_val)
+        self.fits.setdefault((hyper.lam, hyper.gamma), []).append(
+            (hyper.C, report.alpha_peak, err)
+        )
+        return err

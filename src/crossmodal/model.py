@@ -104,14 +104,29 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v if norm == 0 else v / norm
 
 
+def stack_rows(rows: list[np.ndarray], dim: int, name) -> np.ndarray:
+    """(N, dim) matrix of the feature vectors `rows`; (0, dim) when empty.
+
+    The first row whose shape is not (dim,) raises a DataError that names it
+    as `name(k)`."""
+    if not rows:
+        return np.zeros((0, dim))
+    try:
+        X = np.array(rows)
+    except ValueError:  # rows of different widths
+        X = None
+    if X is None or X.shape != (len(rows), dim):
+        k, v = next((k, v) for k, v in enumerate(rows) if v.shape != (dim,))
+        width = v.shape[0] if v.ndim == 1 else v.shape
+        raise DataError(f"{name(k)} dimension {width} != expected {dim}")
+    return X
+
+
 def stack_features(examples: list[CorpusExample], dim: int, what: str) -> np.ndarray:
     """(N, dim) matrix of the examples' feature vectors; (0, dim) when empty."""
-    if not examples:
-        return np.zeros((0, dim))
-    X = np.stack([e.features for e in examples])
-    if X.shape[1] != dim:
-        raise DataError(f"{what} dimension {X.shape[1]} != expected {dim}")
-    return X
+    return stack_rows(
+        [e.features for e in examples], dim, lambda k: f"{what} {examples[k].id!r}"
+    )
 
 
 def signs(examples: list[CorpusExample]) -> np.ndarray:

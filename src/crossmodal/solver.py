@@ -22,6 +22,7 @@ from .model import (
     median_bandwidth,
     signs,
     stack_features,
+    stack_rows,
 )
 
 # Backtracking step controls (Beck & Teboulle 2009): the first curvature
@@ -57,6 +58,10 @@ class TrainReport:
     iterations: int
     final_rank: int
     objective_trace: list[float]
+    # The largest value the fit passed to `project_alpha` (its start and every
+    # alpha probe, accepted or not); 0.0 with alpha off. C enters a fit only
+    # through that clip, so a fit at any C >= alpha_peak runs the same path.
+    alpha_peak: float
 
     @property
     def converged(self) -> bool:
@@ -107,13 +112,8 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) ->
     q = images[0].features.shape[0] if images else pairs[0].image_features.shape[0]
     text_X = stack_features(texts, p, "source text")
     img_Z = stack_features(images, q, "training image")
-    if pairs:
-        pair_X = np.stack([c.text_features for c in pairs])
-        pair_Z = np.stack([c.image_features for c in pairs])
-        if pair_X.shape[1] != p or pair_Z.shape[1] != q:
-            raise DataError("pair dimensions do not match the corpora")
-    else:
-        pair_X, pair_Z = np.zeros((0, p)), np.zeros((0, q))
+    pair_X = stack_rows([c.text_features for c in pairs], p, lambda k: f"pair {k} text")
+    pair_Z = stack_rows([c.image_features for c in pairs], q, lambda k: f"pair {k} image")
     if kernel is not None:
         kernel = resolve_kernel(kernel, img_Z)
     K = kernel_matrix(kernel, img_Z, img_Z) if kernel is not None and img_Z.shape[0] > 0 else None
@@ -272,11 +272,14 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     K(alpha * y) to the accepted S's terms. `cur`, `F` and `f` always hold the
     accepted iterate, its margins and its smooth value. `log`, when given,
     receives one CSV line per iteration: iteration, objective, rank, L, eps.
+    `peak` tracks the largest value passed to `project_alpha`.
     """
     S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1])) if init_S is None else init_S
+    peak = 0.0
     if init_alpha is None:
         alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:
+        peak = float(np.max(init_alpha, initial=peak))
         alpha = project_alpha(init_alpha, hyper.C)
     L = _L0
     eps = _EPS_ALPHA0
@@ -312,7 +315,9 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         if alpha.size:
             ga = _grad_alpha(F, pb, hyper)
             for _ in range(_MAX_BACKTRACKS):
-                cand = project_alpha(alpha - eps * ga, hyper.C)
+                step = alpha - eps * ga
+                peak = float(np.max(step, initial=peak))
+                cand = project_alpha(step, hyper.C)
                 delta = cand - alpha
                 bound = f + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
                 F_cand, f_cand = _smooth(cur, cand, pb, hyper)
@@ -342,6 +347,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         iterations=iterations,
         final_rank=linalg.sigma_rank(cur.sigma),
         objective_trace=trace,
+        alpha_peak=peak,
     )
     return cur.S, alpha, report
 

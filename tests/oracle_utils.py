@@ -2,13 +2,16 @@
 the per-image scalar discriminants the batched scoring path is checked
 against, the dense trace norm, SVT and numerical rank, the single-block
 objective and its gradients, the uncached training loop the solver's loop is
-checked against, and random small training instances."""
+checked against, the full-grid cross-validation crossval_select is checked
+against, and random small training instances."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from crossmodal import linalg, solver
 from crossmodal.errors import NumericalError
+from crossmodal.evaluation import _stratified_folds, error_rate
 from crossmodal.losses import hinge, hinge_subgrad, misalign, misalign_deriv
 from crossmodal.model import (
     CooccurrencePair,
@@ -17,7 +20,9 @@ from crossmodal.model import (
     KernelSpec,
     TrainedModel,
     l2_normalize,
+    scores,
     signs,
+    stack_features,
 )
 from crossmodal.solver import (
     TrainData,
@@ -29,6 +34,7 @@ from crossmodal.solver import (
     _smooth,
     _text_terms,
     project_alpha,
+    train,
 )
 
 
@@ -248,9 +254,11 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
         S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
     else:
         S = np.array(init_S, dtype=float)
+    proposed = [0.0]
     if init_alpha is None:
         alpha = np.zeros(pb.m if pb.K is not None else 0)
     else:
+        proposed.extend(np.ravel(init_alpha))
         alpha = project_alpha(init_alpha, hyper.C)
     L = solver._L0
     eps = solver._EPS_ALPHA0
@@ -281,6 +289,7 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
             ga = _dense_grad_alpha(S, alpha, pb, hyper)
             F_cur = _dense_smooth(S, alpha, pb, hyper)
             for _ in range(solver._MAX_BACKTRACKS):
+                proposed.extend(alpha - eps * ga)
                 cand = project_alpha(alpha - eps * ga, hyper.C)
                 delta = cand - alpha
                 bound = F_cur + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
@@ -308,8 +317,34 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
         iterations=iterations,
         final_rank=numerical_rank(S),
         objective_trace=trace,
+        alpha_peak=float(max(proposed)),
     )
     return S, alpha, report
+
+
+def reference_crossval_select(data: TrainData, base: Hyperparameters, grid: dict, seed=0):
+    """crossval_select as it was before it skipped any fit: every grid point
+    from a cold start on both folds, the first lowest mean error wins."""
+    fold_a, fold_b = _stratified_folds(data.train_images, seed)
+    Z = stack_features(data.train_images, data.train_images[0].features.shape[0], "image")
+    truth = signs(data.train_images)
+    best, best_err = None, np.inf
+    for lam, gamma, C in itertools.product(grid["lam"], grid["gamma"], grid["C"]):
+        cand = replace(base, lam=lam, gamma=gamma, C=C)
+        errs = []
+        for train_idx, val_idx in [(fold_a, fold_b), (fold_b, fold_a)]:
+            fold_data = TrainData(
+                source_texts=data.source_texts,
+                train_images=[data.train_images[i] for i in train_idx],
+                pairs=data.pairs,
+            )
+            model, _ = train(fold_data, cand)
+            preds = np.where(scores(model, Z[val_idx]) > 0, 1, -1)
+            errs.append(error_rate(preds, truth[val_idx]))
+        mean_err = float(np.mean(errs))
+        if mean_err < best_err:
+            best_err, best = mean_err, cand
+    return best
 
 
 # Random instances and finite differences.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossmodal import evaluation
 from crossmodal.errors import DataError
 from crossmodal.evaluation import (
     DEFAULT_GRID,
@@ -17,7 +18,11 @@ from crossmodal.evaluation import (
 from crossmodal.model import CorpusExample, Hyperparameters, KernelSpec
 from crossmodal.solver import TrainData
 from crossmodal.synth import SynthConfig, generate
-from oracle_utils import brute_force_auc, brute_force_average_precision
+from oracle_utils import (
+    brute_force_auc,
+    brute_force_average_precision,
+    reference_crossval_select,
+)
 
 
 class TestErrorRate:
@@ -94,6 +99,25 @@ class TestAuc:
         # exact in floating point, so ties are preserved exactly too
         transformed = [8.0 * s + 16.0 for s in scores]
         assert auc(transformed, truth) == pytest.approx(auc(scores, truth))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=60),
+        st.data(),
+    )
+    def test_heavy_ties_match_pair_count_exactly(self, scores, data):
+        # Average ranks are exact halves, so the rank sum and the pair count
+        # give the same float.
+        truth = data.draw(st.lists(
+            st.sampled_from([-1, 1]), min_size=len(scores), max_size=len(scores)
+        ))
+        if 1 not in truth or -1 not in truth:
+            return
+        assert auc(scores, truth) == brute_force_auc(scores, truth)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="NaN"):
+            auc([0.5, np.nan, 0.1], [1, -1, -1])
 
 
 class TestBruteForceOracles:
@@ -206,8 +230,73 @@ class TestCrossval:
         with pytest.raises(DataError):
             crossval_select(TrainData(), base=self.base())
 
+    def test_fit_at_a_repeated_C_runs_once(self, monkeypatch):
+        fits = _count_fits(monkeypatch)
+        grid = {"lam": (0.5,), "gamma": (1.0,), "C": (2.0, 2.0)}
+        crossval_select(self.small_data(), base=self.base(), grid=grid)
+        assert fits == [2.0, 2.0]
+
+    def test_fits_at_C_above_the_peak_are_shared(self, monkeypatch):
+        # Both C values lie above every alpha this small problem proposes, so
+        # one fit per fold answers both grid points.
+        fits = _count_fits(monkeypatch)
+        grid = {"lam": (0.5,), "gamma": (1.0,), "C": (100.0, 200.0)}
+        crossval_select(self.small_data(), base=self.base(), grid=grid)
+        assert fits == [100.0, 100.0]
+
+    @pytest.mark.parametrize("C", [(100.0, 1e-3), (1e-3, 100.0)])
+    def test_fits_at_C_below_the_peak_are_run(self, monkeypatch, C):
+        # A fit at C = 1e-3 clips alpha probes that one at C = 100 does not,
+        # whichever is fitted first.
+        fits = _count_fits(monkeypatch)
+        grid = {"lam": (0.5,), "gamma": (1.0,), "C": C}
+        crossval_select(self.small_data(), base=self.base(), grid=grid)
+        assert fits[:2] == [C[0], C[0]] and C[1] in fits
+
     def test_empty_fold_named(self):
         # One image per label: stratification puts both in the first fold.
         images = [CorpusExample("i0", np.array([1.0]), 1), CorpusExample("i1", np.array([-1.0]), -1)]
         with pytest.raises(DataError, match="second cross-validation fold is empty"):
             crossval_select(TrainData(train_images=images), base=self.base())
+
+
+def _count_fits(monkeypatch) -> list:
+    """The C of every fit crossval_select runs from here on."""
+    fits = []
+    original = evaluation.train
+
+    def counted(data, hyper):
+        fits.append(hyper.C)
+        return original(data, hyper)
+
+    monkeypatch.setattr(evaluation, "train", counted)
+    return fits
+
+
+class TestCrossvalMatchesFullGrid:
+    """crossval_select skips fits whose error a fit already run gives, or
+    whose error cannot change the selection; it must pick what fitting every
+    grid point on both folds picks."""
+
+    GRIDS = {
+        "unsorted_and_duplicate_C": {"lam": (1.0, 0.5), "gamma": (1.0, 0.1),
+                                     "C": (5.0, 1.0, 5.0, 0.05)},
+        # Fits on this data at C = 100 report alpha peaks of 0.03 to 0.6.
+        "C_both_sides_of_peaks": {"lam": (0.0, 1.0), "gamma": (0.5, 2.0),
+                                  "C": (0.01, 0.1, 0.3, 1.0, 10.0)},
+        "C_descending": {"lam": (1.0,), "gamma": (0.5, 1.0), "C": (10.0, 0.3, 0.1, 0.01)},
+        "lam_zero_tiny_gamma": {"lam": (0.0,), "gamma": (1e-6, 1.0), "C": (0.2, 2.0)},
+        "single_point": {"lam": (0.5,), "gamma": (1.0,), "C": (0.3,)},
+        # With gamma = 0 the alpha gradient is zero: every probe proposes 0.
+        "alpha_still": {"lam": (0.5, 1.0), "gamma": (0.0,), "C": (0.5, 3.0)},
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_same_selection(self, name, seed):
+        ds = generate(SynthConfig(seed=seed, n_texts=30, m_images=12, l_pairs=40, n_test=1))
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        base = Hyperparameters(max_iter=15, tol=1e-5, kernel=KernelSpec(bandwidth=1.0))
+        grid = self.GRIDS[name]
+        got = crossval_select(data, base=base, grid=grid, seed=seed)
+        assert got == reference_crossval_select(data, base, grid, seed)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crossmodal
 from crossmodal import data_io
 from crossmodal.cli import main
 from crossmodal.errors import DataError
@@ -268,6 +272,32 @@ class TestCli:
         assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 0
         out = capsys.readouterr().out
         assert "error_rate 0.0" in out
+
+    def test_evaluate_loads_no_scipy(self, tmp_path):
+        truth = tmp_path / "truth.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        truth.write_text("".join(
+            json.dumps({"kind": "image", "id": f"i{k}", "label": 1 - 2 * (k % 2),
+                        "features": [float(k)]}) + "\n"
+            for k in range(4)
+        ))
+        pred.write_text("".join(
+            json.dumps({"id": f"i{k}", "score": 0.5 - k, "label": 1 - 2 * (k % 2)}) + "\n"
+            for k in range(4)
+        ))
+        script = (
+            "import sys\n"
+            "import crossmodal\n"
+            "from crossmodal.cli import main\n"
+            f"assert main(['evaluate', '--pred', {str(pred)!r}, '--truth', {str(truth)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(crossmodal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert "auc 0.75" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("bad_line, expected", [
         ('{"id": "i1", "label": 1}', "'score' must be a finite number"),

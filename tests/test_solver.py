@@ -253,6 +253,30 @@ class TestTrain:
         with pytest.raises(DataError):
             train(TrainData(source_texts=texts, pairs=pairs), Hyperparameters())
 
+    @pytest.mark.parametrize("part, name", [
+        ("texts", "source text 't2' dimension 4"),
+        ("images", "training image 'i2' dimension 3"),
+        ("pair_texts", "pair 2 text dimension 4"),
+        ("pair_images", "pair 2 image dimension 3"),
+    ])
+    def test_ragged_widths_name_the_first_odd_example(self, part, name):
+        from crossmodal.errors import DataError
+
+        texts = [CorpusExample(f"t{i}", np.ones(3), 1) for i in range(4)]
+        images = [CorpusExample(f"i{j}", np.ones(2), -1) for j in range(4)]
+        pairs = [CooccurrencePair(np.ones(3), np.ones(2)) for _ in range(4)]
+        for k in (2, 3):
+            if part == "texts":
+                texts[k] = CorpusExample(f"t{k}", np.ones(4), 1)
+            elif part == "images":
+                images[k] = CorpusExample(f"i{k}", np.ones(3), -1)
+            elif part == "pair_texts":
+                pairs[k] = CooccurrencePair(np.ones(4), np.ones(2))
+            else:
+                pairs[k] = CooccurrencePair(np.ones(3), np.ones(3))
+        with pytest.raises(DataError, match=name):
+            train(TrainData(texts, images, pairs), Hyperparameters(max_iter=1))
+
 
 def _assert_close(got, want, rtol=1e-12):
     """Elementwise agreement to rtol relative, with a unit floor."""
@@ -277,6 +301,7 @@ def _assert_same_fit(fast, ref):
     assert report.stop_reason == ref_report.stop_reason
     assert report.final_rank == ref_report.final_rank
     _assert_close(report.objective_trace, ref_report.objective_trace)
+    _assert_close(report.alpha_peak, ref_report.alpha_peak)
     _assert_close(model.S, ref_model.S)
     _assert_close(model.alpha, ref_model.alpha)
 
@@ -397,6 +422,58 @@ class TestLoopMatchesReference:
         with pytest.raises(NumericalError, match="smooth objective is non-finite"):
             train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
         assert probes["n"] == 3
+
+
+class TestAlphaPeak:
+    """C enters a fit only through project_alpha's clip to [0, C], so a fit at
+    any C at or above its alpha_peak runs the same path."""
+
+    def fit(self, seed, C=50.0, init_alpha=None):
+        ds = _small_synth(seed)
+        hyper = Hyperparameters(gamma=0.7, lam=1.3, C=C, max_iter=40)
+        return train(TrainData(ds.texts, ds.images, ds.pairs), hyper, init_alpha=init_alpha)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fits_at_C_above_the_peak_are_identical(self, seed):
+        model, report = self.fit(seed)
+        assert 0.0 < report.alpha_peak < 50.0
+        assert np.max(model.alpha) <= report.alpha_peak
+        for C in (report.alpha_peak, 2.0 * report.alpha_peak, 1e6):
+            other, other_report = self.fit(seed, C)
+            assert np.array_equal(other.S, model.S)
+            assert np.array_equal(other.alpha, model.alpha)
+            assert other_report.objective_trace == report.objective_trace
+            assert other_report.alpha_peak == report.alpha_peak
+
+    def test_peak_is_the_largest_value_projected(self, monkeypatch):
+        # Rejected alpha probes count as well as accepted ones.
+        seen = []
+
+        def recording(alpha, C):
+            seen.append(float(np.max(alpha, initial=0.0)))
+            return project_alpha(alpha, C)
+
+        monkeypatch.setattr(solver, "project_alpha", recording)
+        _, report = self.fit(0, init_alpha=np.full(30, 0.2))
+        assert len(seen) > report.iterations + 1
+        assert report.alpha_peak == max(seen)
+
+    def test_peak_counts_the_start(self):
+        _, report = self.fit(1, C=2.0, init_alpha=np.full(30, 7.0))
+        assert report.alpha_peak >= 7.0
+
+    def test_zero_without_alpha(self):
+        ds = _small_synth(2)
+        _, report = train(TrainData(ds.texts, [], ds.pairs), Hyperparameters(max_iter=5))
+        assert report.alpha_peak == 0.0
+        ds = _small_synth(2, classes=3)
+        zds = ZeroShotDataset(
+            unseen_classes=frozenset({"c2"}),
+            source_texts=ds.texts,
+            train_images=[i for i in ds.images if i.label != "c2"],
+            pairs=ds.pairs,
+        )
+        assert train_zeroshot(zds, Hyperparameters(max_iter=5))[1].alpha_peak == 0.0
 
 
 class TestMisalignFloor:
