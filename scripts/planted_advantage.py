@@ -9,13 +9,8 @@ import argparse
 
 import numpy as np
 
-from crossmodal import Hyperparameters, SynthConfig, TrainData, generate, scores, train
-
-
-def error(model, examples):
-    truth = np.array([int(e.label) for e in examples])
-    pred = np.where(scores(model, np.stack([e.features for e in examples])) > 0, 1, -1)
-    return float(np.mean(pred != truth))
+from crossmodal import (Hyperparameters, SynthConfig, TrainData, evaluate_model, generate,
+                        train)
 
 
 def main() -> int:
@@ -33,7 +28,8 @@ def main() -> int:
         ds = generate(SynthConfig(seed=seed, m_images=args.images, l_pairs=args.pairs))
         full, _ = train(TrainData(ds.texts, ds.images, ds.pairs), hyper)
         base, _ = train(TrainData([], ds.images, []), baseline_hyper)
-        e_full, e_base = error(full, ds.test_images), error(base, ds.test_images)
+        e_full = evaluate_model(full, ds.test_images).error_rate
+        e_base = evaluate_model(base, ds.test_images).error_rate
         diffs.append(e_base - e_full)
         print(f"seed {seed:2d}: full {e_full:.3f}  intramodal-only {e_base:.3f}")
 

@@ -13,7 +13,7 @@ from .model import (
     unseen_scores,
 )
 from .solver import TrainData, TrainReport, train
-from .zeroshot import ZeroShotDataset, train_zeroshot
+from .zeroshot import train_zeroshot
 from .synth import SynthConfig, SynthDataset, generate
 from .evaluation import EvalReport, crossval_select, evaluate_model
 
@@ -30,7 +30,6 @@ __all__ = [
     "TrainData",
     "TrainReport",
     "TrainedModel",
-    "ZeroShotDataset",
     "crossval_select",
     "evaluate_model",
     "generate",

@@ -294,26 +294,18 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_zeroshot(args) -> int:
-    corpora = data_io.parse_dataset(args.data)
+    data = _read_train_data(args.data)
     unseen = frozenset(c for c in args.unseen.split(",") if c)
     if not unseen:
         raise UsageError("--unseen must name at least one class")
-    unknown = unseen - {ex.label for ex in corpora.texts + corpora.images}
-    if unknown:
-        raise DataError(f"unseen classes not present in data: {sorted(unknown)}")
-    images = [ex for ex in corpora.images if ex.label not in unseen]
-    dropped = len(corpora.images) - len(images)
+    hyper = _hyper_from_args(args)
+    model, report = zeroshot.train_zeroshot(
+        data, unseen, hyper, log=print if args.verbose else None
+    )
+    dropped = sum(ex.label in unseen for ex in data.train_images)
     if dropped:
         print(f"dropped {dropped} training images of unseen classes", file=sys.stderr)
-    ds = zeroshot.ZeroShotDataset(
-        unseen_classes=unseen,
-        source_texts=corpora.texts,
-        train_images=images,
-        pairs=corpora.pairs,
-    )
-    hyper = _hyper_from_args(args)
-    model, report = zeroshot.train_zeroshot(ds, hyper, log=print if args.verbose else None)
-    data_io.write_model(model, args.out, mode="zeroshot", unseen_classes=sorted(unseen))
+    data_io.write_model(model, args.out, unseen_classes=sorted(unseen))
     _print_report(report)
     return EXIT_OK
 

@@ -143,6 +143,8 @@ def parse_dataset(path: str) -> Corpora:
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
             try:
+                if not isinstance(rec, dict):
+                    raise DataError("record must be a JSON object")
                 kind = rec.get("kind")
                 if kind not in ("text", "image", "pair"):
                     raise DataError(f"unknown kind {kind!r}")
@@ -199,13 +201,13 @@ def _hyper_from_dict(d: dict) -> Hyperparameters:
     )
 
 
-def serialize_model(
-    model: TrainedModel, mode: str = "binary", unseen_classes: list[str] | None = None
-) -> str:
+def serialize_model(model: TrainedModel, unseen_classes: list[str] | None = None) -> str:
+    """The model file of `model`; a zero-shot model when `unseen_classes` is
+    non-empty, a binary one otherwise."""
     p, q = model.S.shape
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "mode": mode,
+        "mode": "zeroshot" if unseen_classes else "binary",
         "p": p,
         "q": q,
         "S": list(map(float, model.S.ravel())),
@@ -220,8 +222,29 @@ def serialize_model(
     return json.dumps(doc)
 
 
-def write_model(model, path, mode="binary", unseen_classes=None) -> None:
-    atomic_write_text(path, serialize_model(model, mode, unseen_classes))
+def write_model(model, path, unseen_classes=None) -> None:
+    atomic_write_text(path, serialize_model(model, unseen_classes))
+
+
+def _model_examples(records: list, key: str, dim: int, binary: bool) -> list[CorpusExample]:
+    """The embedded corpus `key` of a model file, checked as `parse_dataset`
+    checks dataset records; a binary model's labels must be +1/-1."""
+    out = []
+    for rec in records:
+        rid = rec.get("id")
+        if not isinstance(rid, str):
+            raise DataError(f"{key} record without a string id")
+        try:
+            v = _features(rec, "features")
+            if v.shape != (dim,):
+                raise DataError(f"features have shape {v.shape}, expected ({dim},)")
+            label = _parse_label(rec)
+            if binary and label not in (1, -1):
+                raise DataError(f"label {label!r} in a binary model, which needs +1/-1")
+        except DataError as exc:
+            raise DataError(f"{key} {rid!r}: {exc}") from exc
+        out.append(CorpusExample(rid, v, label))
+    return out
 
 
 def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
@@ -230,12 +253,15 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError("malformed model file: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format_version {version!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
+    mode = doc.get("mode", "binary")
     try:
         p, q = doc["p"], doc["q"]
         S = _finite(doc["S"], "S")
@@ -244,28 +270,19 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
         kernel = KernelSpec(
             kind=doc["kernel"]["kind"], bandwidth=doc["kernel"]["bandwidth"]
         )
-
-        def examples(key, dim):
-            out = []
-            for r in doc[key]:
-                v = _finite(r["features"], f"{key} {r['id']!r}")
-                if v.shape != (dim,):
-                    raise DataError(f"{key} {r['id']!r} has shape {v.shape}, expected ({dim},)")
-                out.append(CorpusExample(r["id"], v, _parse_label(r)))
-            return out
-
+        binary = mode != "zeroshot"
         model = TrainedModel(
             S=S.reshape(p, q),
             alpha=_finite(doc["alpha"], "alpha"),
-            source_texts=examples("source_texts", p),
-            train_images=examples("train_images", q),
+            source_texts=_model_examples(doc["source_texts"], "source_texts", p, binary),
+            train_images=_model_examples(doc["train_images"], "train_images", q, binary),
             kernel=kernel,
             hyper=_hyper_from_dict(doc["hyper"]),
             final_objective=doc.get("final_objective"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model file: {exc}") from exc
-    return model, doc.get("mode", "binary"), doc.get("unseen_classes", [])
+    return model, mode, doc.get("unseen_classes", [])
 
 
 def read_model(path: str):

@@ -162,21 +162,24 @@ def kernel_matrix(kernel: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndar
     return np.exp(-np.maximum(d2, 0.0) / (2.0 * kernel.bandwidth**2))
 
 
-def median_bandwidth(Z: np.ndarray, max_pairs: int = 10_000) -> float:
+_BANDWIDTH_MAX_PAIRS = 10_000
+
+
+def median_bandwidth(Z: np.ndarray) -> float:
     """Median pairwise Euclidean distance between the rows of the (m, q) matrix
-    Z, subsampled above `max_pairs` pairs."""
+    Z, subsampled above `_BANDWIDTH_MAX_PAIRS` pairs."""
     Z = np.asarray(Z, dtype=float)
     n = Z.shape[0]
     if n < 2:
         raise ValueError("median bandwidth needs at least 2 images")
     n_pairs = n * (n - 1) // 2
-    if n_pairs <= max_pairs:
+    if n_pairs <= _BANDWIDTH_MAX_PAIRS:
         i, j = np.triu_indices(n, k=1)
     else:
         # Deterministic subsample; the heuristic does not need exact quantiles.
         rng = np.random.default_rng(0)
-        i = rng.integers(0, n, size=max_pairs)
-        j = rng.integers(0, n - 1, size=max_pairs)
+        i = rng.integers(0, n, size=_BANDWIDTH_MAX_PAIRS)
+        j = rng.integers(0, n - 1, size=_BANDWIDTH_MAX_PAIRS)
         j = np.where(j >= i, j + 1, j)
     dists = np.linalg.norm(Z[i] - Z[j], axis=1)
     med = float(np.median(dists))

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crossmodal
 from crossmodal import data_io
@@ -20,6 +23,7 @@ from crossmodal.model import (
 )
 from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
+from crossmodal.zeroshot import train_zeroshot
 
 
 class TestDatasetIO:
@@ -111,6 +115,12 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=r"data\.jsonl:2: label must be 1 or -1"):
             data_io.parse_dataset(str(path))
 
+    def test_record_must_be_object(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"kind": "text", "id": "t0", "features": [1.0]}\n[1, 2]\n')
+        with pytest.raises(DataError, match=r"data\.jsonl:2: record must be a JSON object"):
+            data_io.parse_dataset(str(path))
+
     def test_pair_class_must_be_string(self, tmp_path):
         path = tmp_path / "pair.jsonl"
         path.write_text(json.dumps({"kind": "pair", "id": "p0", "class": 7,
@@ -194,6 +204,29 @@ class TestModelIO:
         doc = json.loads(data_io.serialize_model(self.trained_model()))
         doc["source_texts"][0]["features"].append(1.0)
         with pytest.raises(DataError, match="expected"):
+            data_io.parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("part", ["document", "example"])
+    def test_non_object_rejected(self, part):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        if part == "document":
+            doc = [doc]
+        else:
+            doc["train_images"][0] = [1.0]
+        with pytest.raises(DataError, match="model file"):
+            data_io.parse_model(json.dumps(doc))
+
+    def test_binary_model_class_label_rejected(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        del doc["source_texts"][0]["label"]
+        doc["source_texts"][0]["class"] = "c0"
+        with pytest.raises(DataError, match=r"source_texts 't0': label 'c0' in a binary model"):
+            data_io.parse_model(json.dumps(doc))
+
+    def test_example_id_must_be_string(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["train_images"][1]["id"] = 7
+        with pytest.raises(DataError, match="train_images record without a string id"):
             data_io.parse_model(json.dumps(doc))
 
 
@@ -509,6 +542,51 @@ class TestCli:
         assert seen_io.err == ""
         assert raw_io.out == seen_io.out and raw_model == seen_model
 
+    @pytest.mark.parametrize("case", ["unknown class", "image label", "untagged pair",
+                                      "no seen class"])
+    def test_zeroshot_rejects_what_the_library_rejects(self, tmp_path, capsys, case):
+        ds = generate(SynthConfig(p=6, q=5, r_true=2, classes=3, n_texts=45, m_images=24,
+                                  l_pairs=60, n_test=30, seed=3))
+        unseen = {"unknown class": "c1,zz", "no seen class": "c0,c1,c2"}.get(case, "c2")
+        if case == "image label":
+            ds.images[3] = CorpusExample(ds.images[3].id, ds.images[3].features, 1)
+        if case == "untagged pair":
+            ds.pairs[5] = CooccurrencePair(ds.pairs[5].text_features, ds.pairs[5].image_features)
+        data = tmp_path / "mc.jsonl"
+        data_io.write_dataset(
+            data_io.Corpora(texts=ds.texts, images=ds.images, pairs=ds.pairs), str(data))
+        with pytest.raises(DataError) as lib:
+            train_zeroshot(TrainData(ds.texts, ds.images, ds.pairs), set(unseen.split(",")),
+                           Hyperparameters(max_iter=5))
+        out = tmp_path / "zs.json"
+        assert main(["zeroshot", "--data", str(data), "--unseen", unseen,
+                     "--out", str(out), "--max-iter", "5"]) == 2
+        assert capsys.readouterr().err == f"data error: {lib.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["class label", "integer id"])
+    def test_predict_names_a_bad_model_file(self, tmp_path, synth_config, capsys, fault):
+        data, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data),
+                     "--test-out", str(test)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--max-iter", "5"]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        if fault == "class label":
+            del doc["source_texts"][0]["label"]
+            doc["source_texts"][0]["class"] = "c0"
+        else:
+            doc["source_texts"][0]["id"] = 7
+        model.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(model), "--images", str(test),
+                     "--out", str(pred)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model}: invalid model file: source_texts")
+        assert str(test) not in err
+        assert not pred.exists()
+
     def test_zeroshot_pipeline(self, tmp_path, capsys):
         ds = generate(
             SynthConfig(p=6, q=5, r_true=2, classes=3, n_texts=45, m_images=24,
@@ -579,6 +657,93 @@ class TestCli:
         assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {truth}: no predicted image is of a scored class")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CLASS_ID = st.text(max_size=4)
+ANY_LABEL = st.one_of(st.sampled_from([1, -1]), CLASS_ID, st.none())
+BINARY_LABEL = st.sampled_from([1, -1])
+
+
+def vectors(width):
+    return st.lists(FINITE, min_size=width, max_size=width).map(np.array)
+
+
+@st.composite
+def examples(draw, width, label):
+    ids = draw(st.lists(st.text(max_size=4), unique=True, max_size=4))
+    return [CorpusExample(i, draw(vectors(width)), draw(label)) for i in ids]
+
+
+def assert_same_examples(got, want):
+    assert [(e.id, type(e.label), e.label) for e in got] == [
+        (e.id, type(e.label), e.label) for e in want]
+    # tobytes tells -0.0 from 0.0
+    assert [e.features.tobytes() for e in got] == [e.features.tobytes() for e in want]
+
+
+@st.composite
+def corpora(draw):
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = draw(st.lists(
+        st.builds(CooccurrencePair, vectors(p), vectors(q), st.one_of(st.none(), CLASS_ID)),
+        max_size=3))
+    return data_io.Corpora(draw(examples(p, ANY_LABEL)), draw(examples(q, ANY_LABEL)), pairs)
+
+
+@st.composite
+def models(draw):
+    """A binary model, possibly images-only (S of shape (0, q)), or a zero-shot
+    model with unseen classes."""
+    zeroshot = draw(st.booleans())
+    p, q = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    texts = draw(examples(p, ANY_LABEL if zeroshot else BINARY_LABEL)) if p else []
+    images = [] if zeroshot else draw(examples(q, BINARY_LABEL))
+    kernel = KernelSpec(draw(st.sampled_from(["gaussian", "linear"])),
+                        draw(st.one_of(st.none(), st.floats(1e-3, 1e3))))
+    model = TrainedModel(
+        S=np.array(draw(st.lists(FINITE, min_size=p * q, max_size=p * q))).reshape(p, q),
+        alpha=np.array(draw(st.lists(FINITE, min_size=len(images), max_size=len(images)))),
+        source_texts=texts,
+        train_images=images,
+        kernel=kernel,
+        hyper=Hyperparameters(
+            gamma=draw(st.floats(0, 1e3)), lam=draw(st.floats(0, 1e3)),
+            C=draw(st.floats(1e-3, 1e3)), kernel=kernel, max_iter=draw(st.integers(1, 999)),
+            tol=draw(st.floats(1e-12, 1.0)), normalize=draw(st.booleans())),
+        final_objective=draw(st.one_of(st.none(), FINITE)),
+    )
+    unseen = draw(st.lists(CLASS_ID, min_size=1, max_size=3, unique=True)) if zeroshot else []
+    return model, unseen
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(corpora())
+    def test_dataset(self, corpora):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.jsonl")
+            data_io.write_dataset(corpora, path)
+            back = data_io.parse_dataset(path)
+        assert_same_examples(back.texts, corpora.texts)
+        assert_same_examples(back.images, corpora.images)
+        assert [c.class_id for c in back.pairs] == [c.class_id for c in corpora.pairs]
+        for got, want in zip(back.pairs, corpora.pairs, strict=True):
+            assert got.text_features.tobytes() == want.text_features.tobytes()
+            assert got.image_features.tobytes() == want.image_features.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(models())
+    def test_model(self, drawn):
+        model, unseen = drawn
+        back, mode, back_unseen = data_io.parse_model(data_io.serialize_model(model, unseen))
+        assert (mode, back_unseen) == ("zeroshot" if unseen else "binary", unseen)
+        assert back.S.shape == model.S.shape and back.S.tobytes() == model.S.tobytes()
+        assert back.alpha.tobytes() == model.alpha.tobytes()
+        assert_same_examples(back.source_texts, model.source_texts)
+        assert_same_examples(back.train_images, model.train_images)
+        assert (back.kernel, back.hyper) == (model.kernel, model.hyper)
+        assert back.final_objective == model.final_objective
 
 
 class TestAtomicWrites:

@@ -161,12 +161,15 @@ class TestMedianBandwidth:
             median_bandwidth([np.ones(2)] * 4)
 
     def test_subsampled_large_set(self):
+        # 300 points have 44850 pairs, above the 10000 the heuristic samples
         rng = np.random.default_rng(5)
-        pts = list(rng.standard_normal((300, 2)))
-        bw = median_bandwidth(pts, max_pairs=1000)
-        assert bw > 0
+        Z = rng.standard_normal((300, 2))
+        i, j = np.triu_indices(300, k=1)
+        exhaustive = float(np.median(np.linalg.norm(Z[i] - Z[j], axis=1)))
+        bw = median_bandwidth(Z)
+        assert bw != exhaustive
         # subsampled estimate stays near the exhaustive median
-        assert abs(bw - median_bandwidth(pts)) < 0.3
+        assert abs(bw - exhaustive) < 0.3
 
 
 class TestSigns:

@@ -19,7 +19,7 @@ from crossmodal import linalg, solver, zeroshot
 from crossmodal.errors import NumericalError
 from crossmodal.solver import TrainData, project_alpha, prox_step, train
 from crossmodal.synth import SynthConfig, generate
-from crossmodal.zeroshot import ZeroShotDataset, train_zeroshot
+from crossmodal.zeroshot import train_zeroshot
 from oracle_utils import (
     evaluate_at,
     fd_grad_S,
@@ -330,15 +330,9 @@ class TestLoopMatchesReference:
 
     def test_zeroshot_three_blocks(self, monkeypatch):
         ds = _small_synth(0, classes=4)
-        unseen = frozenset({"c3"})
-        zds = ZeroShotDataset(
-            unseen_classes=unseen,
-            source_texts=ds.texts,
-            train_images=[i for i in ds.images if i.label not in unseen],
-            pairs=ds.pairs,
-        )
+        data = TrainData(ds.texts, ds.images, ds.pairs)
         hyper = Hyperparameters(gamma=0.5, max_iter=80)
-        _assert_same_fit(*_fit_both(monkeypatch, train_zeroshot, zds, hyper))
+        _assert_same_fit(*_fit_both(monkeypatch, train_zeroshot, data, {"c3"}, hyper))
 
     def test_intramodal_only(self, monkeypatch):
         ds = _small_synth(1)
@@ -467,13 +461,8 @@ class TestAlphaPeak:
         _, report = train(TrainData(ds.texts, [], ds.pairs), Hyperparameters(max_iter=5))
         assert report.alpha_peak == 0.0
         ds = _small_synth(2, classes=3)
-        zds = ZeroShotDataset(
-            unseen_classes=frozenset({"c2"}),
-            source_texts=ds.texts,
-            train_images=[i for i in ds.images if i.label != "c2"],
-            pairs=ds.pairs,
-        )
-        assert train_zeroshot(zds, Hyperparameters(max_iter=5))[1].alpha_peak == 0.0
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        assert train_zeroshot(data, {"c2"}, Hyperparameters(max_iter=5))[1].alpha_peak == 0.0
 
 
 class TestMisalignFloor:

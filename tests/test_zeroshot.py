@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,14 @@ from crossmodal.model import (
     Hyperparameters,
     KernelSpec,
     TrainedModel,
+    ovr_labels,
     stack_features,
     unseen_scores,
 )
 from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
-from crossmodal.zeroshot import ZeroShotDataset, filter_pairs, train_zeroshot
+from crossmodal import zeroshot
+from crossmodal.zeroshot import train_zeroshot
 from oracle_utils import one_vs_rest_texts, score_unseen
 
 
@@ -24,78 +28,122 @@ def tagged_pairs(rng, tags, p=3, q=2):
     ]
 
 
+def small_classes_data(seed, pair_tags):
+    """Texts of classes a, b and u, images of a and b, pairs tagged `pair_tags`."""
+    rng = np.random.default_rng(seed)
+    texts = [CorpusExample(f"t{k}", rng.standard_normal(3), c) for k, c in enumerate("abuab")]
+    images = [CorpusExample(f"i{k}", rng.standard_normal(2), c) for k, c in enumerate("abab")]
+    return TrainData(texts, images, tagged_pairs(rng, pair_tags))
+
+
+def assert_same_fit(fit, ref):
+    (model, report), (ref_model, ref_report) = fit, ref
+    assert report.objective_trace == ref_report.objective_trace
+    assert np.array_equal(model.S, ref_model.S)
+
+
+HYPER = Hyperparameters(gamma=0.5, lam=1.0, max_iter=15, tol=1e-10)
+
+
 class TestFilterPairs:
+    """train_zeroshot drops the pairs of unseen classes, in order, and needs a
+    class tag on every pair."""
+
     def test_empty_unseen_keeps_all(self):
+        # One class and no unseen ones: binary training on every pair,
+        # including those of a class that labels no text or image.
         rng = np.random.default_rng(0)
+        texts = [CorpusExample(f"t{i}", rng.standard_normal(3), "a") for i in range(4)]
         pairs = tagged_pairs(rng, ["a", "b", "a"])
-        assert filter_pairs(pairs, frozenset()) == pairs
+        zs = train_zeroshot(TrainData(texts, [], pairs), frozenset(), HYPER)
+        binary = TrainData([CorpusExample(t.id, t.features, 1) for t in texts], [], pairs)
+        assert_same_fit(zs, train(binary, HYPER))
 
     def test_all_unseen_drops_all(self):
-        rng = np.random.default_rng(1)
-        pairs = tagged_pairs(rng, ["a", "b"])
-        assert filter_pairs(pairs, {"a", "b"}) == []
+        data = small_classes_data(1, ["u", "u", "u"])
+        assert_same_fit(
+            train_zeroshot(data, {"u"}, HYPER),
+            train_zeroshot(replace(data, pairs=[]), {"u"}, HYPER),
+        )
 
     def test_order_preserved(self):
-        rng = np.random.default_rng(2)
         tags = ["a", "u", "b", "u", "a", "u", "b", "a", "b", "a"]
-        pairs = tagged_pairs(rng, tags)
-        kept = filter_pairs(pairs, {"u"})
+        data = small_classes_data(2, tags)
+        kept = [c for c in data.pairs if c.class_id != "u"]
         assert len(kept) == 7
-        assert kept == [p for p in pairs if p.class_id != "u"]
+        assert_same_fit(
+            train_zeroshot(data, {"u"}, HYPER),
+            train_zeroshot(replace(data, pairs=kept), {"u"}, HYPER),
+        )
 
     def test_untagged_pair_rejected(self):
-        pairs = [CooccurrencePair(np.ones(2), np.ones(2))]
-        with pytest.raises(DataError):
-            filter_pairs(pairs, {"a"})
+        data = small_classes_data(3, ["a", "b"])
+        data.pairs.append(CooccurrencePair(np.ones(3), np.ones(2)))
+        with pytest.raises(DataError, match="pair at index 2 has no class tag"):
+            train_zeroshot(data, {"u"}, HYPER)
 
 
 class TestDatasetValidation:
-    def test_unseen_train_image_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(DataError, match="unseen"):
-            ZeroShotDataset(
-                unseen_classes=frozenset({"u"}),
-                source_texts=[],
-                train_images=[CorpusExample("i0", rng.standard_normal(2), "u")],
-            )
+    """What train_zeroshot checks of the classes and the training images."""
+
+    def test_unseen_train_image_dropped(self):
+        data = small_classes_data(3, ["a", "u", "b"])
+        with_unseen = replace(
+            data, train_images=data.train_images + [CorpusExample("iu", np.ones(2), "u")]
+        )
+        assert_same_fit(
+            train_zeroshot(with_unseen, {"u"}, HYPER), train_zeroshot(data, {"u"}, HYPER)
+        )
 
     @pytest.mark.parametrize("label", [1, None])
     def test_image_without_class_rejected(self, label):
-        texts = [CorpusExample("t0", np.ones(3), "a")]
+        texts = [CorpusExample("t0", np.ones(3), "a"), CorpusExample("t1", np.ones(3), "u")]
+        data = TrainData(texts, [CorpusExample("i0", np.ones(2), label)])
         with pytest.raises(DataError, match="training image 'i0'"):
-            ZeroShotDataset(frozenset({"u"}), texts, [CorpusExample("i0", np.ones(2), label)])
+            train_zeroshot(data, {"u"}, HYPER)
 
-    def test_seen_classes_from_labels(self):
-        texts = [CorpusExample(f"t{k}", np.ones(3), c) for k, c in enumerate("abu")]
-        images = [CorpusExample("i0", np.ones(2), "c")]
-        zds = ZeroShotDataset(frozenset({"u", "v"}), texts, images)
-        assert zds.seen_classes == {"a", "b", "c"}
+    def test_seen_classes_from_labels(self, monkeypatch):
+        # The seen classes are those of the texts and images, unseen ones
+        # excluded: c labels only an image, and u labels only a text.
+        blocks = []
+
+        def recording(examples, classes):
+            blocks.append(classes)
+            return ovr_labels(examples, classes)
+
+        monkeypatch.setattr(zeroshot, "ovr_labels", recording)
+        data = small_classes_data(4, ["a", "b"])
+        data.train_images.append(CorpusExample("i4", np.ones(2), "c"))
+        train_zeroshot(data, {"u"}, Hyperparameters(max_iter=2))
+        assert blocks == [["a", "b", "c"], ["a", "b", "c"]]
 
     def test_no_seen_classes_rejected(self):
-        with pytest.raises(DataError):
-            ZeroShotDataset(frozenset({"u"}), [], [])
+        data = TrainData([CorpusExample("t0", np.ones(3), "u")])
+        with pytest.raises(DataError, match="at least one seen class"):
+            train_zeroshot(data, {"u"}, HYPER)
+
+    def test_unknown_unseen_class_rejected(self):
+        # A class no text labels would be scored with every text voting -1.
+        data = small_classes_data(5, ["a", "b"])
+        with pytest.raises(DataError, match=r"not present in data: \['zz'\]"):
+            train_zeroshot(data, {"u", "zz"}, HYPER)
 
 
-def multiclass_split(seed=0, unseen_cls="c0", **kw):
+def multiclass_split(seed=0, **kw):
+    """A 5-class synth set whose class c0 is unseen; its images are left in,
+    for train_zeroshot to drop."""
     cfg = SynthConfig(
         classes=5, n_texts=120, m_images=60, l_pairs=400, n_test=150, seed=seed, **kw
     )
     ds = generate(cfg)
-    unseen = frozenset({unseen_cls})
-    zds = ZeroShotDataset(
-        unseen_classes=unseen,
-        source_texts=ds.texts,
-        train_images=[i for i in ds.images if i.label not in unseen],
-        pairs=ds.pairs,
-    )
-    return ds, zds
+    return ds, TrainData(ds.texts, ds.images, ds.pairs)
 
 
 class TestTrainZeroshot:
     def test_zero_weights_give_zero_matrix(self):
-        _, zds = multiclass_split()
+        _, data = multiclass_split()
         hyper = Hyperparameters(gamma=0.0, lam=0.0, max_iter=5)
-        model, report = train_zeroshot(zds, hyper)
+        model, report = train_zeroshot(data, {"c0"}, hyper)
         np.testing.assert_allclose(model.S, 0.0)
         assert model.alpha.size == 0
         assert report.converged
@@ -107,14 +155,11 @@ class TestTrainZeroshot:
             CorpusExample(f"t{i}", rng.standard_normal(3), "a") for i in range(4)
         ]
         pairs = tagged_pairs(rng, ["a"] * 5)
-        zds = ZeroShotDataset(
-            unseen_classes=frozenset({"u"}),
-            source_texts=texts,
-            train_images=[],
-            pairs=pairs,
-        )
+        unseen_text = CorpusExample("tu", np.ones(3), "u")
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=30, tol=1e-10)
-        zs_model, zs_report = train_zeroshot(zds, hyper)
+        zs_model, zs_report = train_zeroshot(
+            TrainData(texts + [unseen_text], [], pairs), {"u"}, hyper
+        )
 
         binary = TrainData(
             source_texts=[CorpusExample(t.id, t.features, 1) for t in texts],
@@ -126,33 +171,27 @@ class TestTrainZeroshot:
         assert zs_report.objective_trace == ref_report.objective_trace
 
     def test_unseen_texts_do_not_affect_training(self):
-        _, zds = multiclass_split()
+        _, data = multiclass_split()
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=20, tol=1e-10)
-        _, with_unseen = train_zeroshot(zds, hyper)
-        stripped = ZeroShotDataset(
-            unseen_classes=zds.unseen_classes,
-            source_texts=[t for t in zds.source_texts if t.label != "c0"],
-            train_images=zds.train_images,
-            pairs=zds.pairs,
-        )
-        _, without_unseen = train_zeroshot(stripped, hyper)
+        _, with_unseen = train_zeroshot(data, {"c0"}, hyper)
+        stripped = replace(data, source_texts=[t for t in data.source_texts if t.label != "c0"])
+        _, without_unseen = train_zeroshot(stripped, {"c0"}, hyper)
         assert with_unseen.objective_trace == without_unseen.objective_trace
 
     def test_normalized_model_ignores_text_scale(self):
         # With normalize, the stored texts are the normalized ones the shared S
         # was fitted on, so unseen scores do not depend on the texts' scale.
-        ds, zds = multiclass_split(seed=2)
+        ds, data = multiclass_split(seed=2)
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=20, normalize=True)
-        model, _ = train_zeroshot(zds, hyper)
-        scaled = ZeroShotDataset(
-            unseen_classes=zds.unseen_classes,
+        model, _ = train_zeroshot(data, {"c0"}, hyper)
+        scaled = replace(
+            data,
             source_texts=[CorpusExample(t.id, 3.0 * t.features, t.label)
-                          for t in zds.source_texts],
-            train_images=zds.train_images,
+                          for t in data.source_texts],
             pairs=[CooccurrencePair(3.0 * c.text_features, c.image_features, c.class_id)
-                   for c in zds.pairs],
+                   for c in data.pairs],
         )
-        scaled_model, _ = train_zeroshot(scaled, hyper)
+        scaled_model, _ = train_zeroshot(scaled, {"c0"}, hyper)
         Z = stack_features(ds.test_images, ds.config.q, "test image")
         np.testing.assert_allclose(
             unseen_scores(scaled_model, Z, ["c0"]), unseen_scores(model, Z, ["c0"]),
@@ -163,30 +202,28 @@ class TestTrainZeroshot:
 
     def test_no_seen_texts_and_no_pairs_rejected(self):
         rng = np.random.default_rng(6)
-        zds = ZeroShotDataset(
-            unseen_classes=frozenset({"u"}),
+        data = TrainData(
             source_texts=[CorpusExample("t0", rng.standard_normal(3), "u")],
             train_images=[CorpusExample("i0", rng.standard_normal(2), "a")],
         )
         with pytest.raises(DataError, match="text dimension"):
-            train_zeroshot(zds, Hyperparameters(max_iter=5))
+            train_zeroshot(data, {"u"}, Hyperparameters(max_iter=5))
 
     def test_no_images_and_no_pairs_rejected(self):
         rng = np.random.default_rng(7)
-        zds = ZeroShotDataset(
-            unseen_classes=frozenset({"u"}),
-            source_texts=[CorpusExample("t0", rng.standard_normal(3), "a")],
-            train_images=[],
+        data = TrainData(
+            source_texts=[CorpusExample("t0", rng.standard_normal(3), "a"),
+                          CorpusExample("t1", np.ones(3), "u")],
         )
         with pytest.raises(DataError, match="image dimension"):
-            train_zeroshot(zds, Hyperparameters(max_iter=5))
+            train_zeroshot(data, {"u"}, Hyperparameters(max_iter=5))
 
     def test_unseen_class_ranking_beats_chance(self):
         from crossmodal.evaluation import auc
 
-        ds, zds = multiclass_split(seed=7)
+        ds, data = multiclass_split(seed=7)
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=80, tol=1e-7)
-        model, _ = train_zeroshot(zds, hyper)
+        model, _ = train_zeroshot(data, {"c0"}, hyper)
         Z = stack_features(ds.test_images, ds.config.q, "test image")
         scores = unseen_scores(model, Z, ["c0"])[:, 0]
         truth = np.array([1 if e.label == "c0" else -1 for e in ds.test_images])
