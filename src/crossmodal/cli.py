@@ -7,14 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-
-import numpy as np
 
 from . import data_io, evaluation, synth, zeroshot
 from .errors import DataError, NumericalError
-from .model import Hyperparameters, KernelSpec, scores, stack_features, unseen_scores
+from .model import Hyperparameters, KernelSpec, scores, signs, stack_features, unseen_scores
 from .solver import TrainData, TrainReport, train
 
 EXIT_OK = 0
@@ -118,9 +115,7 @@ def _cmd_synth(args) -> int:
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad synth config: {exc}") from exc
     ds = synth.generate(cfg)
-    data_io.write_dataset(
-        data_io.Corpora(texts=ds.texts, images=ds.images, pairs=ds.pairs), args.out
-    )
+    data_io.write_dataset(data_io.Corpora(ds.texts, ds.images, ds.pairs), args.out)
     if args.test_out:
         data_io.write_dataset(data_io.Corpora(images=ds.test_images), args.test_out)
     return EXIT_OK
@@ -128,11 +123,7 @@ def _cmd_synth(args) -> int:
 
 def _read_train_data(path: str) -> TrainData:
     corpora = data_io.parse_dataset(path)
-    return TrainData(
-        source_texts=corpora.texts,
-        train_images=corpora.images,
-        pairs=corpora.pairs,
-    )
+    return TrainData(corpora.texts, corpora.images, corpora.pairs)
 
 
 def _print_report(report: TrainReport) -> None:
@@ -156,131 +147,34 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model, mode, unseen = data_io.read_model(args.model)
-    corpora = data_io.parse_dataset(args.images)
-    if mode == "zeroshot" and not unseen:
-        raise DataError("zero-shot model lists no unseen classes")
+    images = data_io.parse_dataset(args.images).images
+    classes = unseen if mode == "zeroshot" else None
     try:
-        Z = stack_features(corpora.images, model.S.shape[1], "query image")
-        table = unseen_scores(model, Z, unseen) if mode == "zeroshot" else scores(model, Z)
+        Z = stack_features(images, model.S.shape[1], "query image")
+        table = scores(model, Z) if classes is None else unseen_scores(model, Z, classes)
     except DataError as exc:
         raise DataError(f"{args.images}: {exc}") from exc
-    if mode == "zeroshot":
-        lines = [
-            json.dumps({"id": ex.id, "scores": dict(zip(unseen, map(float, row)))})
-            for ex, row in zip(corpora.images, table)
-        ]
-    else:
-        labels = np.where(table > 0, 1, -1)
-        lines = [
-            json.dumps({"id": ex.id, "score": float(s), "label": int(y)})
-            for ex, s, y in zip(corpora.images, table, labels)
-        ]
-    data_io.atomic_write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    data_io.write_predictions(args.out, [ex.id for ex in images], table, classes)
     return EXIT_OK
 
 
-def _finite_number(value, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise DataError(f"{what} must be a finite number")
-
-
-def _check_prediction(rec, first) -> None:
-    """A prediction record has a string id and, in the mode of the first record,
-    either a finite score and a +1/-1 label, or finite per-class scores over
-    the first record's classes."""
-    if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
-        raise DataError("missing string id")
-    if "scores" in first:
-        table = rec.get("scores")
-        if not isinstance(table, dict) or not table:
-            raise DataError("'scores' must be a non-empty object")
-        if table.keys() != first["scores"].keys():
-            raise DataError(
-                f"classes {sorted(table)} differ from the first record's "
-                f"{sorted(first['scores'])}"
-            )
-        for c, v in table.items():
-            _finite_number(v, f"score of class {c!r}")
-    else:
-        _finite_number(rec.get("score"), "'score'")
-        label = rec.get("label")
-        if isinstance(label, bool) or label not in (1, -1):
-            raise DataError("'label' must be 1 or -1")
-
-
-def _read_predictions(path: str) -> list[dict]:
-    records = []
-    ids = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line, parse_constant=data_io._reject_constant)
-                _check_prediction(rec, records[0] if records else rec)
-                if rec["id"] in ids:
-                    raise DataError(f"duplicate id {rec['id']!r}")
-                ids.add(rec["id"])
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed prediction: {exc}") from exc
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            records.append(rec)
-    return records
-
-
 def _cmd_evaluate(args) -> int:
-    preds = _read_predictions(args.pred)
-    truth_corpora = data_io.parse_dataset(args.truth)
-    truth_by_id = {ex.id: ex.label for ex in truth_corpora.images}
-    if not preds:
+    preds = data_io.read_predictions(args.pred)
+    truth_by_id = {ex.id: ex for ex in data_io.parse_dataset(args.truth).images}
+    if not preds.ids:
         raise DataError("no predictions to evaluate")
-    missing = [r["id"] for r in preds if r["id"] not in truth_by_id]
+    missing = [i for i in preds.ids if i not in truth_by_id]
     if missing:
         raise DataError(f"no truth for predicted ids {missing[:3]}")
-
-    if "scores" in preds[0]:
-        # Zero-shot predictions: per-class AUC/AP against class-labeled truth.
-        classes = sorted(preds[0]["scores"])
-        # A hard prediction is one of the scored classes, so only images of
-        # those classes can be classified right or wrong.
-        scored = [r for r in preds if truth_by_id[r["id"]] in classes]
-        if not scored:
-            raise DataError(f"{args.truth}: no predicted image is of a scored class {classes}")
-        per_class = {}
-        aps = []
-        for c in classes:
-            scores = np.array([r["scores"][c] for r in preds])
-            truth = np.array([1 if truth_by_id[r["id"]] == c else -1 for r in preds])
-            per_class[f"auc_{c}"] = evaluation.auc(scores, truth)
-            ap = evaluation.average_precision(scores, truth)
-            per_class[f"ap_{c}"] = ap
-            aps.append(ap)
-        hard_preds = [max(r["scores"], key=lambda c: r["scores"][c]) for r in scored]
-        truths = [truth_by_id[r["id"]] for r in scored]
-        report = evaluation.EvalReport(
-            error_rate=evaluation.error_rate(np.array(hard_preds), np.array(truths)),
-            ap=evaluation.mean_ap(aps),
-            auc=float(np.mean([per_class[f"auc_{c}"] for c in classes])),
-            per_class=per_class,
-        )
-    else:
-        scores = np.array([r["score"] for r in preds])
-        labels = np.array([r["label"] for r in preds])
-        for r in preds:
-            label = truth_by_id[r["id"]]
-            if label not in (1, -1):
-                raise DataError(
-                    f"{args.truth}: image {r['id']!r} has label {label!r}; "
-                    "binary predictions need +1/-1 truth labels"
-                )
-        truth = np.array([truth_by_id[r["id"]] for r in preds])
-        report = evaluation.EvalReport(
-            error_rate=evaluation.error_rate(labels, truth),
-            ap=evaluation.average_precision(scores, truth),
-            auc=evaluation.auc(scores, truth),
-        )
+    truth = [truth_by_id[i] for i in preds.ids]
+    try:
+        if preds.classes is None:
+            report = evaluation.binary_report(preds.scores, preds.labels, signs(truth, "image"))
+        else:
+            labels = [ex.label for ex in truth]
+            report = evaluation.zeroshot_report(preds.scores, preds.classes, labels)
+    except DataError as exc:
+        raise DataError(f"{args.truth}: {exc}") from exc
     print(report.as_text())
     return EXIT_OK
 

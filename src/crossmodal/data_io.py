@@ -23,6 +23,7 @@ from .model import (
 )
 
 MODEL_FORMAT_VERSION = 1
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int
 
 
 @dataclass
@@ -77,12 +78,9 @@ def write_dataset(corpora: Corpora, path: str) -> None:
 
 
 def _parse_class(rec: dict) -> str | None:
-    if "class" not in rec:
-        return None
-    cls = rec["class"]
-    if not isinstance(cls, str):
+    if "class" in rec and not isinstance(rec["class"], str):
         raise DataError("class must be a string")
-    return cls
+    return rec.get("class")
 
 
 def _parse_label(rec: dict):
@@ -98,7 +96,7 @@ def _finite(values, what: str) -> np.ndarray:
     """Float array of `values`; json accepts NaN and Infinity, the model does not."""
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{what} must hold numbers: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{what} holds a non-finite number")
@@ -118,60 +116,132 @@ def _features(rec: dict, key: str) -> np.ndarray:
     return _finite(values, repr(key))
 
 
-def parse_dataset(path: str) -> Corpora:
-    """Parse and validate a dataset file; errors carry the offending line number."""
-    corpora = Corpora()
-    dims: dict[str, int] = {}
-    seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
-
-    def check_dim(modality: str, vec: np.ndarray, lineno: int):
-        # Pairs share each modality's width with the texts or the images.
-        dim = dims.setdefault(modality, vec.shape[0])
-        if vec.shape[0] != dim:
-            raise DataError(
-                f"{path}:{lineno}: {modality} feature dimension {vec.shape[0]} != "
-                f"established {dim}"
-            )
-
+def _read_jsonl(path: str, what: str, take, parse_constant=None) -> None:
+    """Call `take` on each non-blank line's record; errors get a `path:lineno` prefix."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                take(json.loads(line, parse_constant=parse_constant))
             except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            try:
-                if not isinstance(rec, dict):
-                    raise DataError("record must be a JSON object")
-                kind = rec.get("kind")
-                if kind not in ("text", "image", "pair"):
-                    raise DataError(f"unknown kind {kind!r}")
-                rid = rec.get("id")
-                if not isinstance(rid, str):
-                    raise DataError("missing string id")
-                if rid in seen_ids[kind]:
-                    raise DataError(f"duplicate {kind} id {rid!r}")
-                seen_ids[kind].add(rid)
-                if kind == "pair":
-                    x = _features(rec, "text_features")
-                    z = _features(rec, "image_features")
-                    check_dim("text", x, lineno)
-                    check_dim("image", z, lineno)
-                    corpora.pairs.append(
-                        CooccurrencePair(x, z, class_id=_parse_class(rec))
-                    )
-                else:
-                    v = _features(rec, "features")
-                    check_dim(kind, v, lineno)
-                    ex = CorpusExample(rid, v, _parse_label(rec))
-                    (corpora.texts if kind == "text" else corpora.images).append(ex)
+                raise DataError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             except DataError as exc:
-                if str(exc).startswith(f"{path}:"):
-                    raise
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+
+
+def parse_dataset(path: str) -> Corpora:
+    """Parse and validate a dataset file; errors carry the offending line number."""
+    corpora = Corpora()
+    dims: dict[str, int] = {}
+    seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
+
+    def check_dim(modality: str, vec: np.ndarray):
+        # Pairs share each modality's width with the texts or the images.
+        dim = dims.setdefault(modality, vec.shape[0])
+        if vec.shape[0] != dim:
+            raise DataError(f"{modality} feature dimension {vec.shape[0]} != established {dim}")
+
+    def take(rec):
+        if not isinstance(rec, dict):
+            raise DataError("record must be a JSON object")
+        kind = rec.get("kind")
+        if kind not in ("text", "image", "pair"):
+            raise DataError(f"unknown kind {kind!r}")
+        rid = rec.get("id")
+        if not isinstance(rid, str):
+            raise DataError("missing string id")
+        if rid in seen_ids[kind]:
+            raise DataError(f"duplicate {kind} id {rid!r}")
+        seen_ids[kind].add(rid)
+        if kind == "pair":
+            x = _features(rec, "text_features")
+            z = _features(rec, "image_features")
+            check_dim("text", x)
+            check_dim("image", z)
+            corpora.pairs.append(CooccurrencePair(x, z, class_id=_parse_class(rec)))
+        else:
+            v = _features(rec, "features")
+            check_dim(kind, v)
+            ex = CorpusExample(rid, v, _parse_label(rec))
+            (corpora.texts if kind == "text" else corpora.images).append(ex)
+
+    _read_jsonl(path, "record", take)
     return corpora
+
+
+# Prediction files -------------------------------------------------------------
+
+@dataclass
+class Predictions:
+    """The records of a prediction file, in file order. Binary records give
+    each image a score and a +1/-1 label; zero-shot records give it one score
+    per class, the columns of an (N, B) table in the first record's order."""
+
+    ids: list[str]
+    scores: np.ndarray
+    labels: np.ndarray | None = None
+    classes: list[str] | None = None
+
+
+def write_predictions(path: str, ids: list[str], scores, classes: list[str] | None = None) -> None:
+    """Write the scores of the images `ids`: an (N,) binary score vector, with
+    label +1 where a score is > 0 and -1 otherwise, or, given `classes`, an
+    (N, B) zero-shot table with one column per class."""
+    if classes is None:
+        records = ({"id": i, "score": float(s), "label": 1 if s > 0 else -1}
+                   for i, s in zip(ids, scores))
+    else:
+        records = ({"id": i, "scores": dict(zip(classes, map(float, row)))}
+                   for i, row in zip(ids, scores))
+    atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
+
+
+def _finite_number(value, what: str) -> float:
+    # json reads 1e999 as inf, and a 400-digit integer as an int no float holds.
+    if type(value) not in (int, float) or not abs(value) <= _FLOAT_MAX:
+        raise DataError(f"{what} must be a finite number")
+    return float(value)
+
+
+def read_predictions(path: str) -> Predictions:
+    """Parse and validate a prediction file. Each record has a unique string
+    id and, in the mode of the first record, either a finite score and a
+    +1/-1 label, or finite scores over the first record's classes."""
+    ids: dict[str, None] = {}  # ordered, for the duplicate check
+    rows: list = []
+    labels: list[int] = []
+    classes: list[str] | None = None  # set by a zero-shot first record
+
+    def take(rec):
+        nonlocal classes
+        if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+            raise DataError("missing string id")
+        if classes is not None or (not ids and "scores" in rec):
+            table = rec.get("scores")
+            if not isinstance(table, dict) or not table:
+                raise DataError("'scores' must be a non-empty object")
+            classes = classes or list(table)
+            if table.keys() != set(classes):
+                raise DataError(
+                    f"classes {sorted(table)} differ from the first record's {sorted(classes)}"
+                )
+            row = {c: _finite_number(v, f"score of class {c!r}") for c, v in table.items()}
+            rows.append([row[c] for c in classes])
+        else:
+            rows.append(_finite_number(rec.get("score"), "'score'"))
+            if type(rec.get("label")) is not int or rec["label"] not in (1, -1):
+                raise DataError("'label' must be 1 or -1")
+            labels.append(rec["label"])
+        if rec["id"] in ids:
+            raise DataError(f"duplicate id {rec['id']!r}")
+        ids[rec["id"]] = None
+
+    _read_jsonl(path, "prediction", take, parse_constant=_reject_constant)
+    if classes is None:
+        return Predictions(list(ids), np.array(rows, dtype=float), np.array(labels, dtype=int))
+    return Predictions(list(ids), np.array(rows), classes=classes)
 
 
 # Model files ------------------------------------------------------------------
@@ -257,19 +327,18 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
         raise DataError("malformed model file: not a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported model format_version {version!r}; "
-            f"this build reads version {MODEL_FORMAT_VERSION}"
-        )
+        raise DataError(f"unsupported model format_version {version!r}; "
+                        f"this build reads version {MODEL_FORMAT_VERSION}")
     mode = doc.get("mode", "binary")
+    unseen = doc.get("unseen_classes", [])
     try:
+        if mode == "zeroshot" and not unseen:
+            raise DataError("zero-shot model lists no unseen classes")
         p, q = doc["p"], doc["q"]
         S = _finite(doc["S"], "S")
         if S.size != p * q:
             raise DataError(f"S has {S.size} entries, expected {p * q}")
-        kernel = KernelSpec(
-            kind=doc["kernel"]["kind"], bandwidth=doc["kernel"]["bandwidth"]
-        )
+        kernel = KernelSpec(kind=doc["kernel"]["kind"], bandwidth=doc["kernel"]["bandwidth"])
         binary = mode != "zeroshot"
         model = TrainedModel(
             S=S.reshape(p, q),
@@ -280,9 +349,12 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
             hyper=_hyper_from_dict(doc["hyper"]),
             final_objective=doc.get("final_objective"),
         )
+        # Only binary scoring uses the kernel; zero-shot models leave it unresolved.
+        if binary and model.train_images and kernel == KernelSpec("gaussian", None):
+            raise DataError("binary model with training images has a null gaussian bandwidth")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model file: {exc}") from exc
-    return model, mode, doc.get("unseen_classes", [])
+    return model, mode, unseen
 
 
 def read_model(path: str):

@@ -27,14 +27,9 @@ class EvalReport:
     per_class: dict[str, float] = field(default_factory=dict)
 
     def as_text(self) -> str:
-        lines = [
-            f"error_rate {self.error_rate!r}",
-            f"ap {self.ap!r}",
-            f"auc {self.auc!r}",
-        ]
-        for key in sorted(self.per_class):
-            lines.append(f"{key} {self.per_class[key]!r}")
-        return "\n".join(lines)
+        rows = [("error_rate", self.error_rate), ("ap", self.ap), ("auc", self.auc)]
+        rows += sorted(self.per_class.items())
+        return "\n".join(f"{key} {value!r}" for key, value in rows)
 
 
 def error_rate(predictions, truth) -> float:
@@ -102,16 +97,52 @@ def mean_ap(per_class_aps) -> float:
     return float(np.mean(per_class_aps))
 
 
+def binary_report(scores, labels, truth) -> EvalReport:
+    """Error rate of the +1/-1 `labels`, and AP and AUC of the `scores`,
+    against the +1/-1 `truth`."""
+    return EvalReport(
+        error_rate=error_rate(labels, truth),
+        ap=average_precision(scores, truth),
+        auc=auc(scores, truth),
+    )
+
+
+def zeroshot_report(table, classes, truth) -> EvalReport:
+    """Metrics of a (k, B) zero-shot score table, one column per class of
+    `classes`, against the true class of each of the k images.
+
+    Each class gets the one-vs-rest AUC and AP of its column over every image;
+    `auc` and `ap` are their means in sorted class order. A hard prediction is
+    the highest-scoring class, an exact tie going to the first in sorted order,
+    so `error_rate` counts only the images whose true class is scored.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.shape != (len(truth), len(classes)) or len(set(classes)) < len(classes):
+        raise DataError(f"score table of shape {table.shape} for {len(truth)} images "
+                        f"and classes {list(classes)}")
+    order = sorted(range(len(classes)), key=list(classes).__getitem__)
+    classes, table = [classes[b] for b in order], table[:, order]
+    # Object arrays compare labels as Python values: a label 1 is not class "1".
+    hits = np.array(truth, dtype=object)[:, None] == np.array(classes, dtype=object)
+    scored = hits.any(axis=1)
+    if not scored.any():
+        raise DataError(f"no predicted image is of a scored class {classes}")
+    ys = np.where(hits, 1, -1)
+    aucs = [auc(table[:, b], ys[:, b]) for b in range(len(classes))]
+    aps = [average_precision(table[:, b], ys[:, b]) for b in range(len(classes))]
+    return EvalReport(
+        error_rate=error_rate(table[scored].argmax(axis=1), hits[scored].argmax(axis=1)),
+        ap=mean_ap(aps),
+        auc=float(np.mean(aucs)),
+        per_class={**{f"auc_{c}": v for c, v in zip(classes, aucs)},
+                   **{f"ap_{c}": v for c, v in zip(classes, aps)}},
+    )
+
+
 def evaluate_model(model, test_images: list[CorpusExample]) -> EvalReport:
     """Score labeled test images with a binary model and report all metrics."""
     s = scores(model, stack_features(test_images, model.S.shape[1], "test image"))
-    preds = np.where(s > 0, 1, -1)
-    truth = signs(test_images)
-    return EvalReport(
-        error_rate=error_rate(preds, truth),
-        ap=average_precision(s, truth),
-        auc=auc(s, truth),
-    )
+    return binary_report(s, np.where(s > 0, 1, -1), signs(test_images))
 
 
 def _stratified_folds(images: list[CorpusExample], seed: int):

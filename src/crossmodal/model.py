@@ -129,11 +129,11 @@ def stack_features(examples: list[CorpusExample], dim: int, what: str) -> np.nda
     )
 
 
-def signs(examples: list[CorpusExample]) -> np.ndarray:
+def signs(examples: list[CorpusExample], what: str = "example") -> np.ndarray:
     """The +1/-1 labels of binary-mode examples as floats."""
     for e in examples:
         if isinstance(e.label, bool) or e.label not in (1, -1):
-            raise DataError(f"example {e.id!r} has label {e.label!r}; binary mode needs +1/-1")
+            raise DataError(f"{what} {e.id!r} has label {e.label!r}; binary mode needs +1/-1")
     return np.array([float(e.label) for e in examples])
 
 
@@ -184,9 +184,7 @@ def median_bandwidth(Z: np.ndarray) -> float:
     dists = np.linalg.norm(Z[i] - Z[j], axis=1)
     med = float(np.median(dists))
     if med == 0.0:
-        raise ValueError(
-            "all image features are identical; pass an explicit bandwidth"
-        )
+        raise DataError("all image features are identical; pass an explicit bandwidth")
     return med
 
 

@@ -71,18 +71,21 @@ def _balanced(labels: np.ndarray, classes: int, binary: bool) -> bool:
 
 
 def _draw_class_weights(rng, cfg: SynthConfig, binary: bool) -> np.ndarray:
-    """Class weight vectors; in multi-class mode, redrawn until no class is
-    starved of argmax wins on a probe batch (a lopsided draw would make
-    per-collection balance rejection hopeless)."""
+    """Class weight vectors; in multi-class mode, redrawn until every class
+    wins at least 70% of an even share of argmax wins on a probe batch (a
+    lopsided draw would make per-collection balance rejection hopeless). When
+    no redraw does, the draw whose least-won class won most."""
     if binary:
         return rng.standard_normal((cfg.classes, cfg.r_true))
+    best = (-1, None)  # (smallest probe count, W); max keeps the first of a tie
     for _ in range(_MAX_REDRAWS):
         W = rng.standard_normal((cfg.classes, cfg.r_true))
         probe = _labels(rng.standard_normal((2000, cfg.r_true)), W, binary=False)
-        counts = np.bincount(probe, minlength=cfg.classes)
-        if counts.min() >= 0.7 * 2000 / cfg.classes:
+        least = np.bincount(probe, minlength=cfg.classes).min()
+        if least >= 0.7 * 2000 / cfg.classes:
             return W
-    raise DataError("could not draw usable class weights; adjust the config")
+        best = max(best, (least, W), key=lambda draw: draw[0])
+    return best[1]
 
 
 def _draw_labeled(rng, count, cfg: SynthConfig, W, binary):

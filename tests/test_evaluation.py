@@ -11,12 +11,16 @@ from crossmodal.evaluation import (
     DEFAULT_GRID,
     auc,
     average_precision,
+    binary_report,
     crossval_select,
     error_rate,
+    evaluate_model,
     mean_ap,
+    zeroshot_report,
 )
 from crossmodal.model import CorpusExample, Hyperparameters, KernelSpec
-from crossmodal.solver import TrainData
+from crossmodal.model import scores
+from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
 from oracle_utils import (
     brute_force_auc,
@@ -152,7 +156,97 @@ class TestMeanAp:
             mean_ap([])
 
 
+class TestBinaryReport:
+    def test_matches_evaluate_model(self):
+        ds = generate(SynthConfig(p=6, q=5, r_true=2, n_texts=30, m_images=12, l_pairs=40,
+                                  n_test=20, seed=11))
+        model, _ = train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
+        s = scores(model, np.stack([e.features for e in ds.test_images]))
+        truth = [e.label for e in ds.test_images]
+        want = evaluate_model(model, ds.test_images)
+        got = binary_report(s, np.where(s > 0, 1, -1), truth)
+        assert (got.error_rate, got.ap, got.auc) == (want.error_rate, want.ap, want.auc)
+        assert got.as_text() == want.as_text()
+        assert (got.error_rate, got.ap, got.auc) == (
+            error_rate(np.where(s > 0, 1, -1), truth), average_precision(s, truth), auc(s, truth))
+
+
+class TestZeroshotReport:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_per_column(self, data):
+        # Every class labels at least one image, and c9 is not scored. Scores
+        # lie on a coarse grid, so ties within a column and across a row are
+        # common; the order of `classes` is shuffled.
+        extra = data.draw(st.lists(st.sampled_from(["c0", "c1", "c2", "c9"]), max_size=6))
+        truth = data.draw(st.permutations(["c0", "c1", "c2"] + extra))
+        classes = data.draw(st.permutations(["c0", "c1", "c2"]))
+        table = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), min_size=3, max_size=3),
+            min_size=len(truth), max_size=len(truth))))
+        ordered = sorted(classes)
+        report = zeroshot_report(table, classes, truth)
+        aucs, aps = [], []
+        for c in ordered:
+            col = list(table[:, classes.index(c)])
+            y = [1 if t == c else -1 for t in truth]
+            aucs.append(brute_force_auc(col, y))
+            aps.append(brute_force_average_precision(col, y))
+            assert report.per_class[f"auc_{c}"] == pytest.approx(aucs[-1], abs=1e-12)
+            assert report.per_class[f"ap_{c}"] == pytest.approx(aps[-1], abs=1e-12)
+        assert report.auc == pytest.approx(np.mean(aucs), abs=1e-12)
+        assert report.ap == pytest.approx(np.mean(aps), abs=1e-12)
+        # The hard prediction: highest score, ties to the first class in sorted
+        # order; only images of a scored class count.
+        wrong = scored = 0
+        for row, t in zip(table, truth):
+            if t in ordered:
+                scored += 1
+                by_class = {c: row[classes.index(c)] for c in ordered}
+                wrong += max(ordered, key=lambda c: by_class[c]) != t
+        assert report.error_rate == wrong / scored
+
+    def test_tie_goes_to_first_sorted_class(self):
+        # Columns given in reverse order; every row ties.
+        table = np.array([[0.5, 0.5], [0.1, 0.1], [-1.0, -1.0]])
+        report = zeroshot_report(table, ["c1", "c0"], ["c0", "c1", "c0"])
+        assert report.error_rate == 1 / 3
+        assert sorted(report.per_class) == ["ap_c0", "ap_c1", "auc_c0", "auc_c1"]
+
+    def test_unseen_scores_table(self):
+        mc = generate(SynthConfig(p=6, q=5, r_true=2, classes=3, n_texts=45, m_images=24,
+                                  l_pairs=60, n_test=30, seed=3))
+        truth = [e.label for e in mc.test_images]
+        table = np.array([[1.0 if t == c else 0.0 for c in ("c2", "c1")] for t in truth])
+        report = zeroshot_report(table, ("c2", "c1"), truth)
+        assert (report.error_rate, report.ap, report.auc) == (0.0, 1.0, 1.0)
+
+    def test_class_without_image_rejected(self):
+        with pytest.raises(DataError, match="AUC needs at least one positive"):
+            zeroshot_report(np.zeros((2, 2)), ["c0", "c1"], ["c0", "c0"])
+
+    def test_no_scored_image_rejected(self):
+        with pytest.raises(DataError, match="no predicted image is of a scored class"):
+            zeroshot_report(np.zeros((2, 1)), ["c1"], ["c0", "c0"])
+
+    @pytest.mark.parametrize("shape, classes", [((3, 2), ["c0"]), ((2, 1), ["c0"]),
+                                                ((3, 2), ["c0", "c0"])])
+    def test_table_must_fit_images_and_classes(self, shape, classes):
+        with pytest.raises(DataError, match="score table of shape"):
+            zeroshot_report(np.zeros(shape), classes, ["c0", "c1", "c0"])
+
+
 class TestSynth:
+    @pytest.mark.parametrize("seed", range(9))
+    def test_five_class_config_draws_on_every_seed(self, seed):
+        # Seeds 1 and 8 reach no 70% share of argmax wins in any redraw of the
+        # class weights; the draw whose least-won class won most is kept.
+        ds = generate(SynthConfig(p=8, q=6, r_true=2, classes=5, n_texts=60, m_images=30,
+                                  l_pairs=120, n_test=40, seed=seed))
+        for group in (ds.texts, ds.images, ds.test_images):
+            counts = [sum(e.label == c for e in group) for c in ds.class_ids]
+            assert min(counts) >= 0.5 * len(group) / 5
+
     def test_deterministic(self):
         a = generate(SynthConfig(seed=5, n_texts=20, m_images=10, l_pairs=15, n_test=5))
         b = generate(SynthConfig(seed=5, n_texts=20, m_images=10, l_pairs=15, n_test=5))

@@ -223,6 +223,29 @@ class TestModelIO:
         with pytest.raises(DataError, match=r"source_texts 't0': label 'c0' in a binary model"):
             data_io.parse_model(json.dumps(doc))
 
+    def test_binary_model_without_bandwidth_rejected(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["kernel"]["bandwidth"] = None
+        with pytest.raises(DataError, match="invalid model file: binary model with training "
+                                            "images has a null gaussian bandwidth"):
+            data_io.parse_model(json.dumps(doc))
+
+    def test_unresolved_kernel_allowed_without_kernel_scoring(self):
+        # A binary model without training images, and a zero-shot model, never
+        # evaluate the kernel.
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["kernel"]["bandwidth"] = None
+        doc.update(train_images=[], alpha=[])
+        assert data_io.parse_model(json.dumps(doc))[0].kernel == KernelSpec("gaussian", None)
+        doc.update(mode="zeroshot", unseen_classes=["c0"])
+        assert data_io.parse_model(json.dumps(doc))[1:] == ("zeroshot", ["c0"])
+
+    def test_zeroshot_model_without_unseen_classes_rejected(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model(), ["c0"]))
+        doc["unseen_classes"] = []
+        with pytest.raises(DataError, match="zero-shot model lists no unseen classes"):
+            data_io.parse_model(json.dumps(doc))
+
     def test_example_id_must_be_string(self):
         doc = json.loads(data_io.serialize_model(self.trained_model()))
         doc["train_images"][1]["id"] = 7
@@ -431,6 +454,67 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["train", "--data"]) == 1
         assert main(["frobnicate"]) == 1
+
+    def test_identical_training_images_exit_2(self, tmp_path, capsys):
+        # The median heuristic has no bandwidth to give identical images.
+        data, out = tmp_path / "train.jsonl", tmp_path / "model.json"
+        data.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"kind": "text", "id": "t0", "label": 1, "features": [1.0, 0.0]},
+            {"kind": "image", "id": "i0", "label": 1, "features": [0.5, 0.5]},
+            {"kind": "image", "id": "i1", "label": -1, "features": [0.5, 0.5]},
+        ]))
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: all image features are identical; pass an explicit bandwidth\n")
+        assert not out.exists()
+        assert main(["train", "--data", str(data), "--out", str(out), "--bandwidth", "1"]) == 0
+
+    def test_predict_names_a_model_without_bandwidth(self, tmp_path, synth_config, capsys):
+        data, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        model, pred = tmp_path / "model.json", tmp_path / "pred.jsonl"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data),
+                     "--test-out", str(test)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--max-iter", "5"]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["kernel"]["bandwidth"] = None
+        model.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(model), "--images", str(test),
+                     "--out", str(pred)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {model}: invalid model file: binary model with training images")
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("kind", ["prediction", "truth"])
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, kind):
+        huge = "1" + "0" * 400
+        truth, pred = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
+        feature = huge if kind == "truth" else "0.0"
+        truth.write_text('{"kind": "image", "id": "i0", "label": 1, "features": [%s]}\n'
+                         % feature)
+        score = huge if kind == "prediction" else "0.5"
+        pred.write_text('{"id": "i0", "score": %s, "label": 1}\n' % score)
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        err = capsys.readouterr().err
+        if kind == "prediction":
+            assert f"{pred}:1: 'score' must be a finite number" in err
+        else:
+            assert f"{truth}:1: 'features' must hold numbers" in err
+
+    def test_evaluate_zeroshot_tie_goes_to_first_sorted_class(self, tmp_path, capsys):
+        # Class keys in reverse order, and every image's scores tie: the hard
+        # prediction is c0, whatever order the file lists the classes in.
+        truth, pred = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
+        truth.write_text("".join(
+            json.dumps({"kind": "image", "id": f"i{k}", "class": c, "features": [0.0]}) + "\n"
+            for k, c in enumerate(["c0", "c1", "c1"])))
+        pred.write_text("".join(
+            json.dumps({"id": f"i{k}", "scores": {"c1": s, "c0": s}}) + "\n"
+            for k, s in enumerate([0.3, 0.1, -0.2])))
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 0
+        printed = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        assert float(printed["error_rate"]) == 2 / 3
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
@@ -699,8 +783,13 @@ def models(draw):
     p, q = draw(st.integers(0, 3)), draw(st.integers(1, 3))
     texts = draw(examples(p, ANY_LABEL if zeroshot else BINARY_LABEL)) if p else []
     images = [] if zeroshot else draw(examples(q, BINARY_LABEL))
-    kernel = KernelSpec(draw(st.sampled_from(["gaussian", "linear"])),
-                        draw(st.one_of(st.none(), st.floats(1e-3, 1e3))))
+    kind = draw(st.sampled_from(["gaussian", "linear"]))
+    # A binary model scores its images by the kernel, so a gaussian one needs
+    # its bandwidth (`test_binary_model_without_bandwidth_rejected`).
+    bandwidth = st.floats(1e-3, 1e3)
+    if not (kind == "gaussian" and images):
+        bandwidth = st.one_of(st.none(), bandwidth)
+    kernel = KernelSpec(kind, draw(bandwidth))
     model = TrainedModel(
         S=np.array(draw(st.lists(FINITE, min_size=p * q, max_size=p * q))).reshape(p, q),
         alpha=np.array(draw(st.lists(FINITE, min_size=len(images), max_size=len(images)))),
@@ -744,6 +833,29 @@ class TestRoundTripProperties:
         assert_same_examples(back.train_images, model.train_images)
         assert (back.kernel, back.hyper) == (model.kernel, model.hyper)
         assert back.final_objective == model.final_objective
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_predictions(self, data):
+        ids = data.draw(st.lists(st.text(max_size=4), unique=True, max_size=5))
+        classes = data.draw(st.one_of(
+            st.none(), st.lists(CLASS_ID, min_size=1, max_size=3, unique=True)))
+        shape = (len(ids),) if classes is None else (len(ids), len(classes))
+        scores = np.array(data.draw(st.lists(FINITE, min_size=int(np.prod(shape)),
+                                             max_size=int(np.prod(shape))))).reshape(shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pred.jsonl")
+            data_io.write_predictions(path, ids, scores, classes)
+            back = data_io.read_predictions(path)
+        assert back.ids == ids
+        assert back.scores.tobytes() == scores.tobytes()  # tobytes tells -0.0 from 0.0
+        if classes is None or not ids:  # a file without records reads as binary
+            assert back.classes is None and back.scores.shape == (len(ids),)
+            assert back.labels.tolist() == [1 if s > 0 else -1 for s in scores.ravel()]
+        else:
+            assert back.classes == classes and back.labels is None
+            assert back.scores.shape == scores.shape
 
 
 class TestAtomicWrites:
