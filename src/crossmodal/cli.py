@@ -108,6 +108,8 @@ def _cmd_synth(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"bad synth config: {args.config} is not a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
@@ -180,6 +182,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
+    if args.seed < 0:
+        raise OptionValueError("bad option value: --seed must be >= 0")
     data = _read_train_data(args.data)
     base = _hyper_from_args(args)
     best = evaluation.crossval_select(data, base=base, seed=args.seed)

@@ -98,7 +98,7 @@ def _finite(values, what: str) -> np.ndarray:
         arr = np.array(values, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{what} must hold numbers: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError(f"{what} holds a non-finite number")
     return arr
 
@@ -113,6 +113,11 @@ def _features(rec: dict, key: str) -> np.ndarray:
     values = rec[key]
     if not isinstance(values, list) or not values:
         raise DataError(f"{key!r} must be a non-empty array of numbers")
+    # numpy would read "1.5" and true as numbers and a nested array as a row.
+    odd = set(map(type, values)) - {float, int}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise DataError(f"{key!r} must hold numbers only, not {names}")
     return _finite(values, repr(key))
 
 

@@ -7,7 +7,8 @@ functionals of h.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,14 +32,20 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value, integral = getattr(self, f.name), f.name != "noise_sigma"
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integral else numbers.Real):
+                kind = "an integer" if integral else "a real number"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.r_true > min(self.p, self.q):
             raise ValueError("r_true must not exceed min(p, q)")
         if min(self.p, self.q, self.r_true) < 1 or self.classes < 2:
             raise ValueError("dimensions and class count must be positive")
-        if min(self.n_texts, self.m_images, self.l_pairs, self.n_test) < 0:
-            raise ValueError("counts must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if min(self.n_texts, self.m_images, self.l_pairs, self.n_test, self.seed) < 0:
+            raise ValueError("counts and seed must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
 
 
 @dataclass
@@ -99,7 +106,12 @@ def _draw_labeled(rng, count, cfg: SynthConfig, W, binary):
 
 
 def generate(cfg: SynthConfig) -> SynthDataset:
-    """Deterministic dataset for the given config (same seed, same bytes)."""
+    """Deterministic dataset for the given config (same seed, same bytes).
+
+    One stream is drawn in order: maps A and B, class weights, then per corpus
+    (texts, images, test images, pairs) its latents and then its noise, row by
+    row, a pair's text noise before its image noise. Examples view corpus rows.
+    """
     rng = np.random.default_rng(cfg.seed)
     binary = cfg.classes == 2
 
@@ -109,57 +121,35 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     B = rng.standard_normal((cfg.q, cfg.r_true)) / np.sqrt(cfg.q * cfg.r_true)
     W = _draw_class_weights(rng, cfg, binary)
 
-    def emit_text(h):
-        x = A @ h
-        if cfg.noise_sigma > 0:
-            x = x + cfg.noise_sigma / np.sqrt(cfg.p) * rng.standard_normal(cfg.p)
-        return x
+    def emit(H, *maps):
+        """Rows [M h + noise for M in maps], one per latent row h. The batched matmul
+        issues `M @ h`'s gemv; one GEMM, H @ M.T, would round some values differently."""
+        shape, start = (len(H), sum(M.shape[0] for M in maps)), 0
+        out = rng.standard_normal(shape) if cfg.noise_sigma > 0 else np.empty(shape)
+        for M in maps:
+            cols = out[:, start:start + M.shape[0]]
+            signal = np.matmul(M, H[:, :, None])[:, :, 0]
+            if cfg.noise_sigma > 0:
+                cols *= cfg.noise_sigma / np.sqrt(M.shape[0])
+                cols += signal
+            else:
+                cols[...] = signal
+            start += M.shape[0]
+        return out
 
-    def emit_image(h):
-        z = B @ h
-        if cfg.noise_sigma > 0:
-            z = z + cfg.noise_sigma / np.sqrt(cfg.q) * rng.standard_normal(cfg.q)
-        return z
+    def tag(raw):
+        return raw if binary else f"c{raw}"
 
-    def to_label(raw):
-        return int(raw) if binary else f"c{raw}"
+    def corpus(prefix, count, M):
+        H, labels = _draw_labeled(rng, count, cfg, W, binary)
+        return [CorpusExample(f"{prefix}{i}", x, tag(y))
+                for i, (x, y) in enumerate(zip(emit(H, M), labels.tolist()))]
 
-    class_ids = [] if binary else [f"c{c}" for c in range(cfg.classes)]
-
-    H, labels = _draw_labeled(rng, cfg.n_texts, cfg, W, binary)
-    texts = [
-        CorpusExample(f"t{i}", emit_text(H[i]), to_label(labels[i]))
-        for i in range(cfg.n_texts)
-    ]
-
-    H, labels = _draw_labeled(rng, cfg.m_images, cfg, W, binary)
-    images = [
-        CorpusExample(f"i{i}", emit_image(H[i]), to_label(labels[i]))
-        for i in range(cfg.m_images)
-    ]
-
-    H, labels = _draw_labeled(rng, cfg.n_test, cfg, W, binary)
-    test_images = [
-        CorpusExample(f"e{i}", emit_image(H[i]), to_label(labels[i]))
-        for i in range(cfg.n_test)
-    ]
-
+    texts = corpus("t", cfg.n_texts, A)
+    images = corpus("i", cfg.m_images, B)
+    test_images = corpus("e", cfg.n_test, B)
     Hp = rng.standard_normal((cfg.l_pairs, cfg.r_true))
-    tags = _labels(Hp, W, binary)
-    pairs = [
-        CooccurrencePair(
-            emit_text(Hp[k]),
-            emit_image(Hp[k]),
-            class_id=None if binary else f"c{tags[k]}",
-        )
-        for k in range(cfg.l_pairs)
-    ]
-
-    return SynthDataset(
-        texts=texts,
-        images=images,
-        test_images=test_images,
-        pairs=pairs,
-        config=cfg,
-        class_ids=class_ids,
-    )
+    pairs = [CooccurrencePair(row[:cfg.p], row[cfg.p:], class_id=None if binary else tag(t))
+             for t, row in zip(_labels(Hp, W, binary).tolist(), emit(Hp, A, B))]
+    class_ids = [] if binary else [tag(c) for c in range(cfg.classes)]
+    return SynthDataset(texts, images, test_images, pairs, cfg, class_ids)

@@ -3,6 +3,7 @@ the per-image scalar discriminants the batched scoring path is checked
 against, the dense trace norm, SVT and numerical rank, the single-block
 objective and its gradients, the uncached training loop the solver's loop is
 checked against, the full-grid cross-validation crossval_select is checked
+against, the per-example synthetic generator the block generator is checked
 against, and random small training instances."""
 import itertools
 from dataclasses import replace
@@ -36,6 +37,7 @@ from crossmodal.solver import (
     project_alpha,
     train,
 )
+from crossmodal.synth import SynthConfig, SynthDataset, _draw_class_weights, _draw_labeled, _labels
 
 
 # Scalar scoring oracles: one image, one text or one training image at a time.
@@ -345,6 +347,74 @@ def reference_crossval_select(data: TrainData, base: Hyperparameters, grid: dict
         if mean_err < best_err:
             best_err, best = mean_err, cand
     return best
+
+
+def reference_generate(cfg: SynthConfig) -> SynthDataset:
+    """synth.generate as it was before it built each corpus as one block: one
+    `M @ h` matvec and one noise draw per example."""
+    rng = np.random.default_rng(cfg.seed)
+    binary = cfg.classes == 2
+
+    # Scaled so a typical feature vector has unit expected squared norm and the
+    # noise contributes noise_sigma^2 of it.
+    A = rng.standard_normal((cfg.p, cfg.r_true)) / np.sqrt(cfg.p * cfg.r_true)
+    B = rng.standard_normal((cfg.q, cfg.r_true)) / np.sqrt(cfg.q * cfg.r_true)
+    W = _draw_class_weights(rng, cfg, binary)
+
+    def emit_text(h):
+        x = A @ h
+        if cfg.noise_sigma > 0:
+            x = x + cfg.noise_sigma / np.sqrt(cfg.p) * rng.standard_normal(cfg.p)
+        return x
+
+    def emit_image(h):
+        z = B @ h
+        if cfg.noise_sigma > 0:
+            z = z + cfg.noise_sigma / np.sqrt(cfg.q) * rng.standard_normal(cfg.q)
+        return z
+
+    def to_label(raw):
+        return int(raw) if binary else f"c{raw}"
+
+    class_ids = [] if binary else [f"c{c}" for c in range(cfg.classes)]
+
+    H, labels = _draw_labeled(rng, cfg.n_texts, cfg, W, binary)
+    texts = [
+        CorpusExample(f"t{i}", emit_text(H[i]), to_label(labels[i]))
+        for i in range(cfg.n_texts)
+    ]
+
+    H, labels = _draw_labeled(rng, cfg.m_images, cfg, W, binary)
+    images = [
+        CorpusExample(f"i{i}", emit_image(H[i]), to_label(labels[i]))
+        for i in range(cfg.m_images)
+    ]
+
+    H, labels = _draw_labeled(rng, cfg.n_test, cfg, W, binary)
+    test_images = [
+        CorpusExample(f"e{i}", emit_image(H[i]), to_label(labels[i]))
+        for i in range(cfg.n_test)
+    ]
+
+    Hp = rng.standard_normal((cfg.l_pairs, cfg.r_true))
+    tags = _labels(Hp, W, binary)
+    pairs = [
+        CooccurrencePair(
+            emit_text(Hp[k]),
+            emit_image(Hp[k]),
+            class_id=None if binary else f"c{tags[k]}",
+        )
+        for k in range(cfg.l_pairs)
+    ]
+
+    return SynthDataset(
+        texts=texts,
+        images=images,
+        test_images=test_images,
+        pairs=pairs,
+        config=cfg,
+        class_ids=class_ids,
+    )
 
 
 # Random instances and finite differences.

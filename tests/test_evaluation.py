@@ -26,6 +26,7 @@ from oracle_utils import (
     brute_force_auc,
     brute_force_average_precision,
     reference_crossval_select,
+    reference_generate,
 )
 
 
@@ -236,7 +237,37 @@ class TestZeroshotReport:
             zeroshot_report(np.zeros(shape), classes, ["c0", "c1", "c0"])
 
 
+# The perfbench workload configs, the default, and the edge cases of the
+# block generator: no noise, empty corpora and a third class.
+_GENERATOR_CONFIGS = [
+    dict(p=100, q=80, r_true=8, n_texts=500, m_images=150, l_pairs=5000, n_test=500),
+    dict(n_test=1000),
+    dict(p=60, q=50, n_texts=1000, m_images=400, l_pairs=5000, n_test=4000, classes=5),
+    dict(),
+    dict(noise_sigma=0.0),
+    dict(n_texts=0, l_pairs=0),
+    dict(m_images=0, n_test=0),
+    dict(classes=3),
+]
+
+
 class TestSynth:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("config", _GENERATOR_CONFIGS)
+    def test_matches_per_example_generator_bytes(self, config, seed):
+        cfg = SynthConfig(**config, seed=seed)
+        ds, ref = generate(cfg), reference_generate(cfg)
+        assert ds.class_ids == ref.class_ids
+        for group in ("texts", "images", "test_images"):
+            got, want = getattr(ds, group), getattr(ref, group)
+            assert [(e.id, e.label, type(e.label)) for e in got] == \
+                [(e.id, e.label, type(e.label)) for e in want]
+            assert [e.features.tobytes() for e in got] == [e.features.tobytes() for e in want]
+        assert [p.class_id for p in ds.pairs] == [p.class_id for p in ref.pairs]
+        for side in ("text_features", "image_features"):
+            assert [getattr(p, side).tobytes() for p in ds.pairs] == \
+                [getattr(p, side).tobytes() for p in ref.pairs]
+
     @pytest.mark.parametrize("seed", range(9))
     def test_five_class_config_draws_on_every_seed(self, seed):
         # Seeds 1 and 8 reach no 70% share of argmax wins in any redraw of the

@@ -105,6 +105,26 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=r"text\.jsonl:1: .*must hold numbers"):
             data_io.parse_dataset(str(path))
 
+    @pytest.mark.parametrize("kind, key", [("image", "features"), ("pair", "text_features"),
+                                           ("pair", "image_features")])
+    @pytest.mark.parametrize("values, message", [
+        (["1.5", 2.0], "must hold numbers only, not str"),
+        ([True, 2.0], "must hold numbers only, not bool"),
+        ([[1.0, 2.0]], "must hold numbers only, not list"),
+        ([[1.0], [2.0, 3.0]], "must hold numbers only, not list"),
+    ])
+    def test_features_must_be_flat_json_numbers(self, tmp_path, kind, key, values, message):
+        # numpy alone would coerce "1.5" and true, and read [[1.0, 2.0]] as
+        # width 1, so the record would only fail later in training.
+        rec = {"kind": kind, "id": "a", "text_features": [1.0], "image_features": [1.0],
+               "features": [1.0], "label": 1}
+        rec[key] = values
+        path = tmp_path / "typed.jsonl"
+        path.write_text('{"kind": "image", "id": "i0", "label": 1, "features": [0.5]}\n'
+                        + json.dumps(rec) + "\n")
+        with pytest.raises(DataError, match=rf"typed\.jsonl:2: '{key}' {message}$"):
+            data_io.parse_dataset(str(path))
+
     @pytest.mark.parametrize("label", [0, 7, 1.0, True])
     def test_label_must_be_plus_or_minus_one(self, tmp_path, label):
         path = tmp_path / "data.jsonl"
@@ -199,6 +219,15 @@ class TestModelIO:
         text = json.dumps(doc)  # writes the NaN and Infinity tokens
         with pytest.raises(DataError, match="non-finite"):
             data_io.parse_model(text)
+
+    @pytest.mark.parametrize("values, name", [(["1.5", 2.0], "str"), ([True, 2.0], "bool"),
+                                              ([[1.0, 2.0]], "list")])
+    def test_example_features_must_be_flat_json_numbers(self, values, name):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["train_images"][1]["features"] = values
+        with pytest.raises(DataError, match=f"train_images 'i1': 'features' must hold "
+                                            f"numbers only, not {name}$"):
+            data_io.parse_model(json.dumps(doc))
 
     def test_example_dimension_checked(self):
         doc = json.loads(data_io.serialize_model(self.trained_model()))
@@ -423,6 +452,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: bad option value: {expected}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, flags, expected", [
+        ({"seed": "x"}, [], "seed must be an integer, got 'x'"),
+        ({"n_test": 1.5}, [], "n_test must be an integer, got 1.5"),
+        ({"p": True}, [], "p must be an integer, got True"),
+        ({"noise_sigma": "0.3"}, [], "noise_sigma must be a real number, got '0.3'"),
+        ({"noise_sigma": 1e999}, [], "noise_sigma must be finite and >= 0"),
+        ({}, ["--seed", "-1"], "counts and seed must be >= 0"),
+        ([1], ["--seed", "3"], "is not a JSON object"),
+    ])
+    def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, flags, expected):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.jsonl"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: bad synth config: ") and expected in err
+        assert not out.exists()
+
+    def test_crossval_negative_seed_exit_2(self, tmp_path, synth_config, capsys):
+        data = tmp_path / "train.jsonl"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data)]) == 0
+        assert main(["crossval", "--data", str(data), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: bad option value: --seed must be >= 0\n"
 
     @pytest.mark.parametrize("flags", [["--grid", "default"], ["--verbose"]])
     def test_crossval_rejects_unused_flags(self, tmp_path, capsys, flags):
