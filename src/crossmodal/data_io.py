@@ -93,7 +93,12 @@ def _parse_label(rec: dict):
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """Float array of `values`; json accepts NaN and Infinity, the model does not."""
+    """Float array of a list of JSON numbers; json accepts NaN and Infinity, the model does not."""
+    # numpy would read "1.5" and true as numbers and a nested array as a row.
+    odd = set(map(type, values)) - {float, int}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise DataError(f"{what} must hold numbers only, not {names}")
     try:
         arr = np.array(values, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
@@ -113,11 +118,6 @@ def _features(rec: dict, key: str) -> np.ndarray:
     values = rec[key]
     if not isinstance(values, list) or not values:
         raise DataError(f"{key!r} must be a non-empty array of numbers")
-    # numpy would read "1.5" and true as numbers and a nested array as a row.
-    odd = set(map(type, values)) - {float, int}
-    if odd:
-        names = ", ".join(sorted(t.__name__ for t in odd))
-        raise DataError(f"{key!r} must hold numbers only, not {names}")
     return _finite(values, repr(key))
 
 

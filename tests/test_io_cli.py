@@ -220,13 +220,17 @@ class TestModelIO:
         with pytest.raises(DataError, match="non-finite"):
             data_io.parse_model(text)
 
-    @pytest.mark.parametrize("values, name", [(["1.5", 2.0], "str"), ([True, 2.0], "bool"),
-                                              ([[1.0, 2.0]], "list")])
-    def test_example_features_must_be_flat_json_numbers(self, values, name):
+    @pytest.mark.parametrize("field", ["S", "alpha", "features"])
+    @pytest.mark.parametrize("bad, name", [("1.5", "str"), (True, "bool"), ([1.0], "list")])
+    def test_arrays_must_hold_json_numbers_only(self, field, bad, name):
         doc = json.loads(data_io.serialize_model(self.trained_model()))
-        doc["train_images"][1]["features"] = values
-        with pytest.raises(DataError, match=f"train_images 'i1': 'features' must hold "
-                                            f"numbers only, not {name}$"):
+        if field == "features":
+            doc["train_images"][1]["features"][0] = bad
+            prefix = "train_images 'i1': 'features'"
+        else:
+            doc[field][0] = bad
+            prefix = field
+        with pytest.raises(DataError, match=f"{prefix} must hold numbers only, not {name}$"):
             data_io.parse_model(json.dumps(doc))
 
     def test_example_dimension_checked(self):
