@@ -14,6 +14,20 @@ import numpy as np
 from crossmodal import Hyperparameters, SynthConfig, TrainData, evaluate_model, generate, train
 
 
+def sweep_errors(pair_counts, seeds, hyper: Hyperparameters, images_per_class=2):
+    """Per pairs count, the test error rate of the joint model on each synth
+    seed, as a list."""
+    errors = {}
+    for l in pair_counts:
+        errors[l] = []
+        for seed in seeds:
+            cfg = SynthConfig(seed=seed, m_images=2 * images_per_class, l_pairs=l)
+            ds = generate(cfg)
+            model, _ = train(TrainData(ds.texts, ds.images, ds.pairs), hyper)
+            errors[l].append(evaluate_model(model, ds.test_images).error_rate)
+    return errors
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--pairs", type=int, nargs="+", default=[100, 500, 2000])
@@ -23,14 +37,9 @@ def main() -> int:
     args = ap.parse_args()
 
     hyper = Hyperparameters(gamma=1.0, lam=1.0, C=1.0, max_iter=120, tol=1e-7)
+    errors = sweep_errors(args.pairs, range(args.seeds), hyper, args.images_per_class)
     rows = []
-    for l in args.pairs:
-        errs = []
-        for seed in range(args.seeds):
-            cfg = SynthConfig(seed=seed, m_images=2 * args.images_per_class, l_pairs=l)
-            ds = generate(cfg)
-            model, _ = train(TrainData(ds.texts, ds.images, ds.pairs), hyper)
-            errs.append(evaluate_model(model, ds.test_images).error_rate)
+    for l, errs in errors.items():
         errs = np.array(errs)
         se = errs.std(ddof=1) / np.sqrt(errs.size) if errs.size > 1 else 0.0
         rows.append((l, errs.mean(), se))

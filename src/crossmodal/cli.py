@@ -35,15 +35,16 @@ class OptionValueError(Exception):
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser):
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--cap-c", dest="cap_c", type=float, default=1.0)
-    p.add_argument("--kernel", choices=["gaussian", "linear"], default="gaussian")
-    p.add_argument("--bandwidth", type=float, default=None,
+    d = Hyperparameters()
+    p.add_argument("--gamma", type=float, default=d.gamma)
+    p.add_argument("--lambda", dest="lam", type=float, default=d.lam)
+    p.add_argument("--cap-c", dest="cap_c", type=float, default=d.C)
+    p.add_argument("--kernel", choices=["gaussian", "linear"], default=d.kernel.kind)
+    p.add_argument("--bandwidth", type=float, default=d.kernel.bandwidth,
                    help="gaussian bandwidth; default: median heuristic")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--normalize", action="store_true",
+    p.add_argument("--max-iter", type=int, default=d.max_iter)
+    p.add_argument("--tol", type=float, default=d.tol)
+    p.add_argument("--normalize", action="store_true", default=d.normalize,
                    help="L2-normalize feature vectors before training")
 
 
@@ -107,16 +108,15 @@ def _cmd_synth(args) -> int:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise DataError(f"malformed config {args.config}: {exc}") from exc
+            raise DataError(f"bad synth config: {args.config} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"bad synth config: {args.config} is not a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
-        cfg = synth.SynthConfig(**raw)
+        ds = synth.generate(synth.SynthConfig(**raw))
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad synth config: {exc}") from exc
-    ds = synth.generate(cfg)
     data_io.write_dataset(data_io.Corpora(ds.texts, ds.images, ds.pairs), args.out)
     if args.test_out:
         data_io.write_dataset(data_io.Corpora(images=ds.test_images), args.test_out)
@@ -192,10 +192,10 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_zeroshot(args) -> int:
-    data = _read_train_data(args.data)
     unseen = frozenset(c for c in args.unseen.split(",") if c)
     if not unseen:
         raise UsageError("--unseen must name at least one class")
+    data = _read_train_data(args.data)
     hyper = _hyper_from_args(args)
     model, report = zeroshot.train_zeroshot(
         data, unseen, hyper, log=print if args.verbose else None

@@ -19,23 +19,15 @@ class SvdResult:
     sigma: np.ndarray
     V: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.T
-
-
-def check_finite(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise NumericalError(f"{name} contains non-finite entries")
-    return M
-
 
 def svd(M: np.ndarray) -> SvdResult:
     """Thin SVD with singular values sorted non-increasing.
 
-    Raises NumericalError if the underlying iterative routine fails to converge.
+    Raises NumericalError on a non-finite entry or if the SVD does not converge.
     """
-    M = check_finite(M)
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise NumericalError("matrix contains non-finite entries")
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:

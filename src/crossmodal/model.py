@@ -1,11 +1,25 @@
 """Domain types, the image kernel, and batched scoring of query images."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
+
+
+_KIND_NAMES = {numbers.Integral: "an integer", numbers.Real: "a real number", bool: "a bool"}
+
+
+def check_types(obj, kinds: dict) -> None:
+    """Raise ValueError unless each field of `obj` named in `kinds` holds a value
+    of its kind (numbers.Integral, numbers.Real or bool). A bool counts only as
+    a bool, not as an integer or a real number."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 @dataclass
@@ -46,8 +60,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "linear"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        if self.bandwidth is not None:
+            check_types(self, {"bandwidth": numbers.Real})
+            if not 0 < self.bandwidth < np.inf:
+                raise ValueError("bandwidth must be positive and finite")
 
 
 @dataclass
@@ -63,6 +79,9 @@ class Hyperparameters:
     normalize: bool = False  # L2-normalize feature vectors before training
 
     def __post_init__(self):
+        real = numbers.Real
+        check_types(self, {"gamma": real, "lam": real, "C": real, "max_iter": numbers.Integral,
+                           "tol": real, "normalize": bool})
         if not np.all(np.isfinite((self.gamma, self.lam, self.C, self.tol))):
             raise ValueError("hyperparameters must be finite")
         if self.gamma < 0 or self.lam < 0:
@@ -183,6 +202,8 @@ def median_bandwidth(Z: np.ndarray) -> float:
         j = np.where(j >= i, j + 1, j)
     dists = np.linalg.norm(Z[i] - Z[j], axis=1)
     med = float(np.median(dists))
+    if not np.isfinite(med):
+        raise NumericalError("median image distance is non-finite; pass an explicit bandwidth")
     if med == 0.0:
         raise DataError("all image features are identical; pass an explicit bandwidth")
     return med

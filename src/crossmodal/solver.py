@@ -114,8 +114,10 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) ->
     img_Z = stack_features(images, q, "training image")
     pair_X = stack_rows([c.text_features for c in pairs], p, lambda k: f"pair {k} text")
     pair_Z = stack_rows([c.image_features for c in pairs], q, lambda k: f"pair {k} image")
-    if kernel is not None:
-        kernel = resolve_kernel(kernel, img_Z)
+    if kernel is not None and kernel.kind == "gaussian" and kernel.bandwidth is None:
+        # Median heuristic; one training image gives K(z, z) = 1 for any bandwidth.
+        bandwidth = median_bandwidth(img_Z) if img_Z.shape[0] >= 2 else 1.0
+        kernel = KernelSpec(kind="gaussian", bandwidth=bandwidth)
     K = kernel_matrix(kernel, img_Z, img_Z) if kernel is not None and img_Z.shape[0] > 0 else None
     return _Problem(
         text_X=text_X,
@@ -127,16 +129,6 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) ->
         K=K,
         kernel=kernel,
     )
-
-
-def resolve_kernel(kernel: KernelSpec, img_Z: np.ndarray) -> KernelSpec:
-    """Fill in a gaussian bandwidth by the median heuristic when unset."""
-    if kernel.kind != "gaussian" or kernel.bandwidth is not None:
-        return kernel
-    if img_Z.shape[0] < 2:
-        # A single training image gives K(z, z) = 1 for any bandwidth.
-        return KernelSpec(kind="gaussian", bandwidth=1.0)
-    return KernelSpec(kind="gaussian", bandwidth=median_bandwidth(img_Z))
 
 
 @dataclass
@@ -172,6 +164,8 @@ def _pair_terms(it: _Iterate, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
     O(l (p + q) r) instead of O(l p q)."""
     it.a = np.einsum("ij,ij->i", pb.pair_X @ it.US, pb.pair_Z @ it.V)
     it.misalign_term = hyper.lam * float(np.sum(misalign(it.a)))
+    if not np.isfinite(it.misalign_term):
+        raise NumericalError("smooth objective is non-finite")
     return it
 
 
@@ -186,21 +180,6 @@ def _hinge_term(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
     if not np.isfinite(total):
         raise NumericalError("smooth objective is non-finite")
     return F, total
-
-
-def _plus_misalign(hinge_total: float, it: _Iterate) -> float:
-    """The smooth objective: the hinge part plus the iterate's misalignment term."""
-    total = hinge_total + it.misalign_term
-    if not np.isfinite(total):
-        raise NumericalError("smooth objective is non-finite")
-    return total
-
-
-def _smooth(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
-    """Per-block discriminant values F, shape (B, m), and the smooth objective
-    (the objective minus the trace norm) at (S, alpha)."""
-    F, total = _hinge_term(it, alpha, pb, hyper)
-    return F, _plus_misalign(total, it)
 
 
 def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, delta: np.ndarray) -> float:
@@ -235,8 +214,6 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters):
 
 
 def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
-    if pb.K is None:
-        return np.zeros(0)
     y = pb.img_Y[:, 0]
     c = hyper.gamma * np.asarray(hinge_subgrad(y * F[0])) * y
     grad = y * (pb.K @ c)
@@ -274,17 +251,22 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     receives one CSV line per iteration: iteration, objective, rank, L, eps.
     `peak` tracks the largest value passed to `project_alpha`.
     """
-    S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1])) if init_S is None else init_S
-    peak = 0.0
-    if init_alpha is None:
-        alpha = np.zeros(pb.m if pb.K is not None else 0)
-    else:
-        peak = float(np.max(init_alpha, initial=peak))
-        alpha = project_alpha(init_alpha, hyper.C)
+    shape_S = (pb.text_X.shape[1], pb.img_Z.shape[1])
+    shape_alpha = (pb.m if pb.K is not None else 0,)
+    starts = (("init_S", init_S, shape_S), ("init_alpha", init_alpha, shape_alpha))
+    for name, start, shape in starts:
+        if start is not None and np.shape(start) != shape:
+            raise ValueError(f"{name} has shape {np.shape(start)}, expected {shape}")
+    S = np.zeros(shape_S) if init_S is None else init_S
+    alpha = np.zeros(shape_alpha) if init_alpha is None else project_alpha(init_alpha, hyper.C)
+    peak = 0.0 if init_alpha is None else float(np.max(init_alpha, initial=0.0))
     L = _L0
     eps = _EPS_ALPHA0
     cur = _pair_terms(_text_terms(linalg.svt_factors(S, 0.0), pb), pb, hyper)
-    F, f = _smooth(cur, alpha, pb, hyper)
+    F, h = _hinge_term(cur, alpha, pb, hyper)
+    f = h + cur.misalign_term
+    if not np.isfinite(f):
+        raise NumericalError("smooth objective is non-finite")
     trace = [f + float(np.sum(cur.sigma))]
     stop_reason = "max_iter"
     iterations = 0
@@ -304,7 +286,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
             bound = f + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
             F_cand, h_cand = _hinge_term(cand, alpha, pb, hyper)
             if h_cand + _misalign_floor(cur, g_pair, delta) <= bound + _ACCEPT_SLACK:
-                f_cand = _plus_misalign(h_cand, _pair_terms(cand, pb, hyper))
+                f_cand = h_cand + _pair_terms(cand, pb, hyper).misalign_term
                 if f_cand <= bound + _ACCEPT_SLACK:
                     cur, F, f = cand, F_cand, f_cand
                     moved = True
@@ -320,7 +302,8 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
                 cand = project_alpha(step, hyper.C)
                 delta = cand - alpha
                 bound = f + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
-                F_cand, f_cand = _smooth(cur, cand, pb, hyper)
+                F_cand, h_cand = _hinge_term(cur, cand, pb, hyper)
+                f_cand = h_cand + cur.misalign_term
                 if f_cand <= bound + _ACCEPT_SLACK:
                     alpha, F, f = cand, F_cand, f_cand
                     moved = True
@@ -388,7 +371,7 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_a
     S, alpha, report = _train_loop(pb, hyper, log=log, init_S=init_S, init_alpha=init_alpha)
     model = TrainedModel(
         S=S,
-        alpha=alpha if alpha.size else np.zeros(len(data.train_images)),
+        alpha=alpha,
         source_texts=data.source_texts,
         train_images=data.train_images,
         kernel=pb.kernel,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError
-from .model import CooccurrencePair, CorpusExample
+from .model import CooccurrencePair, CorpusExample, check_types
 
 _MAX_REDRAWS = 500
 
@@ -32,16 +32,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value, integral = getattr(self, f.name), f.name != "noise_sigma"
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if integral else numbers.Real):
-                kind = "an integer" if integral else "a real number"
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-        if self.r_true > min(self.p, self.q):
-            raise ValueError("r_true must not exceed min(p, q)")
+        check_types(self, {f.name: numbers.Real if f.name == "noise_sigma" else numbers.Integral
+                           for f in fields(self)})
         if min(self.p, self.q, self.r_true) < 1 or self.classes < 2:
             raise ValueError("dimensions and class count must be positive")
+        if self.r_true > min(self.p, self.q):
+            raise ValueError("r_true must not exceed min(p, q)")
         if min(self.n_texts, self.m_images, self.l_pairs, self.n_test, self.seed) < 0:
             raise ValueError("counts and seed must be >= 0")
         if not 0 <= self.noise_sigma < np.inf:

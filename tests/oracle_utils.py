@@ -31,8 +31,8 @@ from crossmodal.solver import (
     _build_problem,
     _grad_alpha,
     _grad_S,
+    _hinge_term,
     _pair_terms,
-    _smooth,
     _text_terms,
     project_alpha,
     train,
@@ -135,7 +135,8 @@ def svt(M: np.ndarray, threshold: float) -> np.ndarray:
 
     Returns the unique minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr.
     """
-    return linalg.svt_factors(M, threshold).matrix()
+    res = linalg.svt_factors(M, threshold)
+    return (res.U * res.sigma) @ res.V.T
 
 
 def numerical_rank(M: np.ndarray) -> int:
@@ -159,7 +160,8 @@ def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):
     alpha = np.asarray(alpha, dtype=float)
     factors = linalg.svt_factors(np.asarray(S, dtype=float), 0.0)
     it = _pair_terms(_text_terms(factors, pb), pb, hyper)
-    return (pb, it) + _smooth(it, alpha, pb, hyper)
+    F, h = _hinge_term(it, alpha, pb, hyper)
+    return pb, it, F, h + it.misalign_term
 
 
 def objective(S, alpha, data: TrainData, hyper: Hyperparameters) -> float:
@@ -237,8 +239,6 @@ def _dense_grad_S(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
 
 
 def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
-    if pb.K is None:
-        return np.zeros(0)
     F, _ = _dense_margins(S, alpha, pb)
     y = pb.img_Y[:, 0]
     c = hyper.gamma * np.asarray(hinge_subgrad(y * F[0])) * y

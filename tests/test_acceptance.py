@@ -2,15 +2,17 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
+import importlib.util
 import itertools
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from crossmodal.cli import main
-from crossmodal.evaluation import auc, average_precision, evaluate_model
+from crossmodal.evaluation import auc, average_precision
 from crossmodal.losses import misalign, misalign_deriv
 from crossmodal.model import (
     Hyperparameters,
@@ -35,6 +37,15 @@ from oracle_utils import (
 )
 
 DEFAULT_TRAIN = dict(gamma=1.0, lam=1.0, C=1.0, max_iter=120, tol=1e-7)
+
+
+def _script(name):
+    """scripts/<name>.py, imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def report(name, ok, detail=""):
@@ -114,20 +125,9 @@ def test_criterion_04_loss_identities():
 
 def test_criterion_05_planted_advantage():
     start = time.time()
-    full_errs, base_errs = [], []
-    for seed in range(20):
-        ds = generate(SynthConfig(seed=seed, m_images=4, l_pairs=2000))
-        full, _ = train(
-            TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(**DEFAULT_TRAIN)
-        )
-        base_hyper = Hyperparameters(**{**DEFAULT_TRAIN, "lam": 0.0})
-        base, _ = train(TrainData([], ds.images, []), base_hyper)
-        truth = np.array([int(e.label) for e in ds.test_images])
-        Z = stack_features(ds.test_images, ds.config.q, "test image")
-        full_pred = np.where(scores(full, Z) > 0, 1, -1)
-        base_pred = np.where(scores(base, Z) > 0, 1, -1)
-        full_errs.append(float(np.mean(full_pred != truth)))
-        base_errs.append(float(np.mean(base_pred != truth)))
+    full_errs, base_errs = _script("planted_advantage").seed_errors(
+        range(20), Hyperparameters(**DEFAULT_TRAIN), pairs=2000, images=4
+    )
     diffs = np.array(base_errs) - np.array(full_errs)
     se = diffs.std(ddof=1) / np.sqrt(diffs.size)
     elapsed = time.time() - start
@@ -142,14 +142,10 @@ def test_criterion_05_planted_advantage():
 def test_criterion_06_pairs_count_trend():
     start = time.time()
     means, ses = [], []
-    for l in (100, 500, 2000):
-        errs = []
-        for seed in range(10):
-            ds = generate(SynthConfig(seed=seed, m_images=4, l_pairs=l))
-            model, _ = train(
-                TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(**DEFAULT_TRAIN)
-            )
-            errs.append(evaluate_model(model, ds.test_images).error_rate)
+    errors = _script("pairs_sweep").sweep_errors(
+        (100, 500, 2000), range(10), Hyperparameters(**DEFAULT_TRAIN), images_per_class=2
+    )
+    for errs in errors.values():
         errs = np.array(errs)
         means.append(errs.mean())
         ses.append(errs.std(ddof=1) / np.sqrt(errs.size))

@@ -355,6 +355,11 @@ class TestCrossval:
         with pytest.raises(DataError):
             crossval_select(TrainData(), base=self.base())
 
+    def test_empty_grid_rejected(self):
+        grid = {"lam": (), "gamma": (1.0,), "C": (1.0,)}
+        with pytest.raises(DataError, match="empty hyperparameter grid"):
+            crossval_select(self.small_data(), base=self.base(), grid=grid)
+
     def test_fit_at_a_repeated_C_runs_once(self, monkeypatch):
         fits = _count_fits(monkeypatch)
         grid = {"lam": (0.5,), "gamma": (1.0,), "C": (2.0, 2.0)}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import crossmodal
 from crossmodal import data_io
-from crossmodal.cli import main
+from crossmodal.cli import _hyper_from_args, build_parser, main
 from crossmodal.errors import DataError
 from crossmodal.model import (
     CooccurrencePair,
@@ -429,6 +429,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{pred}:2: {expected}" in err
 
+    @pytest.mark.parametrize("lines, expected", [
+        ("", "no predictions to evaluate"),
+        ('{"id": "zz", "score": 0.5, "label": 1}\n', "no truth for predicted ids ['zz']"),
+    ])
+    def test_evaluate_unmatched_predictions_exit_2(self, tmp_path, capsys, lines, expected):
+        truth, pred = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
+        truth.write_text(json.dumps({"kind": "image", "id": "i0", "label": 1,
+                                     "features": [0.0]}) + "\n")
+        pred.write_text(lines)
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err == f"data error: {expected}\n"
+
     def test_evaluate_binary_against_class_truth_exit_2(self, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         truth.write_text(json.dumps(
@@ -465,10 +477,14 @@ class TestCli:
         ({"noise_sigma": 1e999}, [], "noise_sigma must be finite and >= 0"),
         ({}, ["--seed", "-1"], "counts and seed must be >= 0"),
         ([1], ["--seed", "3"], "is not a JSON object"),
+        ('{"p": 8,', [], "is not valid JSON"),
+        ({"p": 0}, [], "dimensions and class count must be positive"),
+        ({"p": 3, "q": 2, "r_true": 3}, [], "r_true must not exceed min(p, q)"),
+        ({"r_true": 1, "classes": 3}, [], "could not draw a balanced labeling"),
     ])
     def test_bad_synth_config_exit_2(self, tmp_path, capsys, config, flags, expected):
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.jsonl"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         assert main(["synth", "--config", str(cfg), "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: bad synth config: ") and expected in err
@@ -507,9 +523,57 @@ class TestCli:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
         assert "example 't0' has label 'a'" in capsys.readouterr().err
 
-    def test_usage_error_exit_code(self, capsys):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         assert main(["train", "--data"]) == 1
         assert main(["frobnicate"]) == 1
+        capsys.readouterr()
+        # Checked before the data file is read.
+        assert main(["zeroshot", "--data", str(tmp_path / "missing.jsonl"), "--unseen", ",",
+                     "--out", str(tmp_path / "zs.json")]) == 1
+        assert capsys.readouterr().err == "error: --unseen must name at least one class\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d.jsonl", "--out", "m.json"],
+        ["crossval", "--data", "d.jsonl"],
+        ["zeroshot", "--data", "d.jsonl", "--unseen", "c0", "--out", "m.json"],
+    ])
+    def test_hyper_flag_defaults_are_the_dataclass_defaults(self, argv):
+        assert _hyper_from_args(build_parser().parse_args(argv)) == Hyperparameters()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("flags, expected", [
+        ([], "median image distance is non-finite; pass an explicit bandwidth"),
+        (["--kernel", "linear"], "smooth objective is non-finite"),
+    ])
+    def test_overflowing_features_exit_3(self, tmp_path, synth_config, capsys, flags, expected):
+        data, big = tmp_path / "train.jsonl", tmp_path / "big.jsonl"
+        out = tmp_path / "model.json"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data)]) == 0
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        for rec in records:
+            for key in ("features", "text_features", "image_features"):
+                if key in rec:
+                    rec[key] = [1e200 * v for v in rec[key]]
+        big.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["train", "--data", str(big), "--out", str(out), *flags]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("record, expected", [
+        ({"kind": "image", "id": "i0", "label": 1}, "missing 'features'"),
+        ({"kind": "image", "id": "i0", "label": 1, "features": []},
+         "'features' must be a non-empty array of numbers"),
+        ({"kind": "video", "id": "i0", "label": 1, "features": [1.0]}, "unknown kind 'video'"),
+        ({"kind": "image", "id": 0, "label": 1, "features": [1.0]}, "missing string id"),
+        ({"kind": "image", "label": 1, "features": [1.0]}, "missing string id"),
+    ])
+    def test_bad_dataset_record_exit_2(self, tmp_path, capsys, record, expected):
+        data, out = tmp_path / "train.jsonl", tmp_path / "model.json"
+        data.write_text(json.dumps(record) + "\n")
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {data}:1: {expected}\n"
+        assert not out.exists()
 
     def test_identical_training_images_exit_2(self, tmp_path, capsys):
         # The median heuristic has no bandwidth to give identical images.
@@ -703,6 +767,48 @@ class TestCli:
                      "--out", str(out), "--max-iter", "5"]) == 2
         assert capsys.readouterr().err == f"data error: {lib.value}\n"
         assert not out.exists()
+
+    def trained_model_doc(self, tmp_path, synth_config, capsys):
+        """A binary model file trained by the CLI, its test images and its JSON."""
+        data, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        model = tmp_path / "model.json"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data),
+                     "--test-out", str(test)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(model),
+                     "--max-iter", "5"]) == 0
+        capsys.readouterr()
+        return model, test, json.loads(model.read_text())
+
+    def assert_predict_rejects(self, tmp_path, capsys, model, test, doc, expected):
+        pred = tmp_path / "pred.jsonl"
+        model.write_text(json.dumps(doc))
+        assert main(["predict", "--model", str(model), "--images", str(test),
+                     "--out", str(pred)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {model}: invalid model file: {expected}\n"
+        assert not pred.exists()
+
+    @pytest.mark.parametrize("path, value, expected", [
+        (("hyper", "normalize"), "false", "normalize must be a bool, got 'false'"),
+        (("hyper", "normalize"), 1.5, "normalize must be a bool, got 1.5"),
+        (("hyper", "max_iter"), 2.5, "max_iter must be an integer, got 2.5"),
+        (("hyper", "max_iter"), True, "max_iter must be an integer, got True"),
+        (("hyper", "gamma"), True, "gamma must be a real number, got True"),
+        (("kernel", "bandwidth"), True, "bandwidth must be a real number, got True"),
+    ])
+    def test_predict_rejects_mistyped_hyperparameters(self, tmp_path, synth_config, capsys,
+                                                      path, value, expected):
+        model, test, doc = self.trained_model_doc(tmp_path, synth_config, capsys)
+        doc[path[0]][path[1]] = value
+        self.assert_predict_rejects(tmp_path, capsys, model, test, doc, expected)
+
+    @pytest.mark.parametrize("field", ["S", "alpha"])
+    def test_predict_rejects_a_short_array(self, tmp_path, synth_config, capsys, field):
+        model, test, doc = self.trained_model_doc(tmp_path, synth_config, capsys)
+        doc[field].pop()
+        expected = {"S": f"S has {len(doc['S'])} entries, expected {doc['p'] * doc['q']}",
+                    "alpha": "alpha length must match the number of training images"}[field]
+        self.assert_predict_rejects(tmp_path, capsys, model, test, doc, expected)
 
     @pytest.mark.parametrize("fault", ["class label", "integer id"])
     def test_predict_names_a_bad_model_file(self, tmp_path, synth_config, capsys, fault):

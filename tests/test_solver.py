@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -118,19 +119,19 @@ class TestSteps:
     def test_prox_pure_shrinkage(self):
         out = prox_step(np.diag([0.5, 0.3]), np.zeros((2, 2)), 1.0)
         assert out.sigma.size == 0
-        np.testing.assert_allclose(out.matrix(), 0.0, atol=1e-12)
+        np.testing.assert_allclose((out.U * out.sigma) @ out.V.T, 0.0, atol=1e-12)
 
     def test_prox_diag_example(self):
         out = prox_step(np.diag([3.0, 1.0]), np.zeros((2, 2)), 1.0)
         np.testing.assert_allclose(out.sigma, [2.0], atol=1e-12)
-        np.testing.assert_allclose(out.matrix(), np.diag([2.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose((out.U * out.sigma) @ out.V.T, np.diag([2.0, 0.0]), atol=1e-12)
 
     def test_prox_large_L_keeps_point(self):
         rng = np.random.default_rng(3)
         S = rng.standard_normal((3, 4))
         g = rng.standard_normal((3, 4))
         out = prox_step(S, g, 1e12)
-        np.testing.assert_allclose(out.matrix(), S, atol=1e-9)
+        np.testing.assert_allclose((out.U * out.sigma) @ out.V.T, S, atol=1e-9)
 
     def test_project_alpha(self):
         np.testing.assert_allclose(
@@ -244,6 +245,17 @@ class TestTrain:
         assert report.stop_reason == "linesearch"
         assert report.iterations == 1
         assert report.objective_trace[-1] == report.objective_trace[-2]
+
+    @pytest.mark.parametrize("images, start, expected", [
+        (0, {"init_alpha": np.array([0.3])}, "init_alpha has shape (1,), expected (0,)"),
+        (16, {"init_alpha": np.zeros(2)}, "init_alpha has shape (2,), expected (16,)"),
+        (16, {"init_S": np.zeros((15, 20))}, "init_S has shape (15, 20), expected (20, 15)"),
+    ])
+    def test_start_of_the_wrong_shape_rejected(self, images, start, expected):
+        ds = _small_synth(0)
+        data = TrainData(ds.texts, ds.images[:images], ds.pairs)
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            train(data, Hyperparameters(max_iter=5), **start)
 
     def test_dimension_mismatch_rejected(self):
         from crossmodal.errors import DataError
