@@ -20,6 +20,7 @@ from .model import (
     Hyperparameters,
     KernelSpec,
     TrainedModel,
+    check_unseen_texts,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -112,13 +113,19 @@ def _reject_constant(token: str):
     raise DataError(f"non-finite number {token} is not allowed")
 
 
-def _features(rec: dict, key: str) -> np.ndarray:
+def _features(rec: dict, key: str, dims: dict[str, int], modality: str) -> np.ndarray:
+    """The feature vector `key` of `rec`, as wide as `dims[modality]`; the
+    first vector of a modality sets that width when `dims` has none."""
     if key not in rec:
         raise DataError(f"missing {key!r}")
     values = rec[key]
     if not isinstance(values, list) or not values:
         raise DataError(f"{key!r} must be a non-empty array of numbers")
-    return _finite(values, repr(key))
+    v = _finite(values, repr(key))
+    dim = dims.setdefault(modality, v.shape[0])
+    if v.shape[0] != dim:
+        raise DataError(f"{modality} feature dimension {v.shape[0]} != expected {dim}")
+    return v
 
 
 def _read_jsonl(path: str, what: str, take, parse_constant=None) -> None:
@@ -136,17 +143,18 @@ def _read_jsonl(path: str, what: str, take, parse_constant=None) -> None:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
 
 
+def _example(rec: dict, kind: str, dims: dict[str, int]) -> CorpusExample:
+    """A text or image record: a string id, its `_features`, a label or class."""
+    if not isinstance(rec.get("id"), str):
+        raise DataError("missing string id")
+    return CorpusExample(rec["id"], _features(rec, "features", dims, kind), _parse_label(rec))
+
+
 def parse_dataset(path: str) -> Corpora:
     """Parse and validate a dataset file; errors carry the offending line number."""
     corpora = Corpora()
     dims: dict[str, int] = {}
     seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
-
-    def check_dim(modality: str, vec: np.ndarray):
-        # Pairs share each modality's width with the texts or the images.
-        dim = dims.setdefault(modality, vec.shape[0])
-        if vec.shape[0] != dim:
-            raise DataError(f"{modality} feature dimension {vec.shape[0]} != established {dim}")
 
     def take(rec):
         if not isinstance(rec, dict):
@@ -161,15 +169,12 @@ def parse_dataset(path: str) -> Corpora:
             raise DataError(f"duplicate {kind} id {rid!r}")
         seen_ids[kind].add(rid)
         if kind == "pair":
-            x = _features(rec, "text_features")
-            z = _features(rec, "image_features")
-            check_dim("text", x)
-            check_dim("image", z)
+            # Pairs share each modality's width with the texts or the images.
+            x = _features(rec, "text_features", dims, "text")
+            z = _features(rec, "image_features", dims, "image")
             corpora.pairs.append(CooccurrencePair(x, z, class_id=_parse_class(rec)))
         else:
-            v = _features(rec, "features")
-            check_dim(kind, v)
-            ex = CorpusExample(rid, v, _parse_label(rec))
+            ex = _example(rec, kind, dims)
             (corpora.texts if kind == "text" else corpora.images).append(ex)
 
     _read_jsonl(path, "record", take)
@@ -301,24 +306,21 @@ def write_model(model, path, unseen_classes=None) -> None:
     atomic_write_text(path, serialize_model(model, unseen_classes))
 
 
-def _model_examples(records: list, key: str, dim: int, binary: bool) -> list[CorpusExample]:
-    """The embedded corpus `key` of a model file, checked as `parse_dataset`
-    checks dataset records; a binary model's labels must be +1/-1."""
+def _model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list[CorpusExample]:
+    """The embedded corpus `key` of a model file, each record read as
+    `parse_dataset` reads one; a binary model's labels must be +1/-1."""
+    kind = "text" if key == "source_texts" else "image"
     out = []
-    for rec in records:
-        rid = rec.get("id")
-        if not isinstance(rid, str):
-            raise DataError(f"{key} record without a string id")
+    for rec in doc[key]:
         try:
-            v = _features(rec, "features")
-            if v.shape != (dim,):
-                raise DataError(f"features have shape {v.shape}, expected ({dim},)")
-            label = _parse_label(rec)
-            if binary and label not in (1, -1):
-                raise DataError(f"label {label!r} in a binary model, which needs +1/-1")
+            ex = _example(rec, kind, dims)
+            if binary and ex.label not in (1, -1):
+                raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
         except DataError as exc:
-            raise DataError(f"{key} {rid!r}: {exc}") from exc
-        out.append(CorpusExample(rid, v, label))
+            if not isinstance(rec.get("id"), str):
+                raise DataError(f"{key} record without a string id") from exc
+            raise DataError(f"{key} {rec['id']!r}: {exc}") from exc
+        out.append(ex)
     return out
 
 
@@ -336,27 +338,37 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
                         f"this build reads version {MODEL_FORMAT_VERSION}")
     mode = doc.get("mode", "binary")
     unseen = doc.get("unseen_classes", [])
+    final = doc.get("final_objective")
     try:
-        if mode == "zeroshot" and not unseen:
+        if mode not in ("binary", "zeroshot"):
+            raise DataError(f"unknown mode {mode!r}")
+        if not (isinstance(unseen, list) and all(isinstance(c, str) for c in unseen)
+                and len(set(unseen)) == len(unseen)):
+            raise DataError("unseen_classes must be a list of distinct strings")
+        binary = mode == "binary"
+        if binary and unseen:
+            raise DataError("binary model lists unseen classes")
+        if not binary and not unseen:
             raise DataError("zero-shot model lists no unseen classes")
         p, q = doc["p"], doc["q"]
         S = _finite(doc["S"], "S")
         if S.size != p * q:
             raise DataError(f"S has {S.size} entries, expected {p * q}")
         kernel = KernelSpec(kind=doc["kernel"]["kind"], bandwidth=doc["kernel"]["bandwidth"])
-        binary = mode != "zeroshot"
         model = TrainedModel(
             S=S.reshape(p, q),
             alpha=_finite(doc["alpha"], "alpha"),
-            source_texts=_model_examples(doc["source_texts"], "source_texts", p, binary),
-            train_images=_model_examples(doc["train_images"], "train_images", q, binary),
+            source_texts=_model_examples(doc, "source_texts", {"text": p}, binary),
+            train_images=_model_examples(doc, "train_images", {"image": q}, binary),
             kernel=kernel,
             hyper=_hyper_from_dict(doc["hyper"]),
-            final_objective=doc.get("final_objective"),
+            final_objective=None if final is None else _finite_number(final, "final_objective"),
         )
         # Only binary scoring uses the kernel; zero-shot models leave it unresolved.
         if binary and model.train_images and kernel == KernelSpec("gaussian", None):
             raise DataError("binary model with training images has a null gaussian bandwidth")
+        if not binary:
+            check_unseen_texts(model.source_texts, unseen)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid model file: {exc}") from exc
     return model, mode, unseen

@@ -117,10 +117,10 @@ class TrainedModel:
         return self.hyper.normalize
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    return v if norm == 0 else v / norm
+def normalize_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of the matrix X scaled to unit L2 norm; a zero row stays zero."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    return X / np.where(norms == 0.0, 1.0, norms)
 
 
 def stack_rows(rows: list[np.ndarray], dim: int, name) -> np.ndarray:
@@ -165,6 +165,15 @@ def ovr_labels(examples: list[CorpusExample], classes: list[str]) -> np.ndarray:
         if b is not None:
             labels[i, b] = 1.0
     return labels
+
+
+def check_unseen_texts(texts: list[CorpusExample], unseen) -> None:
+    """Raise DataError unless each unseen class labels one of `texts`:
+    `unseen_scores` ranks a class by the votes of its texts, and a class with
+    none by every text's -1 vote alone."""
+    textless = set(unseen) - {t.label for t in texts}
+    if textless:
+        raise DataError(f"unseen classes label no source text: {sorted(textless)}")
 
 
 def kernel_matrix(kernel: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndarray:
@@ -216,10 +225,7 @@ def _queries(model: TrainedModel, Z) -> np.ndarray:
     q = model.S.shape[1]
     if Z.ndim != 2 or Z.shape[1] != q:
         raise DataError(f"query images have shape {Z.shape}, expected (k, {q})")
-    if model.normalize:
-        norms = np.linalg.norm(Z, axis=1, keepdims=True)
-        Z = Z / np.where(norms == 0.0, 1.0, norms)
-    return Z
+    return normalize_rows(Z) if model.normalize else Z
 
 
 def _text_votes(model: TrainedModel, Z: np.ndarray) -> np.ndarray:

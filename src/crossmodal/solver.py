@@ -18,8 +18,8 @@ from .model import (
     KernelSpec,
     TrainedModel,
     kernel_matrix,
-    l2_normalize,
     median_bandwidth,
+    normalize_rows,
     signs,
     stack_features,
     stack_rows,
@@ -335,22 +335,16 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     return cur.S, alpha, report
 
 
-def _normalized(examples: list[CorpusExample]) -> list[CorpusExample]:
-    return [CorpusExample(e.id, l2_normalize(e.features), e.label) for e in examples]
-
-
 def normalize_data(data: TrainData) -> TrainData:
-    """L2-normalize every feature vector, returning a new TrainData."""
+    """L2-normalize every feature vector, returning a new TrainData; a zero
+    vector stays zero, and a ragged corpus raises the DataError of training."""
+    pb = _build_problem(data, None, None, kernel=None)
+    X, Z, pair_X, pair_Z = map(normalize_rows, (pb.text_X, pb.img_Z, pb.pair_X, pb.pair_Z))
     return replace(
         data,
-        source_texts=_normalized(data.source_texts),
-        train_images=_normalized(data.train_images),
-        pairs=[
-            CooccurrencePair(
-                l2_normalize(c.text_features), l2_normalize(c.image_features), c.class_id
-            )
-            for c in data.pairs
-        ],
+        source_texts=[CorpusExample(e.id, x, e.label) for e, x in zip(data.source_texts, X)],
+        train_images=[CorpusExample(e.id, z, e.label) for e, z in zip(data.train_images, Z)],
+        pairs=[CooccurrencePair(x, z, c.class_id) for c, x, z in zip(data.pairs, pair_X, pair_Z)],
     )
 
 

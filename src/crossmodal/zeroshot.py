@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DataError
-from .model import Hyperparameters, TrainedModel, ovr_labels
+from .model import Hyperparameters, TrainedModel, check_unseen_texts, ovr_labels
 from .solver import TrainData, TrainReport, _build_problem, _train_loop, normalize_data
 
 
@@ -18,11 +18,11 @@ def train_zeroshot(
 ) -> tuple[TrainedModel, TrainReport]:
     """Train the shared transfer matrix on the seen classes only.
 
-    Labels here are class-id strings. Every unseen class must label a text or
-    a training image, every training image needs a class id and every pair a
-    class tag. The seen classes are the classes of the texts and training
-    images that are not unseen; at least one is required. Training images and
-    pairs of unseen classes are dropped: their labels never enter training.
+    Labels here are class-id strings. Every unseen class must label a text,
+    every training image needs a class id and every pair a class tag. The
+    seen classes are the classes of the texts and training images that are
+    not unseen; at least one is required. Training images and pairs of unseen
+    classes are dropped: their labels never enter training.
 
     Each seen class contributes a one-vs-rest hinge block over the seen-class
     texts and training images; all blocks share one S. No alpha coefficients
@@ -34,6 +34,7 @@ def train_zeroshot(
     unknown = unseen - labels
     if unknown:
         raise DataError(f"unseen classes not present in data: {sorted(unknown)}")
+    check_unseen_texts(data.source_texts, unseen)
     for img in data.train_images:
         if not isinstance(img.label, str):
             raise DataError(f"training image {img.id!r} has label {img.label!r}, not a class id")

@@ -1,8 +1,9 @@
 """Shared independent oracles: finite differences, brute-force ranking metrics,
 the per-image scalar discriminants the batched scoring path is checked
-against, the dense trace norm, SVT and numerical rank, the single-block
-objective and its gradients, the uncached training loop the solver's loop is
-checked against, the full-grid cross-validation crossval_select is checked
+against, the per-vector L2 normalizer the row normalizer is checked against,
+the dense trace norm, SVT and numerical rank, the single-block objective and
+its gradients, the uncached training loop the solver's loop is checked
+against, the full-grid cross-validation crossval_select is checked
 against, the per-example synthetic generator the block generator is checked
 against, and random small training instances."""
 import itertools
@@ -20,7 +21,6 @@ from crossmodal.model import (
     Hyperparameters,
     KernelSpec,
     TrainedModel,
-    l2_normalize,
     scores,
     signs,
     stack_features,
@@ -45,6 +45,23 @@ from crossmodal.synth import SynthConfig, SynthDataset, _draw_class_weights, _dr
 def _check_dim(v: np.ndarray, dim: int, name: str):
     if v.shape != (dim,):
         raise ValueError(f"{name} has shape {v.shape}, expected ({dim},)")
+
+
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """One feature vector scaled to unit L2 norm; a zero vector stays zero."""
+    v = np.asarray(v, dtype=float)
+    norm = np.linalg.norm(v)
+    return v if norm == 0 else v / norm
+
+
+def l2_normalized_data(data: TrainData) -> TrainData:
+    """`data` with every feature vector normalized by `l2_normalize`."""
+    def unit(examples):
+        return [CorpusExample(e.id, l2_normalize(e.features), e.label) for e in examples]
+
+    pairs = [CooccurrencePair(l2_normalize(c.text_features), l2_normalize(c.image_features),
+                              c.class_id) for c in data.pairs]
+    return TrainData(unit(data.source_texts), unit(data.train_images), pairs)
 
 
 def transfer_score(x: np.ndarray, S: np.ndarray, z: np.ndarray) -> float:

@@ -270,8 +270,41 @@ class TestModelIO:
         doc["kernel"]["bandwidth"] = None
         doc.update(train_images=[], alpha=[])
         assert data_io.parse_model(json.dumps(doc))[0].kernel == KernelSpec("gaussian", None)
+        del doc["source_texts"][0]["label"]
+        doc["source_texts"][0]["class"] = "c0"
         doc.update(mode="zeroshot", unseen_classes=["c0"])
         assert data_io.parse_model(json.dumps(doc))[1:] == ("zeroshot", ["c0"])
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("mode", "zeroshot2", "unknown mode 'zeroshot2'"),
+        ("unseen_classes", "c0", "unseen_classes must be a list of distinct strings"),
+        ("unseen_classes", [1, 2], "unseen_classes must be a list of distinct strings"),
+        ("unseen_classes", ["c0", "c0"], "unseen_classes must be a list of distinct strings"),
+        ("unseen_classes", ["c0", "c1"], r"unseen classes label no source text: \['c1'\]"),
+        ("final_objective", "abc", "final_objective must be a finite number"),
+        ("final_objective", True, "final_objective must be a finite number"),
+    ])
+    def test_zeroshot_model_fields_checked(self, field, value, expected):
+        doc = json.loads(data_io.serialize_model(self.trained_model(), ["c0"]))
+        del doc["source_texts"][0]["label"]
+        doc["source_texts"][0]["class"] = "c0"
+        assert data_io.parse_model(json.dumps(doc))[1:] == ("zeroshot", ["c0"])
+        doc[field] = value
+        with pytest.raises(DataError, match=f"^invalid model file: {expected}$"):
+            data_io.parse_model(json.dumps(doc))
+
+    def test_binary_model_with_unseen_classes_rejected(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["unseen_classes"] = ["c0"]
+        with pytest.raises(DataError, match="invalid model file: binary model lists unseen"):
+            data_io.parse_model(json.dumps(doc))
+
+    def test_final_objective_beyond_float_range_rejected(self):
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        doc["final_objective"] = 1.0
+        text = json.dumps(doc).replace('"final_objective": 1.0', '"final_objective": 1e999')
+        with pytest.raises(DataError, match="final_objective must be a finite number"):
+            data_io.parse_model(text)
 
     def test_zeroshot_model_without_unseen_classes_rejected(self):
         doc = json.loads(data_io.serialize_model(self.trained_model(), ["c0"]))
@@ -747,11 +780,14 @@ class TestCli:
         assert raw_io.out == seen_io.out and raw_model == seen_model
 
     @pytest.mark.parametrize("case", ["unknown class", "image label", "untagged pair",
-                                      "no seen class"])
+                                      "no seen class", "class without text"])
     def test_zeroshot_rejects_what_the_library_rejects(self, tmp_path, capsys, case):
         ds = generate(SynthConfig(p=6, q=5, r_true=2, classes=3, n_texts=45, m_images=24,
                                   l_pairs=60, n_test=30, seed=3))
-        unseen = {"unknown class": "c1,zz", "no seen class": "c0,c1,c2"}.get(case, "c2")
+        unseen = {"unknown class": "c1,zz", "no seen class": "c0,c1,c2",
+                  "class without text": "c1,c2"}.get(case, "c2")
+        if case == "class without text":
+            ds.texts[:] = [t for t in ds.texts if t.label != "c2"]
         if case == "image label":
             ds.images[3] = CorpusExample(ds.images[3].id, ds.images[3].features, 1)
         if case == "untagged pair":
@@ -942,8 +978,11 @@ def models(draw):
     """A binary model, possibly images-only (S of shape (0, q)), or a zero-shot
     model with unseen classes."""
     zeroshot = draw(st.booleans())
-    p, q = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    # Each unseen class of a zero-shot model labels one of its texts.
+    p, q = draw(st.integers(int(zeroshot), 3)), draw(st.integers(1, 3))
     texts = draw(examples(p, ANY_LABEL if zeroshot else BINARY_LABEL)) if p else []
+    unseen = draw(st.lists(CLASS_ID, min_size=1, max_size=3, unique=True)) if zeroshot else []
+    texts += [CorpusExample(f"u{k}", draw(vectors(p)), c) for k, c in enumerate(unseen)]
     images = [] if zeroshot else draw(examples(q, BINARY_LABEL))
     kind = draw(st.sampled_from(["gaussian", "linear"]))
     # A binary model scores its images by the kernel, so a gaussian one needs
@@ -964,7 +1003,6 @@ def models(draw):
             tol=draw(st.floats(1e-12, 1.0)), normalize=draw(st.booleans())),
         final_objective=draw(st.one_of(st.none(), FINITE)),
     )
-    unseen = draw(st.lists(CLASS_ID, min_size=1, max_size=3, unique=True)) if zeroshot else []
     return model, unseen
 
 

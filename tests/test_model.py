@@ -12,7 +12,6 @@ from crossmodal.model import (
     KernelSpec,
     TrainedModel,
     kernel_matrix,
-    l2_normalize,
     median_bandwidth,
     scores,
     signs,
@@ -26,6 +25,7 @@ from oracle_utils import (
     f_inter,
     f_intra,
     kernel_eval,
+    l2_normalize,
     one_vs_rest_texts,
     predict_label,
     score_unseen,

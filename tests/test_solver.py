@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from oracle_utils import (
     fd_grad_alpha,
     grad_S,
     grad_alpha,
+    l2_normalized_data,
     numerical_rank,
     objective,
     random_instance,
@@ -286,8 +288,14 @@ class TestTrain:
                 pairs[k] = CooccurrencePair(np.ones(4), np.ones(2))
             else:
                 pairs[k] = CooccurrencePair(np.ones(3), np.ones(3))
-        with pytest.raises(DataError, match=name):
-            train(TrainData(texts, images, pairs), Hyperparameters(max_iter=1))
+        # normalize stacks the corpora first; its error must be training's.
+        errors = []
+        for normalize in (False, True):
+            with pytest.raises(DataError, match=name) as exc:
+                train(TrainData(texts, images, pairs),
+                      Hyperparameters(max_iter=1, normalize=normalize))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 def _assert_close(got, want, rtol=1e-12):
@@ -428,6 +436,40 @@ class TestLoopMatchesReference:
         with pytest.raises(NumericalError, match="smooth objective is non-finite"):
             train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
         assert probes["n"] == 3
+
+
+class TestNormalizeMatchesReference:
+    """normalize=True fits what an unnormalized fit does on the data that the
+    per-vector reference normalizer returns; a zero vector stays zero."""
+
+    @staticmethod
+    def with_zero_text(ds):
+        texts = list(ds.texts)
+        texts[1] = CorpusExample(texts[1].id, np.zeros_like(texts[1].features), texts[1].label)
+        return TrainData(texts, ds.images, ds.pairs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_binary(self, seed, kind):
+        data = self.with_zero_text(_small_synth(seed))
+        hyper = Hyperparameters(gamma=0.7, lam=1.3, C=2.0, kernel=KernelSpec(kind=kind),
+                                max_iter=80)
+        fit = train(data, replace(hyper, normalize=True))
+        ref = train(l2_normalized_data(data), hyper)
+        _assert_same_fit(fit, ref)
+        assert fit[0].kernel.bandwidth == pytest.approx(ref[0].kernel.bandwidth, rel=1e-12)
+        for got, want in [(fit[0].source_texts, ref[0].source_texts),
+                          (fit[0].train_images, ref[0].train_images)]:
+            _assert_close([e.features for e in got], [e.features for e in want])
+
+    def test_zeroshot(self):
+        data = self.with_zero_text(_small_synth(0, classes=4))
+        hyper = Hyperparameters(gamma=0.5, max_iter=80)
+        fit = train_zeroshot(data, {"c3"}, replace(hyper, normalize=True))
+        ref = train_zeroshot(l2_normalized_data(data), {"c3"}, hyper)
+        _assert_same_fit(fit, ref)
+        _assert_close([e.features for e in fit[0].source_texts],
+                      [e.features for e in ref[0].source_texts])
 
 
 class TestAlphaPeak:

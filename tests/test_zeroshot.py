@@ -128,6 +128,13 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match=r"not present in data: \['zz'\]"):
             train_zeroshot(data, {"u", "zz"}, HYPER)
 
+    def test_unseen_class_without_text_rejected(self):
+        # Its images are dropped, so it would be ranked by the -1 votes alone.
+        data = small_classes_data(5, ["a", "b"])
+        data.train_images.append(CorpusExample("iv", np.ones(2), "v"))
+        with pytest.raises(DataError, match=r"unseen classes label no source text: \['v'\]"):
+            train_zeroshot(data, {"u", "v"}, HYPER)
+
 
 def multiclass_split(seed=0, **kw):
     """A 5-class synth set whose class c0 is unseen; its images are left in,
@@ -174,7 +181,11 @@ class TestTrainZeroshot:
         _, data = multiclass_split()
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=20, tol=1e-10)
         _, with_unseen = train_zeroshot(data, {"c0"}, hyper)
-        stripped = replace(data, source_texts=[t for t in data.source_texts if t.label != "c0"])
+        # The unseen class keeps the one text it needs.
+        c0_texts = [t for t in data.source_texts if t.label == "c0"]
+        assert len(c0_texts) > 1
+        stripped = replace(data, source_texts=[t for t in data.source_texts
+                                               if t.label != "c0"] + c0_texts[:1])
         _, without_unseen = train_zeroshot(stripped, {"c0"}, hyper)
         assert with_unseen.objective_trace == without_unseen.objective_trace
 
