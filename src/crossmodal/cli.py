@@ -34,11 +34,16 @@ class OptionValueError(Exception):
     """An option value the parser accepts but the model rejects, such as --cap-c 0."""
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser):
+def _add_hyper_flags(p: argparse.ArgumentParser, searched: bool = True):
+    """The hyperparameter flags; `searched` False leaves out --gamma, --lambda
+    and --cap-c, whose values crossval's grid picks."""
     d = Hyperparameters()
-    p.add_argument("--gamma", type=float, default=d.gamma)
-    p.add_argument("--lambda", dest="lam", type=float, default=d.lam)
-    p.add_argument("--cap-c", dest="cap_c", type=float, default=d.C)
+    if searched:
+        p.add_argument("--gamma", type=float, default=d.gamma)
+        p.add_argument("--lambda", dest="lam", type=float, default=d.lam)
+        p.add_argument("--cap-c", dest="cap_c", type=float, default=d.C)
+    else:
+        p.set_defaults(gamma=d.gamma, lam=d.lam, cap_c=d.C)
     p.add_argument("--kernel", choices=["gaussian", "linear"], default=d.kernel.kind)
     p.add_argument("--bandwidth", type=float, default=d.kernel.bandwidth,
                    help="gaussian bandwidth; default: median heuristic")
@@ -91,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="twofold cross-validated grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, searched=False)
 
     p = sub.add_parser("zeroshot", help="train a shared transfer matrix")
     p.add_argument("--data", required=True)

@@ -21,6 +21,7 @@ from .model import (
     KernelSpec,
     TrainedModel,
     check_unseen_texts,
+    is_sign,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -51,7 +52,7 @@ def atomic_write_text(path: str, content: str) -> None:
 def _example_record(kind: str, ex: CorpusExample) -> dict:
     rec = {"kind": kind, "id": ex.id, "features": list(map(float, ex.features))}
     if ex.label is not None:
-        rec["label" if isinstance(ex.label, int) else "class"] = ex.label
+        rec["label" if is_sign(ex.label) else "class"] = ex.label
     return rec
 
 
@@ -87,7 +88,7 @@ def _parse_class(rec: dict) -> str | None:
 def _parse_label(rec: dict):
     if "label" in rec:
         label = rec["label"]
-        if not isinstance(label, int) or isinstance(label, bool) or label not in (1, -1):
+        if not is_sign(label):
             raise DataError(f"label must be 1 or -1, got {label!r}")
         return label
     return _parse_class(rec)
@@ -241,7 +242,7 @@ def read_predictions(path: str) -> Predictions:
             rows.append([row[c] for c in classes])
         else:
             rows.append(_finite_number(rec.get("score"), "'score'"))
-            if type(rec.get("label")) is not int or rec["label"] not in (1, -1):
+            if not is_sign(rec.get("label")):
                 raise DataError("'label' must be 1 or -1")
             labels.append(rec["label"])
         if rec["id"] in ids:
@@ -314,7 +315,7 @@ def _model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list[Corpu
     for rec in doc[key]:
         try:
             ex = _example(rec, kind, dims)
-            if binary and ex.label not in (1, -1):
+            if binary and not is_sign(ex.label):
                 raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
         except DataError as exc:
             if not isinstance(rec.get("id"), str):

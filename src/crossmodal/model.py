@@ -148,10 +148,17 @@ def stack_features(examples: list[CorpusExample], dim: int, what: str) -> np.nda
     )
 
 
+def is_sign(label) -> bool:
+    """Whether `label` is a binary-mode label: the Python int 1 or -1, not a
+    bool, a float or a numpy integer, so that it is written to and read from
+    files as it is."""
+    return type(label) is int and label in (1, -1)
+
+
 def signs(examples: list[CorpusExample], what: str = "example") -> np.ndarray:
     """The +1/-1 labels of binary-mode examples as floats."""
     for e in examples:
-        if isinstance(e.label, bool) or e.label not in (1, -1):
+        if not is_sign(e.label):
             raise DataError(f"{what} {e.id!r} has label {e.label!r}; binary mode needs +1/-1")
     return np.array([float(e.label) for e in examples])
 

@@ -4,7 +4,7 @@ constrained alpha coefficients, both with backtracking so the objective never
 increases."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,9 +99,14 @@ class _Problem:
         return self.img_Z.shape[0]
 
 
-def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) -> _Problem:
+def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, normalize: bool):
     """Stack the corpora of `data` into arrays, with (n, B) and (m, B) label
-    blocks for texts and images. A `kernel` of None leaves alpha off.
+    blocks for texts and images. Returns the problem and the texts and images
+    as the model keeps them.
+
+    Every text is stacked, so every text's width is checked, but a text whose
+    label row is all zero is left out of the problem. `normalize` L2-normalizes
+    the stacked rows. A `kernel` of None leaves alpha off.
 
     p is the width of the texts, else of the pairs' texts, else 0; q is the
     width of the images, else of the pairs' images."""
@@ -114,14 +119,19 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) ->
     img_Z = stack_features(images, q, "training image")
     pair_X = stack_rows([c.text_features for c in pairs], p, lambda k: f"pair {k} text")
     pair_Z = stack_rows([c.image_features for c in pairs], q, lambda k: f"pair {k} image")
+    if normalize:
+        text_X, img_Z, pair_X, pair_Z = map(normalize_rows, (text_X, img_Z, pair_X, pair_Z))
+        texts = [CorpusExample(e.id, x, e.label) for e, x in zip(texts, text_X)]
+        images = [CorpusExample(e.id, z, e.label) for e, z in zip(images, img_Z)]
     if kernel is not None and kernel.kind == "gaussian" and kernel.bandwidth is None:
         # Median heuristic; one training image gives K(z, z) = 1 for any bandwidth.
         bandwidth = median_bandwidth(img_Z) if img_Z.shape[0] >= 2 else 1.0
         kernel = KernelSpec(kind="gaussian", bandwidth=bandwidth)
     K = kernel_matrix(kernel, img_Z, img_Z) if kernel is not None and img_Z.shape[0] > 0 else None
-    return _Problem(
-        text_X=text_X,
-        text_Y=text_Y,
+    labelled = np.any(text_Y != 0, axis=1)
+    pb = _Problem(
+        text_X=text_X[labelled],
+        text_Y=text_Y[labelled],
         img_Z=img_Z,
         img_Y=img_Y,
         pair_X=pair_X,
@@ -129,6 +139,7 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None) ->
         K=K,
         kernel=kernel,
     )
+    return pb, texts, images
 
 
 @dataclass
@@ -335,17 +346,24 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     return cur.S, alpha, report
 
 
-def normalize_data(data: TrainData) -> TrainData:
-    """L2-normalize every feature vector, returning a new TrainData; a zero
-    vector stays zero, and a ragged corpus raises the DataError of training."""
-    pb = _build_problem(data, None, None, kernel=None)
-    X, Z, pair_X, pair_Z = map(normalize_rows, (pb.text_X, pb.img_Z, pb.pair_X, pb.pair_Z))
-    return replace(
-        data,
-        source_texts=[CorpusExample(e.id, x, e.label) for e, x in zip(data.source_texts, X)],
-        train_images=[CorpusExample(e.id, z, e.label) for e, z in zip(data.train_images, Z)],
-        pairs=[CooccurrencePair(x, z, c.class_id) for c, x, z in zip(data.pairs, pair_X, pair_Z)],
+def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyperparameters,
+         log=None, init_S=None, init_alpha=None):
+    """Fit the label blocks text_Y and img_Y of `data` (see `_build_problem`)
+    and return (TrainedModel, TrainReport). With a `kernel`, alpha is learned
+    and the model keeps the training images and the resolved kernel; without,
+    it keeps no images and `hyper.kernel`."""
+    pb, texts, images = _build_problem(data, text_Y, img_Y, kernel, hyper.normalize)
+    S, alpha, report = _train_loop(pb, hyper, log=log, init_S=init_S, init_alpha=init_alpha)
+    model = TrainedModel(
+        S=S,
+        alpha=alpha,
+        source_texts=texts,
+        train_images=images if kernel is not None else [],
+        kernel=pb.kernel if kernel is not None else hyper.kernel,
+        hyper=hyper,
+        final_objective=report.final_objective,
     )
+    return model, report
 
 
 def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
@@ -357,19 +375,5 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_a
     `log`, when given, receives one line per iteration (see `_train_loop`);
     None trains silently.
     """
-    if hyper.normalize:
-        data = normalize_data(data)
-    pb = _build_problem(
-        data, signs(data.source_texts)[:, None], signs(data.train_images)[:, None], hyper.kernel
-    )
-    S, alpha, report = _train_loop(pb, hyper, log=log, init_S=init_S, init_alpha=init_alpha)
-    model = TrainedModel(
-        S=S,
-        alpha=alpha,
-        source_texts=data.source_texts,
-        train_images=data.train_images,
-        kernel=pb.kernel,
-        hyper=hyper,
-        final_objective=report.final_objective,
-    )
-    return model, report
+    text_Y, img_Y = signs(data.source_texts)[:, None], signs(data.train_images)[:, None]
+    return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, init_S, init_alpha)

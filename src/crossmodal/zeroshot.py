@@ -4,13 +4,12 @@ text but no labeled images (`model.unseen_scores`)."""
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import replace
 
 import numpy as np
 
 from .errors import DataError
-from .model import Hyperparameters, TrainedModel, check_unseen_texts, ovr_labels
-from .solver import TrainData, TrainReport, _build_problem, _train_loop, normalize_data
+from .model import Hyperparameters, TrainedModel, check_unseen_texts, is_sign, ovr_labels
+from .solver import TrainData, TrainReport, _fit
 
 
 def train_zeroshot(
@@ -18,11 +17,13 @@ def train_zeroshot(
 ) -> tuple[TrainedModel, TrainReport]:
     """Train the shared transfer matrix on the seen classes only.
 
-    Labels here are class-id strings. Every unseen class must label a text,
+    Labels here are class-id strings; a text may also carry a +1/-1 label,
+    which votes -1 for every class. Every unseen class must label a text,
     every training image needs a class id and every pair a class tag. The
     seen classes are the classes of the texts and training images that are
     not unseen; at least one is required. Training images and pairs of unseen
-    classes are dropped: their labels never enter training.
+    classes are dropped, and texts of no seen class sit out of training, so
+    their labels never enter it; the model keeps every text.
 
     Each seen class contributes a one-vs-rest hinge block over the seen-class
     texts and training images; all blocks share one S. No alpha coefficients
@@ -30,46 +31,31 @@ def train_zeroshot(
     labeled images.
     """
     unseen = frozenset(unseen)
-    labels = {e.label for e in data.source_texts + data.train_images}
-    unknown = unseen - labels
-    if unknown:
-        raise DataError(f"unseen classes not present in data: {sorted(unknown)}")
-    check_unseen_texts(data.source_texts, unseen)
+    texts = data.source_texts
+    check_unseen_texts(texts, unseen)
+    for t in texts:
+        if not (isinstance(t.label, str) or is_sign(t.label)):
+            raise DataError(f"source text {t.id!r} has label {t.label!r}, "
+                            "neither a class id nor +1/-1")
     for img in data.train_images:
         if not isinstance(img.label, str):
             raise DataError(f"training image {img.id!r} has label {img.label!r}, not a class id")
+    labels = {e.label for e in texts + data.train_images}
     seen = frozenset(c for c in labels - unseen if isinstance(c, str))
     if not seen:
         raise DataError("at least one seen class is required")
     for idx, pair in enumerate(data.pairs):
         if pair.class_id is None:
             raise DataError(f"pair at index {idx} has no class tag")
-    data = replace(
-        data,
-        train_images=[i for i in data.train_images if i.label not in unseen],
-        pairs=[c for c in data.pairs if c.class_id not in unseen],
-    )
-    if hyper.normalize:
-        data = normalize_data(data)
+    images = [i for i in data.train_images if i.label not in unseen]
+    pairs = [c for c in data.pairs if c.class_id not in unseen]
+    in_seen = np.array([t.label in seen for t in texts], dtype=bool)
+    if not in_seen.any() and not pairs:
+        # Every text is stacked, so p is known; but with no seen-class text
+        # and no pair, S would have nothing to learn from.
+        raise DataError("no seen-class texts or pairs for S to learn from")
     classes = sorted(seen)
-    seen_texts = [t for t in data.source_texts if t.label in seen]
-    if not seen_texts and not data.pairs:
-        # Unseen classes are scored through S, so it needs the texts' width.
-        raise DataError("no seen-class texts or pairs to infer the text dimension p")
-    pb = _build_problem(
-        replace(data, source_texts=seen_texts),
-        ovr_labels(seen_texts, classes),
-        ovr_labels(data.train_images, classes),
-        kernel=None,
-    )
-    S, _, report = _train_loop(pb, hyper, log=log)
-    model = TrainedModel(
-        S=S,
-        alpha=np.zeros(0),
-        source_texts=data.source_texts,
-        train_images=[],
-        kernel=hyper.kernel,
-        hyper=hyper,
-        final_objective=report.final_objective,
-    )
-    return model, report
+    # All-zero label rows keep the other texts out of the problem.
+    text_Y = np.where(in_seen[:, None], ovr_labels(texts, classes), 0.0)
+    return _fit(TrainData(texts, images, pairs), text_Y, ovr_labels(images, classes),
+                None, hyper, log)

@@ -166,9 +166,8 @@ def numerical_rank(M: np.ndarray) -> int:
 
 
 def _binary_problem(data: TrainData, hyper: Hyperparameters):
-    return _build_problem(
-        data, signs(data.source_texts)[:, None], signs(data.train_images)[:, None], hyper.kernel
-    )
+    text_Y, img_Y = signs(data.source_texts)[:, None], signs(data.train_images)[:, None]
+    return _build_problem(data, text_Y, img_Y, hyper.kernel, normalize=False)[0]
 
 
 def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):

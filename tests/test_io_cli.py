@@ -529,7 +529,11 @@ class TestCli:
         assert main(["crossval", "--data", str(data), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: bad option value: --seed must be >= 0\n"
 
-    @pytest.mark.parametrize("flags", [["--grid", "default"], ["--verbose"]])
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "default"], ["--verbose"],
+        # The grid picks these three, so crossval does not offer them.
+        ["--gamma", "7"], ["--lambda", "9"], ["--cap-c", "3"],
+    ])
     def test_crossval_rejects_unused_flags(self, tmp_path, capsys, flags):
         assert main(["crossval", "--data", str(tmp_path / "d.jsonl"), *flags]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -177,7 +177,9 @@ class TestSigns:
         examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), -1)]
         assert signs(examples).tolist() == [1.0, -1.0]
 
-    @pytest.mark.parametrize("label", ["c0", 0, 7, None, True])
+    # A model file writes a label as it is: 1.0 as a class, which read_model
+    # refuses, and np.int64(1) not at all.
+    @pytest.mark.parametrize("label", ["c0", 0, 7, None, True, 1.0, -1.0, np.int64(1)])
     def test_other_label_names_example(self, label):
         examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), label)]
         with pytest.raises(DataError, match=r"example 'b' has label .*\+1/-1"):

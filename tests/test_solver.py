@@ -17,7 +17,7 @@ from crossmodal.model import (
     scores,
     stack_features,
 )
-from crossmodal import linalg, solver, zeroshot
+from crossmodal import linalg, solver
 from crossmodal.errors import NumericalError
 from crossmodal.solver import TrainData, project_alpha, prox_step, train
 from crossmodal.synth import SynthConfig, generate
@@ -259,6 +259,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=re.escape(expected)):
             train(data, Hyperparameters(max_iter=5), **start)
 
+    @pytest.mark.parametrize("label", [1.0, np.int64(1), np.float64(-1.0)])
+    @pytest.mark.parametrize("part", ["source_texts", "train_images"])
+    def test_label_that_is_not_an_int_rejected(self, part, label):
+        # The model file would write it as a class, or fail to write it.
+        from crossmodal.errors import DataError
+
+        ds = _small_synth(0)
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        examples = getattr(data, part)
+        examples[1] = CorpusExample(examples[1].id, examples[1].features, label)
+        with pytest.raises(DataError, match=rf"example '{examples[1].id}' has label"):
+            train(data, Hyperparameters(max_iter=2))
+
     def test_dimension_mismatch_rejected(self):
         from crossmodal.errors import DataError
 
@@ -288,7 +301,7 @@ class TestTrain:
                 pairs[k] = CooccurrencePair(np.ones(4), np.ones(2))
             else:
                 pairs[k] = CooccurrencePair(np.ones(3), np.ones(3))
-        # normalize stacks the corpora first; its error must be training's.
+        # With and without normalize, one stacking names the same example.
         errors = []
         for normalize in (False, True):
             with pytest.raises(DataError, match=name) as exc:
@@ -310,7 +323,6 @@ def _fit_both(monkeypatch, fit, *args, **kwargs):
     fast = fit(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_train_loop", reference_train_loop)
-        mp.setattr(zeroshot, "_train_loop", reference_train_loop)
         ref = fit(*args, **kwargs)
     return fast, ref
 

@@ -16,7 +16,7 @@ from crossmodal.model import (
 )
 from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
-from crossmodal import zeroshot
+from crossmodal import data_io, zeroshot
 from crossmodal.zeroshot import train_zeroshot
 from oracle_utils import one_vs_rest_texts, score_unseen
 
@@ -125,8 +125,38 @@ class TestDatasetValidation:
     def test_unknown_unseen_class_rejected(self):
         # A class no text labels would be scored with every text voting -1.
         data = small_classes_data(5, ["a", "b"])
-        with pytest.raises(DataError, match=r"not present in data: \['zz'\]"):
+        with pytest.raises(DataError, match=r"unseen classes label no source text: \['zz'\]"):
             train_zeroshot(data, {"u", "zz"}, HYPER)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_wider_unseen_class_text_rejected(self, normalize):
+        # Unseen-class texts sit out of training but stay in the model, whose
+        # file read_model would refuse; training checks their width too.
+        ds = generate(SynthConfig(p=40, q=30, classes=3, n_texts=30, m_images=12,
+                                  l_pairs=60, n_test=10))
+        k = next(k for k, t in enumerate(ds.texts) if k > 0 and t.label == "c2")
+        t = ds.texts[k]
+        ds.texts[k] = CorpusExample(t.id, np.append(t.features, 0.5), t.label)
+        hyper = Hyperparameters(max_iter=3, normalize=normalize)
+        with pytest.raises(DataError, match=rf"source text '{t.id}' dimension 41 != expected 40"):
+            train_zeroshot(TrainData(ds.texts, ds.images, ds.pairs), {"c2"}, hyper)
+
+    @pytest.mark.parametrize("label", [1.0, np.int64(1), None])
+    def test_text_label_neither_class_nor_sign_rejected(self, label):
+        # A model file would write 1.0 as a class and np.int64(1) not at all.
+        data = small_classes_data(5, ["a", "b"])
+        data.source_texts.append(CorpusExample("tx", np.ones(3), label))
+        with pytest.raises(DataError, match=r"source text 'tx' has label .* nor \+1/-1"):
+            train_zeroshot(data, {"u"}, HYPER)
+
+    def test_sign_labelled_text_kept(self, tmp_path):
+        # A +1/-1 text votes -1 for every class, and its model file reads back.
+        data = small_classes_data(5, ["a", "b"])
+        data.source_texts.append(CorpusExample("tx", np.ones(3), 1))
+        model, _ = train_zeroshot(data, {"u"}, HYPER)
+        path = str(tmp_path / "zs.json")
+        data_io.write_model(model, path, unseen_classes=["u"])
+        assert [t.label for t in data_io.read_model(path)[0].source_texts][-1] == 1
 
     def test_unseen_class_without_text_rejected(self):
         # Its images are dropped, so it would be ranked by the -1 votes alone.
@@ -217,7 +247,7 @@ class TestTrainZeroshot:
             source_texts=[CorpusExample("t0", rng.standard_normal(3), "u")],
             train_images=[CorpusExample("i0", rng.standard_normal(2), "a")],
         )
-        with pytest.raises(DataError, match="text dimension"):
+        with pytest.raises(DataError, match="no seen-class texts or pairs for S to learn from"):
             train_zeroshot(data, {"u"}, Hyperparameters(max_iter=5))
 
     def test_no_images_and_no_pairs_rejected(self):
