@@ -6,7 +6,6 @@ range, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import data_io, evaluation, synth, zeroshot
@@ -109,17 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bad synth config: {args.config} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"bad synth config: {args.config} is not a JSON object")
-    if args.seed is not None:
-        raw["seed"] = args.seed
     try:
-        ds = synth.generate(synth.SynthConfig(**raw))
+        with open(args.config, "rb") as fh:
+            config = data_io.loads_object(fh.read(), args.config)
+        if args.seed is not None:
+            config["seed"] = args.seed
+        ds = synth.generate(synth.SynthConfig(**config))
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad synth config: {exc}") from exc
     data_io.write_dataset(data_io.Corpora(ds.texts, ds.images, ds.pairs), args.out)

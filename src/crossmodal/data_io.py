@@ -95,7 +95,7 @@ def _parse_label(rec: dict):
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """Float array of a list of JSON numbers; json accepts NaN and Infinity, the model does not."""
+    """Float array of a list of JSON numbers; json reads 1e999 as inf, which the model refuses."""
     # numpy would read "1.5" and true as numbers and a nested array as a row.
     odd = set(map(type, values)) - {float, int}
     if odd:
@@ -108,10 +108,6 @@ def _finite(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DataError(f"{what} holds a non-finite number")
     return arr
-
-
-def _reject_constant(token: str):
-    raise DataError(f"non-finite number {token} is not allowed")
 
 
 def _features(rec: dict, key: str, dims: dict[str, int], modality: str) -> np.ndarray:
@@ -129,17 +125,32 @@ def _features(rec: dict, key: str, dims: dict[str, int], modality: str) -> np.nd
     return v
 
 
-def _read_jsonl(path: str, what: str, take, parse_constant=None) -> None:
-    """Call `take` on each non-blank line's record; errors get a `path:lineno` prefix."""
-    with open(path) as fh:
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def loads_object(raw: bytes | str, what: str) -> dict:
+    """The JSON object `raw`, bytes read as UTF-8. Every decode failure (bad JSON or UTF-8,
+    NaN or Infinity, an integer int() refuses, deep nesting) is a DataError naming `what`."""
+    try:
+        doc = _DECODER.decode(raw if isinstance(raw, str) else raw.decode("utf-8"))
+    except (RecursionError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be a JSON object")
+    return doc
+
+
+def _read_jsonl(path: str, what: str, take) -> None:
+    """Call `take` on each non-blank line's object; errors get a `path:lineno` prefix."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                take(json.loads(line, parse_constant=parse_constant))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+                if line.strip():
+                    take(loads_object(line, what))
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
 
@@ -158,8 +169,6 @@ def parse_dataset(path: str) -> Corpora:
     seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
 
     def take(rec):
-        if not isinstance(rec, dict):
-            raise DataError("record must be a JSON object")
         kind = rec.get("kind")
         if kind not in ("text", "image", "pair"):
             raise DataError(f"unknown kind {kind!r}")
@@ -227,7 +236,7 @@ def read_predictions(path: str) -> Predictions:
 
     def take(rec):
         nonlocal classes
-        if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
+        if not isinstance(rec.get("id"), str):
             raise DataError("missing string id")
         if classes is not None or (not ids and "scores" in rec):
             table = rec.get("scores")
@@ -249,7 +258,7 @@ def read_predictions(path: str) -> Predictions:
             raise DataError(f"duplicate id {rec['id']!r}")
         ids[rec["id"]] = None
 
-    _read_jsonl(path, "prediction", take, parse_constant=_reject_constant)
+    _read_jsonl(path, "prediction", take)
     if classes is None:
         return Predictions(list(ids), np.array(rows, dtype=float), np.array(labels, dtype=int))
     return Predictions(list(ids), np.array(rows), classes=classes)
@@ -325,14 +334,9 @@ def _model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list[Corpu
     return out
 
 
-def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
+def parse_model(text: bytes | str) -> tuple[TrainedModel, str, list[str]]:
     """Returns (model, mode, unseen_classes). Raises DataError on bad input."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed model file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError("malformed model file: not a JSON object")
+    doc = loads_object(text, "model file")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format_version {version!r}; "
@@ -376,9 +380,8 @@ def parse_model(text: str) -> tuple[TrainedModel, str, list[str]]:
 
 
 def read_model(path: str):
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return parse_model(text)
+        with open(path, "rb") as fh:
+            return parse_model(fh.read())
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -142,7 +142,7 @@ def zeroshot_report(table, classes, truth) -> EvalReport:
 def evaluate_model(model, test_images: list[CorpusExample]) -> EvalReport:
     """Score labeled test images with a binary model and report all metrics."""
     s = scores(model, stack_features(test_images, model.S.shape[1], "test image"))
-    return binary_report(s, np.where(s > 0, 1, -1), signs(test_images))
+    return binary_report(s, np.where(s > 0, 1, -1), signs(test_images, "test image"))
 
 
 def _stratified_folds(images: list[CorpusExample], seed: int):
@@ -193,7 +193,7 @@ def crossval_select(
         )
     q = data.train_images[0].features.shape[0]
     Z = stack_features(data.train_images, q, "training image")
-    truth = signs(data.train_images)
+    truth = signs(data.train_images, "training image")
     folds = [
         _Fold(replace(data, train_images=[data.train_images[i] for i in train_idx]),
               Z[val_idx], truth[val_idx])

@@ -155,7 +155,7 @@ def is_sign(label) -> bool:
     return type(label) is int and label in (1, -1)
 
 
-def signs(examples: list[CorpusExample], what: str = "example") -> np.ndarray:
+def signs(examples: list[CorpusExample], what: str) -> np.ndarray:
     """The +1/-1 labels of binary-mode examples as floats."""
     for e in examples:
         if not is_sign(e.label):
@@ -249,10 +249,11 @@ def scores(model: TrainedModel, Z) -> np.ndarray:
     exact 0 maps to -1.
     """
     Z = _queries(model, Z)
-    s = _text_votes(model, Z) @ signs(model.source_texts)
+    s = _text_votes(model, Z) @ signs(model.source_texts, "source text")
     if model.train_images:
         Z_train = stack_features(model.train_images, Z.shape[1], "training image")
-        s += kernel_matrix(model.kernel, Z, Z_train) @ (model.alpha * signs(model.train_images))
+        weights = model.alpha * signs(model.train_images, "training image")
+        s += kernel_matrix(model.kernel, Z, Z_train) @ weights
     return s
 
 

@@ -375,5 +375,6 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_a
     `log`, when given, receives one line per iteration (see `_train_loop`);
     None trains silently.
     """
-    text_Y, img_Y = signs(data.source_texts)[:, None], signs(data.train_images)[:, None]
+    text_Y = signs(data.source_texts, "source text")[:, None]
+    img_Y = signs(data.train_images, "training image")[:, None]
     return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, init_S, init_alpha)

@@ -166,7 +166,8 @@ def numerical_rank(M: np.ndarray) -> int:
 
 
 def _binary_problem(data: TrainData, hyper: Hyperparameters):
-    text_Y, img_Y = signs(data.source_texts)[:, None], signs(data.train_images)[:, None]
+    text_Y = signs(data.source_texts, "source text")[:, None]
+    img_Y = signs(data.train_images, "training image")[:, None]
     return _build_problem(data, text_Y, img_Y, hyper.kernel, normalize=False)[0]
 
 
@@ -345,7 +346,7 @@ def reference_crossval_select(data: TrainData, base: Hyperparameters, grid: dict
     from a cold start on both folds, the first lowest mean error wins."""
     fold_a, fold_b = _stratified_folds(data.train_images, seed)
     Z = stack_features(data.train_images, data.train_images[0].features.shape[0], "image")
-    truth = signs(data.train_images)
+    truth = signs(data.train_images, "training image")
     best, best_err = None, np.inf
     for lam, gamma, C in itertools.product(grid["lam"], grid["gamma"], grid["C"]):
         cand = replace(base, lam=lam, gamma=gamma, C=C)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,22 @@ class TestBinaryReport:
         assert got.as_text() == want.as_text()
         assert (got.error_rate, got.ap, got.auc) == (
             error_rate(np.where(s > 0, 1, -1), truth), average_precision(s, truth), auc(s, truth))
+
+
+@pytest.mark.parametrize("caller", ["crossval_select", "evaluate_model"])
+def test_class_labels_name_the_corpus(caller):
+    ds = generate(SynthConfig(p=6, q=5, r_true=2, n_texts=30, m_images=12, l_pairs=40,
+                              n_test=20, seed=11))
+    data = TrainData(ds.texts, ds.images, ds.pairs)
+    images = ds.images if caller == "crossval_select" else ds.test_images
+    images[:] = [CorpusExample(e.id, e.features, f"c{k % 2}") for k, e in enumerate(images)]
+    name = "training image" if caller == "crossval_select" else "test image"
+    with pytest.raises(DataError, match=rf"^{name} '{images[0].id}' has label 'c0'"):
+        if caller == "crossval_select":
+            crossval_select(data, base=Hyperparameters(max_iter=2))
+        else:
+            evaluate_model(train(replace(data, train_images=[]), Hyperparameters(max_iter=2))[0],
+                           ds.test_images)
 
 
 class TestZeroshotReport:

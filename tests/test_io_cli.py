@@ -99,6 +99,14 @@ class TestDatasetIO:
         with pytest.raises(DataError, match=r"nan\.jsonl:2: .*non-finite"):
             data_io.parse_dataset(str(path))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_under_any_key_rejected(self, tmp_path, token):
+        path = tmp_path / "nan.jsonl"
+        path.write_text(f'{{"kind": "image", "id": "a", "features": [1.0], "note": {token}}}\n')
+        with pytest.raises(DataError, match=rf"nan\.jsonl:1: malformed record: non-finite "
+                                            rf"number {token} is not allowed$"):
+            data_io.parse_dataset(str(path))
+
     def test_non_numeric_feature_names_line(self, tmp_path):
         path = tmp_path / "text.jsonl"
         path.write_text('{"kind": "image", "id": "a", "label": 1, "features": ["x", 2.0]}\n')
@@ -319,6 +327,70 @@ class TestModelIO:
             data_io.parse_model(json.dumps(doc))
 
 
+class TestOneDecoder:
+    """Every JSON input goes through `data_io.loads_object`: UTF-8 bytes, one
+    JSON object, no NaN or Infinity token, no integer `int()` refuses and no
+    nesting deeper than the interpreter's recursion limit."""
+
+    FAULTS = {
+        "non-UTF-8": (b'"\xe9"', "'utf-8' codec can't decode byte 0xe9"),
+        "5000-digit integer": (b"1" + b"0" * 4999, "integer string conversion"),
+        "deep nesting": (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("kind", ["dataset", "prediction", "model", "synth config"])
+    def test_undecodable_input_exit_2(self, tmp_path, capsys, kind, fault):
+        value, message = self.FAULTS[fault]
+        images, out = tmp_path / "images.jsonl", tmp_path / "out.jsonl"
+        images.write_bytes(b'{"kind": "image", "id": "i0", "label": 1, "features": [0.5]}\n')
+        bad = tmp_path / "bad.json"
+        if kind == "dataset":
+            bad.write_bytes(images.read_bytes()
+                            + b'{"kind": "image", "id": "i1", "features": [%s]}\n' % value)
+            argv = ["train", "--data", str(bad), "--out", str(out)]
+            prefix = f"{bad}:2: malformed record: "
+        elif kind == "prediction":
+            bad.write_bytes(b'{"id": "i1", "score": 0.5, "label": 1}\n'
+                            b'{"id": "i0", "score": %s, "label": 1}\n' % value)
+            argv = ["evaluate", "--pred", str(bad), "--truth", str(images)]
+            prefix = f"{bad}:2: malformed prediction: "
+        elif kind == "model":
+            bad.write_bytes(b'{"format_version": 1, "p": %s}' % value)
+            argv = ["predict", "--model", str(bad), "--images", str(images), "--out", str(out)]
+            prefix = f"{bad}: malformed model file: "
+        else:
+            bad.write_bytes(b'{"p": %s}' % value)
+            argv = ["synth", "--config", str(bad), "--out", str(out)]
+            prefix = f"bad synth config: malformed {bad}: "
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {prefix}") and message in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_utf8_ids_read_back_whatever_the_locale(self, tmp_path):
+        # Written unescaped, and read where the locale's encoding is ASCII.
+        data, pred, model = tmp_path / "d.jsonl", tmp_path / "p.jsonl", tmp_path / "m.json"
+        data.write_text('{"kind": "text", "id": "t-é", "label": 1, "features": [1.0]}\n',
+                        encoding="utf-8")
+        pred.write_text('{"id": "i-é", "score": 0.5, "label": 1}\n', encoding="utf-8")
+        doc = json.loads(data_io.serialize_model(TestModelIO().trained_model()))
+        doc["source_texts"][0]["id"] = "t-é"
+        model.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        script = (
+            "from crossmodal import data_io\n"
+            f"print(ascii([data_io.parse_dataset({str(data)!r}).texts[0].id,\n"
+            f"             data_io.read_predictions({str(pred)!r}).ids[0],\n"
+            f"             data_io.read_model({str(model)!r})[0].source_texts[0].id]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(crossmodal.__file__))
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "['t-\\xe9', 'i-\\xe9', 't-\\xe9']\n"
+
+
 @pytest.fixture
 def synth_config(tmp_path):
     cfg = {
@@ -423,7 +495,8 @@ class TestCli:
 
     @pytest.mark.parametrize("bad_line, expected", [
         ('{"id": "i1", "label": 1}', "'score' must be a finite number"),
-        ('{"id": "i1", "score": NaN, "label": 1}', "non-finite number NaN"),
+        ('{"id": "i1", "score": NaN, "label": 1}',
+         "malformed prediction: non-finite number NaN is not allowed"),
         ('{"id": "i1", "score": 1e999, "label": 1}', "'score' must be a finite number"),
         ('{"id": "i1", "score": 0.5, "label": 0}', "'label' must be 1 or -1"),
         ('{"score": 0.5, "label": 1}', "missing string id"),
@@ -445,7 +518,8 @@ class TestCli:
 
     @pytest.mark.parametrize("bad_line, expected", [
         ('{"id": "i1", "scores": {"c0": 0.3}}', "classes ['c0'] differ"),
-        ('{"id": "i1", "scores": {"c0": 0.3, "c1": Infinity}}', "non-finite number Infinity"),
+        ('{"id": "i1", "scores": {"c0": 0.3, "c1": Infinity}}',
+         "malformed prediction: non-finite number Infinity is not allowed"),
         ('{"id": "i1", "scores": {"c0": 0.3, "c1": "x"}}', "score of class 'c1'"),
         ('{"id": "i1", "score": 0.3, "label": 1}', "'scores' must be a non-empty object"),
     ])
@@ -507,10 +581,13 @@ class TestCli:
         ({"n_test": 1.5}, [], "n_test must be an integer, got 1.5"),
         ({"p": True}, [], "p must be an integer, got True"),
         ({"noise_sigma": "0.3"}, [], "noise_sigma must be a real number, got '0.3'"),
-        ({"noise_sigma": 1e999}, [], "noise_sigma must be finite and >= 0"),
+        # Raw text: json.dumps would write 1e999 as the token Infinity.
+        ('{"noise_sigma": 1e999}', [], "noise_sigma must be finite and >= 0"),
+        ('{"noise_sigma": Infinity}', [],
+         "malformed {cfg}: non-finite number Infinity is not allowed"),
         ({}, ["--seed", "-1"], "counts and seed must be >= 0"),
-        ([1], ["--seed", "3"], "is not a JSON object"),
-        ('{"p": 8,', [], "is not valid JSON"),
+        ([1], ["--seed", "3"], "{cfg} must be a JSON object"),
+        ('{"p": 8,', [], "malformed {cfg}: Expecting property name enclosed in double quotes"),
         ({"p": 0}, [], "dimensions and class count must be positive"),
         ({"p": 3, "q": 2, "r_true": 3}, [], "r_true must not exceed min(p, q)"),
         ({"r_true": 1, "classes": 3}, [], "could not draw a balanced labeling"),
@@ -520,7 +597,7 @@ class TestCli:
         cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         assert main(["synth", "--config", str(cfg), "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: bad synth config: ") and expected in err
+        assert err.startswith("data error: bad synth config: ") and expected.format(cfg=cfg) in err
         assert not out.exists()
 
     def test_crossval_negative_seed_exit_2(self, tmp_path, synth_config, capsys):
@@ -558,7 +635,7 @@ class TestCli:
             + json.dumps({"kind": "image", "id": "i0", "label": 1, "features": [1.0]}) + "\n"
         )
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
-        assert "example 't0' has label 'a'" in capsys.readouterr().err
+        assert "source text 't0' has label 'a'" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, tmp_path, capsys):
         assert main(["train", "--data"]) == 1

@@ -175,7 +175,7 @@ class TestMedianBandwidth:
 class TestSigns:
     def test_binary_labels(self):
         examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), -1)]
-        assert signs(examples).tolist() == [1.0, -1.0]
+        assert signs(examples, "example").tolist() == [1.0, -1.0]
 
     # A model file writes a label as it is: 1.0 as a class, which read_model
     # refuses, and np.int64(1) not at all.
@@ -183,7 +183,7 @@ class TestSigns:
     def test_other_label_names_example(self, label):
         examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), label)]
         with pytest.raises(DataError, match=r"example 'b' has label .*\+1/-1"):
-            signs(examples)
+            signs(examples, "example")
 
 
 class TestDiscriminant:

@@ -269,7 +269,8 @@ class TestTrain:
         data = TrainData(ds.texts, ds.images, ds.pairs)
         examples = getattr(data, part)
         examples[1] = CorpusExample(examples[1].id, examples[1].features, label)
-        with pytest.raises(DataError, match=rf"example '{examples[1].id}' has label"):
+        name = {"source_texts": "source text", "train_images": "training image"}[part]
+        with pytest.raises(DataError, match=rf"^{name} '{examples[1].id}' has label"):
             train(data, Hyperparameters(max_iter=2))
 
     def test_dimension_mismatch_rejected(self):
