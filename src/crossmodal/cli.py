@@ -133,7 +133,8 @@ def _print_report(report: TrainReport) -> None:
         f"stop_reason {report.stop_reason}\n"
         f"iterations {report.iterations}\n"
         f"final_objective {report.final_objective!r}\n"
-        f"final_rank {report.final_rank}"
+        f"final_rank {report.final_rank}\n"
+        f"float64_from {'none' if report.float64_from is None else report.float64_from}"
     )
 
 

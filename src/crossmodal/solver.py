@@ -34,8 +34,16 @@ _ETA = 2.0
 _MAX_BACKTRACKS = 100
 _ACCEPT_SLACK = 1e-12
 # Relative rounding margin of the misalignment lower bound (`_misalign_floor`),
-# far above the float error of the l-term sums on either side of the bound.
+# far above the float64 error of the l-term sums on either side of the bound.
 _FLOOR_RTOL = 1e-9
+# The S step forms its pair gradient in float32 until the loop would stop
+# (`_train_loop`); False keeps float64 throughout.
+_FLOAT32_PAIR_GRADIENT = True
+# Largest feature magnitude, and largest bound 2 l max|P_x| max|P_z| on the
+# float32 gradient's products and partial sums, for which the loop uses it:
+# far enough below the float32 maximum (3.4e38) that nothing overflows.
+_FLOAT32_LIMIT = 1e30
+_U32 = 2.0**-24  # unit roundoff of float32
 
 
 @dataclass
@@ -62,6 +70,9 @@ class TrainReport:
     # alpha probe, accepted or not); 0.0 with alpha off. C enters a fit only
     # through that clip, so a fit at any C >= alpha_peak runs the same path.
     alpha_peak: float
+    # The first iteration whose S step took the float64 pair gradient: 1 when
+    # the fit never used float32, None when every iteration did.
+    float64_from: int | None
 
     @property
     def converged(self) -> bool:
@@ -70,6 +81,48 @@ class TrainReport:
     @property
     def final_objective(self) -> float:
         return self.objective_trace[-1]
+
+
+@dataclass(frozen=True)
+class _Float32Pairs:
+    """Float32 copies of the pair features, which the S step's pair gradient
+    is formed from, and the terms of the bound on that gradient's rounding
+    error (`_grad_S`)."""
+
+    X: np.ndarray   # (l, p) float32
+    Z: np.ndarray   # (l, q) float32
+    W: np.ndarray   # (p, q) |P_x|' |P_z| in float64
+    gamma: float    # relative error bound of an l-term float32 product sum
+    tiny: float     # absolute error bound of the roundings below float32's normal range
+
+
+def _float32_pairs(pair_X: np.ndarray, pair_Z: np.ndarray) -> _Float32Pairs | None:
+    """The float32 form of the pairs, or None when there are no pairs, when
+    float32 cannot hold the gradient's products (see `_FLOAT32_LIMIT`) or when
+    l is so large that the error bound below is void.
+
+    Each term of an entry of P_x' diag(d) P_z in float32 takes three casts
+    and two products, and the sum of the l terms l - 1 more roundings, so the
+    entry is within gamma_{l+4} sum_k |x_k| |d_k| |z_k| of the exact value
+    (Higham 2002, sections 2.2 and 3.1). One more unit in gamma covers the
+    float64 rounding of W and of the margin. Roundings below float32's normal
+    range add an absolute error of at most 2^-148 (1 + |x_k|)(1 + |z_k|) per
+    term (|d| < 2; a sum that lands there is exact); `tiny` bounds their
+    total with room to spare."""
+    l = pair_X.shape[0]
+    if not _FLOAT32_PAIR_GRADIENT or l == 0 or (l + 5) * _U32 >= 0.5:
+        return None
+    abs_X, abs_Z = np.abs(pair_X), np.abs(pair_Z)
+    mx, mz = float(np.max(abs_X)), float(np.max(abs_Z))
+    if not (max(mx, mz) < _FLOAT32_LIMIT and 2.0 * l * mx * mz < _FLOAT32_LIMIT):
+        return None
+    return _Float32Pairs(
+        X=pair_X.astype(np.float32),
+        Z=pair_Z.astype(np.float32),
+        W=abs_X.T @ abs_Z,
+        gamma=(l + 5) * _U32 / (1.0 - (l + 5) * _U32),
+        tiny=l * 2.0**-146 * (1.0 + mx) * (1.0 + mz),
+    )
 
 
 @dataclass
@@ -89,6 +142,7 @@ class _Problem:
     pair_Z: np.ndarray   # (l, q)
     K: np.ndarray | None  # (m, m) kernel Gram matrix; None (as when m = 0) disables alpha
     kernel: KernelSpec | None  # the resolved kernel K was built with
+    pair32: _Float32Pairs | None  # None keeps the float64 pair gradient
 
     @property
     def n(self) -> int:
@@ -138,6 +192,7 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, no
         pair_Z=pair_Z,
         K=K,
         kernel=kernel,
+        pair32=_float32_pairs(pair_X, pair_Z),
     )
     return pb, texts, images
 
@@ -193,23 +248,32 @@ def _hinge_term(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
     return F, total
 
 
-def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, delta: np.ndarray) -> float:
+def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, g_err, delta: np.ndarray) -> float:
     """A lower bound on the misalignment term at cur.S + delta, from cur alone.
 
     misalign is convex and each pair score is linear in S, so the term lies
     above its tangent at cur: M(cur.S + delta) >= M(cur.S) + <grad M, delta>,
-    with grad M = g_pair. The margin covers the rounding of both sides; its
-    unit floor covers the absolute error of tanh(a) - 1 where tanh saturates."""
+    with grad M = g_pair up to g_err elementwise (see `_grad_S`), which costs
+    at most <g_err, |delta|>. The relative margin covers the float64 rounding
+    of both sides; its unit floor covers the absolute error of tanh(a) - 1
+    where tanh saturates."""
     step = float(np.vdot(g_pair, delta))
     scale = max(1.0, abs(cur.misalign_term) + abs(step))
-    return cur.misalign_term + step - _FLOOR_RTOL * scale
+    return cur.misalign_term + step - _FLOOR_RTOL * scale - float(np.sum(g_err * np.abs(delta)))
 
 
-def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters):
-    """The gradient of the smooth objective in S, and its misalignment part
-    lam P_x' diag(tanh(a) - 1) P_z alone (zero without pairs or lam)."""
+def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool = False):
+    """The gradient of the smooth objective in S, its misalignment part
+    lam P_x' diag(tanh(a) - 1) P_z alone (zero without pairs or lam), and a
+    bound g_err on that part's float32 rounding error, elementwise.
+
+    With `float32` (which needs pb.pair32) the misalignment part is one
+    float32 product of the float32 pair features, returned as float64, and
+    g_err = lam (gamma max|d| |P_x|' |P_z| + tiny). Otherwise all of it is
+    float64 and g_err is 0."""
     grad = np.zeros_like(it.S)
     g_pair = np.zeros_like(it.S)
+    g_err = 0.0
     if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
         yf = pb.img_Y.T * F                       # (B, m)
         G = hyper.gamma * hinge_subgrad(yf) * pb.img_Y.T
@@ -217,11 +281,17 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters):
         grad += pb.text_X.T @ (M * (1.0 - it.T**2)) @ pb.img_Z
     if hyper.lam > 0 and pb.pair_X.shape[0] > 0:
         d = misalign_deriv(it.a)
-        g_pair = hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
+        if float32:
+            p32 = pb.pair32
+            g32 = p32.X.T @ (d.astype(np.float32)[:, None] * p32.Z)
+            g_pair = hyper.lam * g32.astype(float)
+            g_err = hyper.lam * (p32.gamma * float(np.max(np.abs(d))) * p32.W + p32.tiny)
+        else:
+            g_pair = hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
         grad += g_pair
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient in S is non-finite")
-    return grad, g_pair
+    return grad, g_pair, g_err
 
 
 def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
@@ -261,6 +331,12 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     accepted iterate, its margins and its smooth value. `log`, when given,
     receives one CSV line per iteration: iteration, objective, rank, L, eps.
     `peak` tracks the largest value passed to `project_alpha`.
+
+    The S step takes the float32 pair gradient (`_grad_S`) while pb.pair32
+    allows it. The acceptance test stays float64, so any gradient keeps the
+    step monotone. An iteration that would stop the fit on it, for tol or a
+    failed line search, instead moves the loop to the float64 gradient for
+    the rest of the fit, so only a float64 iteration reports such a stop.
     """
     shape_S = (pb.text_X.shape[1], pb.img_Z.shape[1])
     shape_alpha = (pb.m if pb.K is not None else 0,)
@@ -281,22 +357,26 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     trace = [f + float(np.sum(cur.sigma))]
     stop_reason = "max_iter"
     iterations = 0
+    float32 = pb.pair32 is not None and hyper.lam > 0
+    float64_from = None
 
     for it in range(1, hyper.max_iter + 1):
         iterations = it
+        if not float32 and float64_from is None:
+            float64_from = it
         if it > 1:
             L = max(L / 2.0, 1e-12)       # recovery probe: try a bolder step
             eps = min(eps * 2.0, 1e12)
 
         # S step: backtrack on L until the quadratic majorizer holds.
-        g, g_pair = _grad_S(cur, F, pb, hyper)
+        g, g_pair, g_err = _grad_S(cur, F, pb, hyper, float32)
         moved = False
         for _ in range(_MAX_BACKTRACKS):
             cand = _text_terms(prox_step(cur.S, g, L), pb)
             delta = cand.S - cur.S
             bound = f + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
             F_cand, h_cand = _hinge_term(cand, alpha, pb, hyper)
-            if h_cand + _misalign_floor(cur, g_pair, delta) <= bound + _ACCEPT_SLACK:
+            if h_cand + _misalign_floor(cur, g_pair, g_err, delta) <= bound + _ACCEPT_SLACK:
                 f_cand = h_cand + _pair_terms(cand, pb, hyper).misalign_term
                 if f_cand <= bound + _ACCEPT_SLACK:
                     cur, F, f = cand, F_cand, f_cand
@@ -327,14 +407,15 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         trace.append(obj)
         if log is not None:
             log(f"{it},{obj:.12g},{linalg.sigma_rank(cur.sigma)},{L:.6g},{eps:.6g}")
-        if not moved:
-            # Both line searches ran out: the iterate and the objective are
-            # unchanged, which is not convergence.
-            stop_reason = "linesearch"
-            break
-        if abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) < hyper.tol:
-            stop_reason = "tol"
-            break
+        if moved and abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) >= hyper.tol:
+            continue
+        if float32:
+            float32 = False
+            continue
+        # Without a move both line searches ran out: the iterate and the
+        # objective are unchanged, which is not convergence.
+        stop_reason = "tol" if moved else "linesearch"
+        break
 
     report = TrainReport(
         stop_reason=stop_reason,
@@ -342,6 +423,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         final_rank=linalg.sigma_rank(cur.sigma),
         objective_trace=trace,
         alpha_peak=peak,
+        float64_from=float64_from,
     )
     return cur.S, alpha, report
 

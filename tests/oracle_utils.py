@@ -266,9 +266,9 @@ def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
 
 
 def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
-    """solver._train_loop without its caches, with the same signature and
-    results; it reads the solver's step constants and solver._MAX_BACKTRACKS,
-    so a test can patch both loops at once."""
+    """solver._train_loop without its caches or its float32 phase, with the
+    same signature and results; it reads the solver's step constants and
+    solver._MAX_BACKTRACKS, so a test can patch both loops at once."""
     if init_S is None:
         S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
     else:
@@ -337,6 +337,7 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
         final_rank=numerical_rank(S),
         objective_trace=trace,
         alpha_peak=float(max(proposed)),
+        float64_from=1 if iterations else None,
     )
     return S, alpha, report
 

@@ -442,7 +442,9 @@ class TestCli:
         code = main(["train", "--data", str(data), "--out", str(model_path),
                      "--gamma", "0", "--lambda", "0"])
         assert code == 0
-        assert "converged True\nstop_reason tol\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "converged True\nstop_reason tol\n" in out
+        assert out.endswith("\nfloat64_from 1\n")  # no pair gradient without lam
         model, _, _ = data_io.read_model(str(model_path))
         assert np.all(model.S == 0) and np.all(model.alpha == 0)
 
@@ -627,6 +629,17 @@ class TestCli:
         assert [line.split(",")[0] for line in lines[:3]] == ["1", "2", "3"]
         assert all(len(line.split(",")) == 5 for line in lines[:3])
         assert "".join(lines[3:]) == report
+
+    def test_train_report_names_the_first_float64_iteration(self, tmp_path, synth_config, capsys):
+        data, out = tmp_path / "train.jsonl", tmp_path / "model.json"
+        main(["synth", "--config", str(synth_config), "--out", str(data)])
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 0
+        report = dict(line.split(" ") for line in capsys.readouterr().out.splitlines())
+        assert list(report)[-2:] == ["final_rank", "float64_from"]
+        assert report["stop_reason"] == "tol"
+        assert 1 < int(report["float64_from"]) <= int(report["iterations"])
+        assert main(["train", "--data", str(data), "--out", str(out), "--max-iter", "3"]) == 0
+        assert capsys.readouterr().out.endswith("\nfloat64_from none\n")
 
     def test_train_class_labels_exit_2(self, tmp_path, capsys):
         data = tmp_path / "train.jsonl"
