@@ -116,7 +116,7 @@ def _cmd_synth(args) -> int:
         ds = synth.generate(synth.SynthConfig(**config))
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad synth config: {exc}") from exc
-    data_io.write_dataset(data_io.Corpora(ds.texts, ds.images, ds.pairs), args.out)
+    data_io.write_dataset(ds, args.out)
     if args.test_out:
         data_io.write_dataset(data_io.Corpora(images=ds.test_images), args.test_out)
     return EXIT_OK

@@ -9,30 +9,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataError
 from .model import (
     CooccurrencePair,
+    Corpora,
     CorpusExample,
     Hyperparameters,
     KernelSpec,
     TrainedModel,
     check_unseen_texts,
     is_sign,
+    score_labels,
 )
 
 MODEL_FORMAT_VERSION = 1
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int
-
-
-@dataclass
-class Corpora:
-    texts: list[CorpusExample] = field(default_factory=list)
-    images: list[CorpusExample] = field(default_factory=list)
-    pairs: list[CooccurrencePair] = field(default_factory=list)
 
 
 def atomic_write_text(path: str, content: str) -> None:
@@ -206,12 +201,12 @@ class Predictions:
 
 
 def write_predictions(path: str, ids: list[str], scores, classes: list[str] | None = None) -> None:
-    """Write the scores of the images `ids`: an (N,) binary score vector, with
-    label +1 where a score is > 0 and -1 otherwise, or, given `classes`, an
-    (N, B) zero-shot table with one column per class."""
+    """Write the scores of the images `ids`: an (N,) binary score vector, each
+    with its `score_labels` label, or, given `classes`, an (N, B) zero-shot
+    table with one column per class."""
     if classes is None:
-        records = ({"id": i, "score": float(s), "label": 1 if s > 0 else -1}
-                   for i, s in zip(ids, scores))
+        records = ({"id": i, "score": float(s), "label": y}
+                   for i, s, y in zip(ids, scores, score_labels(scores).tolist()))
     else:
         records = ({"id": i, "scores": dict(zip(classes, map(float, row)))}
                    for i, row in zip(ids, scores))
@@ -266,18 +261,6 @@ def read_predictions(path: str) -> Predictions:
 
 # Model files ------------------------------------------------------------------
 
-def _hyper_dict(h: Hyperparameters) -> dict:
-    return {
-        "gamma": h.gamma,
-        "lambda": h.lam,
-        "C": h.C,
-        "kernel": {"kind": h.kernel.kind, "bandwidth": h.kernel.bandwidth},
-        "max_iter": h.max_iter,
-        "tol": h.tol,
-        "normalize": h.normalize,
-    }
-
-
 def _hyper_from_dict(d: dict) -> Hyperparameters:
     kernel = d.get("kernel", {})
     return Hyperparameters(
@@ -302,10 +285,10 @@ def serialize_model(model: TrainedModel, unseen_classes: list[str] | None = None
         "q": q,
         "S": list(map(float, model.S.ravel())),
         "alpha": list(map(float, model.alpha)),
-        "kernel": {"kind": model.kernel.kind, "bandwidth": model.kernel.bandwidth},
+        "kernel": asdict(model.kernel),
         "source_texts": [_example_record("text", t) for t in model.source_texts],
         "train_images": [_example_record("image", i) for i in model.train_images],
-        "hyper": _hyper_dict(model.hyper),
+        "hyper": {"lambda" if k == "lam" else k: v for k, v in asdict(model.hyper).items()},
         "final_objective": model.final_objective,
         "unseen_classes": unseen_classes or [],
     }

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .model import CorpusExample, Hyperparameters, scores, signs, stack_features
+from .model import CorpusExample, Hyperparameters, score_labels, scores, signs, stack_features
 from .solver import TrainData, train
 
 # Grid searched by twofold cross-validation, in selection order
@@ -142,7 +142,7 @@ def zeroshot_report(table, classes, truth) -> EvalReport:
 def evaluate_model(model, test_images: list[CorpusExample]) -> EvalReport:
     """Score labeled test images with a binary model and report all metrics."""
     s = scores(model, stack_features(test_images, model.S.shape[1], "test image"))
-    return binary_report(s, np.where(s > 0, 1, -1), signs(test_images, "test image"))
+    return binary_report(s, score_labels(s), signs(test_images, "test image"))
 
 
 def _stratified_folds(images: list[CorpusExample], seed: int):
@@ -248,7 +248,7 @@ class _Fold:
     def fit_error(self, hyper: Hyperparameters) -> float:
         """Fit at `hyper` and return its error rate on the held-out images."""
         model, report = train(self.data, hyper)
-        err = error_rate(np.where(scores(model, self.Z_val) > 0, 1, -1), self.truth_val)
+        err = error_rate(score_labels(scores(model, self.Z_val)), self.truth_val)
         self.fits.setdefault((hyper.lam, hyper.gamma), []).append(
             (hyper.C, report.alpha_peak, err)
         )

@@ -51,6 +51,15 @@ class CooccurrencePair:
         self.image_features = np.asarray(self.image_features, dtype=float)
 
 
+@dataclass
+class Corpora:
+    """Texts, images and co-occurrence pairs, as a dataset file holds them."""
+
+    texts: list[CorpusExample] = field(default_factory=list)
+    images: list[CorpusExample] = field(default_factory=list)
+    pairs: list[CooccurrencePair] = field(default_factory=list)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "gaussian"
@@ -88,8 +97,10 @@ class Hyperparameters:
             raise ValueError("gamma and lam must be >= 0")
         if self.C <= 0:
             raise ValueError("C must be > 0")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("bad stopping/step parameters")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
 
 
 @dataclass
@@ -174,6 +185,12 @@ def ovr_labels(examples: list[CorpusExample], classes: list[str]) -> np.ndarray:
     return labels
 
 
+def score_labels(s) -> np.ndarray:
+    """The binary label of each score: +1 where it is > 0 and -1 otherwise, so
+    an exact 0 maps to -1."""
+    return np.where(np.asarray(s) > 0, 1, -1)
+
+
 def check_unseen_texts(texts: list[CorpusExample], unseen) -> None:
     """Raise DataError unless each unseen class labels one of `texts`:
     `unseen_scores` ranks a class by the votes of its texts, and a class with
@@ -243,10 +260,8 @@ def _text_votes(model: TrainedModel, Z: np.ndarray) -> np.ndarray:
 
 def scores(model: TrainedModel, Z) -> np.ndarray:
     """Joint discriminant f(z) = sum_i y_i tanh(x_i' S z) + sum_j alpha_j y_j K(z_j, z)
-    of every row z of the (k, q) query matrix Z, shape (k,).
-
-    The label of an image is +1 where its score is > 0 and -1 otherwise, so an
-    exact 0 maps to -1.
+    of every row z of the (k, q) query matrix Z, shape (k,); `score_labels`
+    turns them into labels.
     """
     Z = _queries(model, Z)
     s = _text_votes(model, Z) @ signs(model.source_texts, "source text")

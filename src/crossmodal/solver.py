@@ -36,9 +36,6 @@ _ACCEPT_SLACK = 1e-12
 # Relative rounding margin of the misalignment lower bound (`_misalign_floor`),
 # far above the float64 error of the l-term sums on either side of the bound.
 _FLOOR_RTOL = 1e-9
-# The S step forms its pair gradient in float32 until the loop would stop
-# (`_train_loop`); False keeps float64 throughout.
-_FLOAT32_PAIR_GRADIENT = True
 # Largest feature magnitude, and largest bound 2 l max|P_x| max|P_z| on the
 # float32 gradient's products and partial sums, for which the loop uses it:
 # far enough below the float32 maximum (3.4e38) that nothing overflows.
@@ -63,7 +60,6 @@ class TrainData:
 @dataclass
 class TrainReport:
     stop_reason: str  # "tol", "max_iter", or "linesearch" (no step could be accepted)
-    iterations: int
     final_rank: int
     objective_trace: list[float]
     # The largest value the fit passed to `project_alpha` (its start and every
@@ -73,6 +69,10 @@ class TrainReport:
     # The first iteration whose S step took the float64 pair gradient: 1 when
     # the fit never used float32, None when every iteration did.
     float64_from: int | None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace) - 1
 
     @property
     def converged(self) -> bool:
@@ -110,10 +110,10 @@ def _float32_pairs(pair_X: np.ndarray, pair_Z: np.ndarray) -> _Float32Pairs | No
     term (|d| < 2; a sum that lands there is exact); `tiny` bounds their
     total with room to spare."""
     l = pair_X.shape[0]
-    if not _FLOAT32_PAIR_GRADIENT or l == 0 or (l + 5) * _U32 >= 0.5:
+    if l == 0 or (l + 5) * _U32 >= 0.5:
         return None
     abs_X, abs_Z = np.abs(pair_X), np.abs(pair_Z)
-    mx, mz = float(np.max(abs_X)), float(np.max(abs_Z))
+    mx, mz = float(np.max(abs_X, initial=0.0)), float(np.max(abs_Z, initial=0.0))
     if not (max(mx, mz) < _FLOAT32_LIMIT and 2.0 * l * mx * mz < _FLOAT32_LIMIT):
         return None
     return _Float32Pairs(
@@ -153,14 +153,16 @@ class _Problem:
         return self.img_Z.shape[0]
 
 
-def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, normalize: bool):
+def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None,
+                   hyper: Hyperparameters):
     """Stack the corpora of `data` into arrays, with (n, B) and (m, B) label
     blocks for texts and images. Returns the problem and the texts and images
     as the model keeps them.
 
     Every text is stacked, so every text's width is checked, but a text whose
-    label row is all zero is left out of the problem. `normalize` L2-normalizes
-    the stacked rows. A `kernel` of None leaves alpha off.
+    label row is all zero is left out of the problem. `hyper.normalize`
+    L2-normalizes the stacked rows, and `pair32` is built only when lam > 0.
+    A `kernel` of None leaves alpha off.
 
     p is the width of the texts, else of the pairs' texts, else 0; q is the
     width of the images, else of the pairs' images."""
@@ -173,7 +175,7 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, no
     img_Z = stack_features(images, q, "training image")
     pair_X = stack_rows([c.text_features for c in pairs], p, lambda k: f"pair {k} text")
     pair_Z = stack_rows([c.image_features for c in pairs], q, lambda k: f"pair {k} image")
-    if normalize:
+    if hyper.normalize:
         text_X, img_Z, pair_X, pair_Z = map(normalize_rows, (text_X, img_Z, pair_X, pair_Z))
         texts = [CorpusExample(e.id, x, e.label) for e, x in zip(texts, text_X)]
         images = [CorpusExample(e.id, z, e.label) for e, z in zip(images, img_Z)]
@@ -192,7 +194,7 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, no
         pair_Z=pair_Z,
         K=K,
         kernel=kernel,
-        pair32=_float32_pairs(pair_X, pair_Z),
+        pair32=_float32_pairs(pair_X, pair_Z) if hyper.lam > 0 else None,
     )
     return pb, texts, images
 
@@ -356,12 +358,10 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         raise NumericalError("smooth objective is non-finite")
     trace = [f + float(np.sum(cur.sigma))]
     stop_reason = "max_iter"
-    iterations = 0
-    float32 = pb.pair32 is not None and hyper.lam > 0
+    float32 = pb.pair32 is not None
     float64_from = None
 
     for it in range(1, hyper.max_iter + 1):
-        iterations = it
         if not float32 and float64_from is None:
             float64_from = it
         if it > 1:
@@ -419,7 +419,6 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
 
     report = TrainReport(
         stop_reason=stop_reason,
-        iterations=iterations,
         final_rank=linalg.sigma_rank(cur.sigma),
         objective_trace=trace,
         alpha_peak=peak,
@@ -434,7 +433,7 @@ def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyper
     and return (TrainedModel, TrainReport). With a `kernel`, alpha is learned
     and the model keeps the training images and the resolved kernel; without,
     it keeps no images and `hyper.kernel`."""
-    pb, texts, images = _build_problem(data, text_Y, img_Y, kernel, hyper.normalize)
+    pb, texts, images = _build_problem(data, text_Y, img_Y, kernel, hyper)
     S, alpha, report = _train_loop(pb, hyper, log=log, init_S=init_S, init_alpha=init_alpha)
     model = TrainedModel(
         S=S,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError
-from .model import CooccurrencePair, CorpusExample, check_types
+from .model import CooccurrencePair, Corpora, CorpusExample, check_types
 
 _MAX_REDRAWS = 500
 
@@ -45,12 +45,11 @@ class SynthConfig:
 
 
 @dataclass
-class SynthDataset:
-    texts: list[CorpusExample]
-    images: list[CorpusExample]
-    test_images: list[CorpusExample]
-    pairs: list[CooccurrencePair]
-    config: SynthConfig
+class SynthDataset(Corpora):
+    """The training corpora of a config, plus its held-out test images."""
+
+    test_images: list[CorpusExample] = field(default_factory=list)
+    config: SynthConfig | None = None
     class_ids: list[str] = field(default_factory=list)
 
 
@@ -148,4 +147,5 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     pairs = [CooccurrencePair(row[:cfg.p], row[cfg.p:], class_id=None if binary else tag(t))
              for t, row in zip(_labels(Hp, W, binary).tolist(), emit(Hp, A, B))]
     class_ids = [] if binary else [tag(c) for c in range(cfg.classes)]
-    return SynthDataset(texts, images, test_images, pairs, cfg, class_ids)
+    return SynthDataset(texts=texts, images=images, pairs=pairs, test_images=test_images,
+                        config=cfg, class_ids=class_ids)

@@ -168,7 +168,7 @@ def numerical_rank(M: np.ndarray) -> int:
 def _binary_problem(data: TrainData, hyper: Hyperparameters):
     text_Y = signs(data.source_texts, "source text")[:, None]
     img_Y = signs(data.train_images, "training image")[:, None]
-    return _build_problem(data, text_Y, img_Y, hyper.kernel, normalize=False)[0]
+    return _build_problem(data, text_Y, img_Y, hyper.kernel, hyper)[0]
 
 
 def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):
@@ -283,10 +283,8 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
     eps = solver._EPS_ALPHA0
     trace = [_dense_smooth(S, alpha, pb, hyper) + trace_norm(S)]
     stop_reason = "max_iter"
-    iterations = 0
 
     for it in range(1, hyper.max_iter + 1):
-        iterations = it
         if it > 1:
             L = max(L / 2.0, 1e-12)
             eps = min(eps * 2.0, 1e12)
@@ -333,11 +331,10 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
 
     report = TrainReport(
         stop_reason=stop_reason,
-        iterations=iterations,
         final_rank=numerical_rank(S),
         objective_trace=trace,
         alpha_peak=float(max(proposed)),
-        float64_from=1 if iterations else None,
+        float64_from=1 if len(trace) > 1 else None,
     )
     return S, alpha, report
 

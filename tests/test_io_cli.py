@@ -183,6 +183,16 @@ class TestModelIO:
         assert np.all(scores(back, Z) == scores(model, Z))
         assert data_io.serialize_model(back) == text
 
+    def test_hyper_and_kernel_keys_are_pinned(self):
+        # The writer derives both objects from the dataclasses, so a field
+        # added to or moved within Hyperparameters or KernelSpec fails here
+        # before it changes the file format.
+        doc = json.loads(data_io.serialize_model(self.trained_model()))
+        assert list(doc["hyper"]) == [
+            "gamma", "lambda", "C", "kernel", "max_iter", "tol", "normalize"]
+        assert list(doc["hyper"]["kernel"]) == ["kind", "bandwidth"]
+        assert list(doc["kernel"]) == ["kind", "bandwidth"]
+
     def test_file_without_step_keys_loads(self):
         doc = json.loads(data_io.serialize_model(self.trained_model(normalize=True)))
         assert "normalize" not in doc
@@ -563,7 +573,8 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, expected", [
         ("--cap-c", "0", "C must be > 0"),
         ("--gamma", "-1", "gamma and lam must be >= 0"),
-        ("--tol", "0", "bad stopping/step parameters"),
+        ("--tol", "0", "tol must be > 0"),
+        ("--max-iter", "0", "max_iter must be >= 1"),
         ("--tol", "nan", "hyperparameters must be finite"),
         ("--lambda", "inf", "hyperparameters must be finite"),
         ("--bandwidth", "nan", "bandwidth must be positive and finite"),

@@ -15,6 +15,7 @@ from crossmodal.model import (
     Hyperparameters,
     KernelSpec,
     scores,
+    signs,
     stack_features,
     unseen_scores,
 )
@@ -320,10 +321,15 @@ def _assert_close(got, want, rtol=1e-12):
     assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want)))
 
 
+def _no_float32_pairs(pair_X, pair_Z):
+    """Stands in for `solver._float32_pairs` to keep a fit float64 throughout."""
+    return None
+
+
 def _fit_both(monkeypatch, fit, *args, **kwargs):
     """Run a trainer on the solver's loop with its float32 phase off, then on
     the uncached reference loop, which is float64 throughout."""
-    monkeypatch.setattr(solver, "_FLOAT32_PAIR_GRADIENT", False)
+    monkeypatch.setattr(solver, "_float32_pairs", _no_float32_pairs)
     fast = fit(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_train_loop", reference_train_loop)
@@ -595,7 +601,7 @@ class TestFloat32Phase:
             return report, np.vstack([table.T > 0, np.argmax(table, axis=1)])
 
         report32, labels32 = fit()
-        monkeypatch.setattr(solver, "_FLOAT32_PAIR_GRADIENT", False)
+        monkeypatch.setattr(solver, "_float32_pairs", _no_float32_pairs)
         report64, labels64 = fit()
         assert report32.float64_from is None and report64.float64_from == 1
         assert np.all(np.diff(report32.objective_trace) <= 1e-9)  # criterion 3
@@ -652,7 +658,7 @@ class TestFloat32Phase:
         model, report = train(data, hyper)
         assert report.float64_from == 1 and report.stop_reason == "tol"
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_FLOAT32_PAIR_GRADIENT", False)
+            mp.setattr(solver, "_float32_pairs", _no_float32_pairs)
             model64, report64 = train(data, hyper)
         assert report.objective_trace == report64.objective_trace
         assert np.array_equal(model.S, model64.S) and np.array_equal(model.alpha, model64.alpha)
@@ -660,3 +666,25 @@ class TestFloat32Phase:
         monkeypatch.setattr(solver, "_FLOAT32_LIMIT", np.inf)
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="in S is non-finite"):
             train(data, hyper)
+
+    def test_no_pair_term_builds_no_float32_pairs(self):
+        # With lam = 0 the pairs leave the objective: the problem holds no
+        # float32 copy of them and every iteration is float64.
+        ds = _small_synth(0)
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        hyper = Hyperparameters(lam=0.0, max_iter=20)
+        text_Y, img_Y = signs(ds.texts, "text")[:, None], signs(ds.images, "image")[:, None]
+        pb, _, _ = solver._build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
+        assert pb.pair32 is None
+        _, report = train(data, hyper)
+        assert report.float64_from == 1
+
+    @pytest.mark.parametrize("p, q", [(0, 3), (2, 0)])
+    def test_zero_width_pair_features_train(self, p, q):
+        # An empty feature vector on either side of the pairs leaves nothing
+        # for the float32 bound's maxima to reduce over.
+        images = [CorpusExample(f"i{k}", k * np.ones(q), (-1) ** k) for k in range(3 if q else 0)]
+        pairs = [CooccurrencePair(np.ones(p), np.ones(q))] * 3
+        model, report = train(TrainData([], images, pairs), Hyperparameters(max_iter=5))
+        assert model.S.shape == (p, q)
+        assert report.iterations >= 1
