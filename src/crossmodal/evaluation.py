@@ -177,7 +177,9 @@ def crossval_select(
     both are at least the earlier fit's `alpha_peak`, so its error is reused.
     And a point is picked only if its mean error is strictly below the best
     so far, so its remaining fold is not fitted once the mean with that
-    fold's error taken as 0 is not.
+    fold's error taken as 0 is not. A fit that does run shares its start
+    with a fit at a smaller C up to that fit's fork, so it resumes there
+    (`_Fold.fit_error`).
     """
     if base is None:
         base = Hyperparameters()
@@ -228,8 +230,8 @@ def _mean_floor(errs) -> float:
 @dataclass
 class _Fold:
     """One cross-validation split: the data its fits train on, the held-out
-    images they are scored on, and per (lam, gamma) the (C, alpha_peak,
-    error) of each fit run so far."""
+    images they are scored on, and per (lam, gamma) the (C, report, error)
+    of each fit run so far."""
 
     data: TrainData
     Z_val: np.ndarray
@@ -240,16 +242,22 @@ class _Fold:
         """The error of a fit already run whose path a fit at `hyper` repeats:
         the clip to [0, C] is the only place C enters, and it never bit in a
         fit whose alpha_peak is at most both C values."""
-        for C_fit, peak, err in self.fits.get((hyper.lam, hyper.gamma), ()):
-            if hyper.C == C_fit or peak <= min(hyper.C, C_fit):
+        for C_fit, report, err in self.fits.get((hyper.lam, hyper.gamma), ()):
+            if hyper.C == C_fit or report.alpha_peak <= min(hyper.C, C_fit):
                 return err
         return None
 
     def fit_error(self, hyper: Hyperparameters) -> float:
-        """Fit at `hyper` and return its error rate on the held-out images."""
-        model, report = train(self.data, hyper)
+        """Fit at `hyper` and return its error rate on the held-out images.
+
+        The fit resumes the one at the largest smaller C of the same
+        (lam, gamma) that has a fork: up to that fork the two fits are the
+        same, and from there `train` runs the fit at `hyper` exactly."""
+        fits = self.fits.setdefault((hyper.lam, hyper.gamma), [])
+        forked = [(C_fit, report) for C_fit, report, _ in fits
+                  if C_fit < hyper.C and report.fork is not None]
+        resume = max(forked, key=lambda fit: fit[0])[1] if forked else None
+        model, report = train(self.data, hyper, resume=resume)
         err = error_rate(score_labels(scores(model, self.Z_val)), self.truth_val)
-        self.fits.setdefault((hyper.lam, hyper.gamma), []).append(
-            (hyper.C, report.alpha_peak, err)
-        )
+        fits.append((hyper.C, report, err))
         return err

@@ -4,7 +4,9 @@ constrained alpha coefficients, both with backtracking so the objective never
 increases."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,25 @@ class TrainData:
     pairs: list[CooccurrencePair] = field(default_factory=list)
 
 
+class Fork(NamedTuple):
+    """The loop state at the start of the iteration whose alpha step first
+    proposed a value above C, then the fit's hyperparameters and data. A fit
+    at a larger C runs the same path up to there, so `train(...,
+    resume=report)` continues from it. It holds S's thin factors and alpha,
+    never an (n, m) or (l,) array, so a report stays small."""
+
+    iteration: int
+    factors: linalg.SvdResult  # S = U diag(sigma) V'
+    alpha: np.ndarray
+    L: float
+    eps: float
+    peak: float
+    float32: bool
+    float64_from: int | None
+    hyper: Hyperparameters
+    data: weakref.ref  # to the TrainData the fit was made on
+
+
 @dataclass
 class TrainReport:
     stop_reason: str  # "tol", "max_iter", or "linesearch" (no step could be accepted)
@@ -69,6 +90,9 @@ class TrainReport:
     # The first iteration whose S step took the float64 pair gradient: 1 when
     # the fit never used float32, None when every iteration did.
     float64_from: int | None
+    # Where a larger C would first part from this fit; None with alpha off,
+    # after an init_S or init_alpha, and when alpha_peak <= C.
+    fork: Fork | None = None
 
     @property
     def iterations(self) -> int:
@@ -209,9 +233,9 @@ class _Iterate:
     """
 
     S: np.ndarray
-    sigma: np.ndarray    # the nonzero singular values of S; their sum is the trace norm
+    factors: linalg.SvdResult  # S = U diag(sigma) V' over the nonzero sigma,
+                               # whose sum is the trace norm
     US: np.ndarray       # (p, r) U diag(sigma)
-    V: np.ndarray        # (q, r), so that S = US V'
     T: np.ndarray        # (n, m) tanh(X S Z')
     F_inter: np.ndarray  # (B, m) text_Y' T, the intermodal margins of each block
     a: np.ndarray | None = None            # (l,) pair scores x_k' S z_k
@@ -224,13 +248,13 @@ def _text_terms(factors: linalg.SvdResult, pb: _Problem) -> _Iterate:
     US = factors.U * factors.sigma
     V = factors.V
     T = np.tanh((pb.text_X @ US) @ (pb.img_Z @ V).T)
-    return _Iterate(S=US @ V.T, sigma=factors.sigma, US=US, V=V, T=T, F_inter=pb.text_Y.T @ T)
+    return _Iterate(S=US @ V.T, factors=factors, US=US, T=T, F_inter=pb.text_Y.T @ T)
 
 
 def _pair_terms(it: _Iterate, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
     """Add the pair scores and the misalignment term to `it`, in place:
     O(l (p + q) r) instead of O(l p q)."""
-    it.a = np.einsum("ij,ij->i", pb.pair_X @ it.US, pb.pair_Z @ it.V)
+    it.a = np.einsum("ij,ij->i", pb.pair_X @ it.US, pb.pair_Z @ it.factors.V)
     it.misalign_term = hyper.lam * float(np.sum(misalign(it.a)))
     if not np.isfinite(it.misalign_term):
         raise NumericalError("smooth objective is non-finite")
@@ -322,7 +346,8 @@ def project_alpha(alpha, C: float) -> np.ndarray:
 
 # Training loop ----------------------------------------------------------------
 
-def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
+def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None,
+                resume: TrainReport | None = None, source: weakref.ref | None = None):
     """Alternating prox/projected-gradient loop over the array problem.
 
     Each S probe evaluates its text terms once (`_text_terms`). It adds its
@@ -339,29 +364,43 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     step monotone. An iteration that would stop the fit on it, for tol or a
     failed line search, instead moves the loop to the float64 gradient for
     the rest of the fit, so only a float64 iteration reports such a stop.
+
+    A fit from S = 0, alpha = 0 records a `Fork` (with `source`, the data it
+    was built from) at the first alpha probe above C. `resume`, a report of
+    this problem with a fork at a smaller C (see `train`), starts the loop
+    from the fork's state and the objective trace up to there: `cur`, `F`
+    and `f` are functions of S's factors and alpha, so they come out as the
+    fit from the start had them.
     """
-    shape_S = (pb.text_X.shape[1], pb.img_Z.shape[1])
-    shape_alpha = (pb.m if pb.K is not None else 0,)
-    starts = (("init_S", init_S, shape_S), ("init_alpha", init_alpha, shape_alpha))
-    for name, start, shape in starts:
-        if start is not None and np.shape(start) != shape:
-            raise ValueError(f"{name} has shape {np.shape(start)}, expected {shape}")
-    S = np.zeros(shape_S) if init_S is None else init_S
-    alpha = np.zeros(shape_alpha) if init_alpha is None else project_alpha(init_alpha, hyper.C)
-    peak = 0.0 if init_alpha is None else float(np.max(init_alpha, initial=0.0))
-    L = _L0
-    eps = _EPS_ALPHA0
-    cur = _pair_terms(_text_terms(linalg.svt_factors(S, 0.0), pb), pb, hyper)
+    if resume is None:
+        shape_S = (pb.text_X.shape[1], pb.img_Z.shape[1])
+        shape_alpha = (pb.m if pb.K is not None else 0,)
+        starts = (("init_S", init_S, shape_S), ("init_alpha", init_alpha, shape_alpha))
+        for name, start, shape in starts:
+            if start is not None and np.shape(start) != shape:
+                raise ValueError(f"{name} has shape {np.shape(start)}, expected {shape}")
+        S = np.zeros(shape_S) if init_S is None else init_S
+        alpha = np.zeros(shape_alpha) if init_alpha is None else project_alpha(init_alpha, hyper.C)
+        peak = 0.0 if init_alpha is None else float(np.max(init_alpha, initial=0.0))
+        state = (1, linalg.svt_factors(S, 0.0), alpha, _L0, _EPS_ALPHA0, peak,
+                 pb.pair32 is not None, None)
+    else:
+        state = resume.fork[:8]  # the loop state of `Fork`
+    first, factors, alpha, L, eps, peak, float32, float64_from = state
+    cur = _pair_terms(_text_terms(factors, pb), pb, hyper)
     F, h = _hinge_term(cur, alpha, pb, hyper)
     f = h + cur.misalign_term
     if not np.isfinite(f):
         raise NumericalError("smooth objective is non-finite")
-    trace = [f + float(np.sum(cur.sigma))]
+    if resume is None:
+        trace = [f + float(np.sum(cur.factors.sigma))]
+    else:
+        trace = resume.objective_trace[:first]
     stop_reason = "max_iter"
-    float32 = pb.pair32 is not None
-    float64_from = None
+    fork = None
 
-    for it in range(1, hyper.max_iter + 1):
+    for it in range(first, hyper.max_iter + 1):
+        start = (it, cur.factors, alpha, L, eps, peak, float32, float64_from)
         if not float32 and float64_from is None:
             float64_from = it
         if it > 1:
@@ -390,6 +429,8 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
             for _ in range(_MAX_BACKTRACKS):
                 step = alpha - eps * ga
                 peak = float(np.max(step, initial=peak))
+                if fork is None and peak > hyper.C and init_S is None and init_alpha is None:
+                    fork = Fork(*start, hyper, source)
                 cand = project_alpha(step, hyper.C)
                 delta = cand - alpha
                 bound = f + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
@@ -401,12 +442,12 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
                     break
                 eps /= _ETA
 
-        obj = f + float(np.sum(cur.sigma))
+        obj = f + float(np.sum(cur.factors.sigma))
         if not np.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
         trace.append(obj)
         if log is not None:
-            log(f"{it},{obj:.12g},{linalg.sigma_rank(cur.sigma)},{L:.6g},{eps:.6g}")
+            log(f"{it},{obj:.12g},{linalg.sigma_rank(cur.factors.sigma)},{L:.6g},{eps:.6g}")
         if moved and abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) >= hyper.tol:
             continue
         if float32:
@@ -419,22 +460,23 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
 
     report = TrainReport(
         stop_reason=stop_reason,
-        final_rank=linalg.sigma_rank(cur.sigma),
+        final_rank=linalg.sigma_rank(cur.factors.sigma),
         objective_trace=trace,
         alpha_peak=peak,
         float64_from=float64_from,
+        fork=fork,
     )
     return cur.S, alpha, report
 
 
 def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyperparameters,
-         log=None, init_S=None, init_alpha=None):
+         log=None, init_S=None, init_alpha=None, resume: TrainReport | None = None):
     """Fit the label blocks text_Y and img_Y of `data` (see `_build_problem`)
     and return (TrainedModel, TrainReport). With a `kernel`, alpha is learned
     and the model keeps the training images and the resolved kernel; without,
     it keeps no images and `hyper.kernel`."""
     pb, texts, images = _build_problem(data, text_Y, img_Y, kernel, hyper)
-    S, alpha, report = _train_loop(pb, hyper, log=log, init_S=init_S, init_alpha=init_alpha)
+    S, alpha, report = _train_loop(pb, hyper, log, init_S, init_alpha, resume, weakref.ref(data))
     model = TrainedModel(
         S=S,
         alpha=alpha,
@@ -447,7 +489,28 @@ def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyper
     return model, report
 
 
-def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
+def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters,
+                  init_S, init_alpha):
+    """Raise ValueError unless `resume` can continue a fit of `data` at `hyper`."""
+    fork = resume.fork
+    if fork is None:
+        raise ValueError("resume: the report has no fork; its fit never proposed an "
+                         "alpha above its C")
+    if init_S is not None or init_alpha is not None:
+        raise ValueError("resume: init_S and init_alpha cannot be given with resume")
+    if not hyper.C > fork.hyper.C:
+        raise ValueError(f"resume: C {hyper.C!r} is not larger than the fork's C "
+                         f"{fork.hyper.C!r}")
+    differ = [f.name for f in fields(hyper)
+              if f.name != "C" and getattr(hyper, f.name) != getattr(fork.hyper, f.name)]
+    if differ:
+        raise ValueError(f"resume: {', '.join(differ)} differ from the fork's")
+    if fork.data() is not data:
+        raise ValueError("resume: the fork was taken on another data object")
+
+
+def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None,
+          resume: TrainReport | None = None):
     """Run the alternating optimization, by default from S = 0, alpha = 0.
 
     Returns (TrainedModel, TrainReport). The objective trace is non-increasing
@@ -455,7 +518,17 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_a
     below hyper.tol before max_iter, with an accepted step in that iteration.
     `log`, when given, receives one line per iteration (see `_train_loop`);
     None trains silently.
+
+    `init_S` and `init_alpha` start the fit elsewhere. `resume`, the report
+    of an earlier fit of this same `data` object whose `fork` was taken at a
+    C below hyper.C, every other hyperparameter equal, continues that fit at
+    hyper.C from the fork's iteration: it returns exactly what a fit from
+    the start returns, without rerunning the iterations before the fork
+    (`log` receives lines from there on). A `resume` that does not fit, or
+    one given with `init_S` or `init_alpha`, raises ValueError.
     """
+    if resume is not None:
+        _check_resume(resume, data, hyper, init_S, init_alpha)
     text_Y = signs(data.source_texts, "source text")[:, None]
     img_Y = signs(data.train_images, "training image")[:, None]
-    return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, init_S, init_alpha)
+    return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, init_S, init_alpha, resume)

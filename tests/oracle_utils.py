@@ -265,10 +265,13 @@ def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
     return grad
 
 
-def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None):
-    """solver._train_loop without its caches or its float32 phase, with the
-    same signature and results; it reads the solver's step constants and
-    solver._MAX_BACKTRACKS, so a test can patch both loops at once."""
+def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None,
+                         resume=None, source=None):
+    """solver._train_loop without its caches, its float32 phase or its forks,
+    with the same signature and results; it reads the solver's step constants
+    and solver._MAX_BACKTRACKS, so a test can patch both loops at once. It
+    runs every fit from its start, so it takes no `resume`."""
+    assert resume is None
     if init_S is None:
         S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
     else:

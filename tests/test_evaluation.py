@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossmodal import evaluation
+from crossmodal import evaluation, linalg
 from crossmodal.errors import DataError
 from crossmodal.evaluation import (
     DEFAULT_GRID,
@@ -381,7 +381,7 @@ class TestCrossval:
         fits = _count_fits(monkeypatch)
         grid = {"lam": (0.5,), "gamma": (1.0,), "C": (2.0, 2.0)}
         crossval_select(self.small_data(), base=self.base(), grid=grid)
-        assert fits == [2.0, 2.0]
+        assert _Cs(fits) == [2.0, 2.0]
 
     def test_fits_at_C_above_the_peak_are_shared(self, monkeypatch):
         # Both C values lie above every alpha this small problem proposes, so
@@ -389,7 +389,7 @@ class TestCrossval:
         fits = _count_fits(monkeypatch)
         grid = {"lam": (0.5,), "gamma": (1.0,), "C": (100.0, 200.0)}
         crossval_select(self.small_data(), base=self.base(), grid=grid)
-        assert fits == [100.0, 100.0]
+        assert _Cs(fits) == [100.0, 100.0]
 
     @pytest.mark.parametrize("C", [(100.0, 1e-3), (1e-3, 100.0)])
     def test_fits_at_C_below_the_peak_are_run(self, monkeypatch, C):
@@ -398,7 +398,28 @@ class TestCrossval:
         fits = _count_fits(monkeypatch)
         grid = {"lam": (0.5,), "gamma": (1.0,), "C": C}
         crossval_select(self.small_data(), base=self.base(), grid=grid)
-        assert fits[:2] == [C[0], C[0]] and C[1] in fits
+        assert _Cs(fits)[:2] == [C[0], C[0]] and C[1] in _Cs(fits)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fits_resume_from_a_smaller_C(self, monkeypatch, seed):
+        # A fit at C resumes the fit of its (lam, gamma) and fold at the
+        # largest smaller C that has a fork, and so skips the SVDs of the
+        # iterations before the fork. A fit at C runs only when every such
+        # fit at a smaller C has alpha_peak above its own C, hence a fork.
+        fits = _count_fits(monkeypatch)
+        svds = _count_svds(monkeypatch)
+        crossval_select(self.small_data(seed), base=self.base(), seed=seed)
+        resumed = [(k, report) for k, (_, _, report) in enumerate(fits) if report is not None]
+        assert resumed
+        for k, report in resumed:
+            data, hyper, _ = fits[k]
+            forked = [h.C for d, h, _ in fits[:k] if d is data and h.C < hyper.C
+                      and (h.lam, h.gamma) == (hyper.lam, hyper.gamma)]
+            assert report.fork.hyper == replace(hyper, C=max(forked))
+        shared = len(svds)
+        for data, hyper, _ in fits:
+            train(data, hyper)
+        assert shared < len(svds) - shared
 
     def test_empty_fold_named(self):
         # One image per label: stratification puts both in the first fold.
@@ -408,16 +429,34 @@ class TestCrossval:
 
 
 def _count_fits(monkeypatch) -> list:
-    """The C of every fit crossval_select runs from here on."""
-    fits = []
+    """Every fit crossval_select runs from here on, as (data, hyper, resume):
+    `resume` is the report the fit resumed, None for a fit from the start."""
+    calls = []
     original = evaluation.train
 
-    def counted(data, hyper):
-        fits.append(hyper.C)
-        return original(data, hyper)
+    def counted(data, hyper, **kwargs):
+        calls.append((data, hyper, kwargs.get("resume")))
+        return original(data, hyper, **kwargs)
 
     monkeypatch.setattr(evaluation, "train", counted)
-    return fits
+    return calls
+
+
+def _Cs(calls) -> list:
+    return [hyper.C for _, hyper, _ in calls]
+
+
+def _count_svds(monkeypatch) -> list:
+    """A list that grows by one at every linalg.svd call from here on."""
+    calls = []
+    original = linalg.svd
+
+    def counted(M):
+        calls.append(None)
+        return original(M)
+
+    monkeypatch.setattr(linalg, "svd", counted)
+    return calls
 
 
 class TestCrossvalMatchesFullGrid:
@@ -436,6 +475,8 @@ class TestCrossvalMatchesFullGrid:
         "single_point": {"lam": (0.5,), "gamma": (1.0,), "C": (0.3,)},
         # With gamma = 0 the alpha gradient is zero: every probe proposes 0.
         "alpha_still": {"lam": (0.5, 1.0), "gamma": (0.0,), "C": (0.5, 3.0)},
+        # Its C axis (1, 2, 5, 10) chains resumed fits.
+        "default": DEFAULT_GRID,
     }
 
     @pytest.mark.parametrize("seed", range(4))

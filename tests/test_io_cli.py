@@ -839,6 +839,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("lambda ") and "gamma" in out and "C " in out
 
+    def test_walkthrough_crossval_resumes_a_fit(self, tmp_path, monkeypatch, capsys):
+        # The CI walkthrough's binary config and crossval command. At
+        # --max-iter 5 no fit proposes an alpha above its C; at 20 some fit
+        # at a larger C resumes one at a smaller C.
+        from crossmodal import evaluation
+
+        config, data = tmp_path / "bin.json", tmp_path / "train.jsonl"
+        config.write_text(json.dumps({"p": 8, "q": 6, "r_true": 2, "n_texts": 40,
+                                      "m_images": 16, "l_pairs": 80, "n_test": 30}))
+        assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+        resumed = []
+        original = evaluation.train
+
+        def counted(data, hyper, **kwargs):
+            resumed.append(kwargs.get("resume") is not None)
+            return original(data, hyper, **kwargs)
+
+        monkeypatch.setattr(evaluation, "train", counted)
+        assert main(["crossval", "--data", str(data), "--max-iter", "20"]) == 0
+        assert any(resumed)
+        assert capsys.readouterr().out.splitlines()[-3:] == ["lambda 0.5", "gamma 2.0", "C 1.0"]
+
     def test_images_only_train_and_crossval(self, tmp_path, capsys):
         # The intramodal-only baseline: no texts and no pairs, so S has no rows.
         ds = generate(SynthConfig(p=6, q=5, r_true=2, n_texts=0, m_images=12, l_pairs=0,

@@ -542,6 +542,138 @@ class TestAlphaPeak:
         assert train_zeroshot(data, {"c2"}, Hyperparameters(max_iter=5))[1].alpha_peak == 0.0
 
 
+def _assert_identical_fit(got, want):
+    (model, report), (want_model, want_report) = got, want
+    assert np.array_equal(model.S, want_model.S)
+    assert np.array_equal(model.alpha, want_model.alpha)
+    assert report.objective_trace == want_report.objective_trace
+    assert report.alpha_peak == want_report.alpha_peak
+    assert report.stop_reason == want_report.stop_reason
+    assert report.float64_from == want_report.float64_from
+    assert report.final_rank == want_report.final_rank
+
+
+class TestResume:
+    """A fit at C and one at a larger C run the same path up to the first
+    alpha probe above C; `train(..., resume=report)` continues from the
+    start of that iteration and must return the fit from the start, bit for
+    bit."""
+
+    def data(self, seed):
+        ds = _small_synth(seed)
+        return TrainData(ds.texts, ds.images, ds.pairs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("lam, gamma, C1, C2", [
+        (1.0, 1.0, 0.1, 0.3), (2.0, 0.5, 0.3, 1.0), (0.5, 2.0, 0.1, 2.0),
+    ])
+    def test_resumed_fit_is_the_fit_from_the_start(self, seed, lam, gamma, C1, C2):
+        data = self.data(seed)
+        hyper = Hyperparameters(lam=lam, gamma=gamma, C=C1, max_iter=200)
+        _, report = train(data, hyper)
+        assert report.alpha_peak > C1 and report.fork is not None
+        larger = replace(hyper, C=C2)
+        _assert_identical_fit(train(data, larger, resume=report), train(data, larger))
+
+    @pytest.mark.parametrize("seed, lam, gamma, Cs", [
+        (5, 2.0, 0.5, (0.3, 0.5, 1.0)),   # forks at iterations 2, 4 and 9
+        (2, 1.0, 1.0, (0.1, 0.3, 1.0)),   # forks at iterations 1, 9 and 33
+    ])
+    def test_chain_resumes_from_a_resumed_fit(self, seed, lam, gamma, Cs):
+        data = self.data(seed)
+        hyper = Hyperparameters(lam=lam, gamma=gamma, C=Cs[0], max_iter=200)
+        fit = train(data, hyper)
+        forks = [fit[1].fork.iteration]
+        for C in Cs[1:]:
+            cold = train(data, replace(hyper, C=C))
+            fit = train(data, replace(hyper, C=C), resume=fit[1])
+            _assert_identical_fit(fit, cold)
+            forks.append(fit[1].fork.iteration)
+        assert forks == sorted(forks) and forks[-1] > forks[0] > 0
+
+    @pytest.mark.parametrize("seed, C, float64_from", [(5, 0.27, 11), (0, 0.25, None)])
+    def test_fork_after_the_float32_phase(self, seed, C, float64_from):
+        # tol 1e-2 ends the float32 phase early. Seed 5 forks three iterations
+        # into the float64 phase; seed 0 forks on the iteration right after
+        # the switch, before the loop has named its first float64 iteration.
+        data = self.data(seed)
+        hyper = Hyperparameters(lam=1.0, gamma=0.5, C=C, max_iter=200, tol=1e-2)
+        _, report = train(data, hyper)
+        fork = report.fork
+        assert fork.float32 is False and fork.float64_from == float64_from
+        assert fork.iteration >= report.float64_from > 1
+        larger = replace(hyper, C=1.0)
+        _assert_identical_fit(train(data, larger, resume=report), train(data, larger))
+
+    def test_log_receives_lines_from_the_fork_on(self):
+        data = self.data(0)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
+        _, report = train(data, hyper)
+        k = report.fork.iteration
+        assert k > 1
+        cold, resumed = [], []
+        train(data, replace(hyper, C=1.0), log=cold.append)
+        train(data, replace(hyper, C=1.0), log=resumed.append, resume=report)
+        assert resumed == cold[k - 1:]
+        assert resumed[0].startswith(f"{k},")
+
+    def test_fork_holds_no_problem_sized_array(self):
+        # Every array of a fork is one of S's factors or alpha.
+        data = self.data(0)
+        _, report = train(data, Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200))
+        fork = report.fork
+        r = fork.factors.sigma.size
+        assert fork.factors.U.shape == (20, r) and fork.factors.V.shape == (15, r)
+        assert fork.alpha.shape == (30,)
+        assert fork.data() is data
+
+    def test_no_fork(self):
+        ds = _small_synth(2)
+        hyper = Hyperparameters(C=0.01, max_iter=20)
+        # alpha off: no images, or zero-shot training.
+        assert train(TrainData(ds.texts, [], ds.pairs), hyper)[1].fork is None
+        mc = _small_synth(2, classes=3)
+        mc_data = TrainData(mc.texts, mc.images, mc.pairs)
+        assert train_zeroshot(mc_data, {"c2"}, hyper)[1].fork is None
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        # A peak that never exceeds C.
+        _, report = train(data, replace(hyper, C=1e6))
+        assert report.alpha_peak <= 1e6 and report.fork is None
+        # A start elsewhere.
+        assert train(data, hyper)[1].fork is not None
+        assert train(data, hyper, init_alpha=np.zeros(30))[1].fork is None
+        assert train(data, hyper, init_S=np.zeros((20, 15)))[1].fork is None
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"C": 0.3}, "C 0.3 is not larger than the fork's C 0.3"),
+        ({"C": 0.1}, "C 0.1 is not larger than the fork's C 0.3"),
+        ({"C": 1.0, "lam": 1.0}, "lam differ from the fork's"),
+        ({"C": 1.0, "max_iter": 50, "normalize": True}, "max_iter, normalize differ"),
+        ({"C": 1.0, "kernel": KernelSpec(kind="linear")}, "kernel differ"),
+    ])
+    def test_mismatched_hyperparameters_rejected(self, change, expected):
+        data = self.data(0)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
+        _, report = train(data, hyper)
+        with pytest.raises(ValueError, match=re.escape(f"resume: {expected}")):
+            train(data, replace(hyper, **change), resume=report)
+
+    def test_other_misuse_rejected(self):
+        data = self.data(0)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
+        _, report = train(data, hyper)
+        larger = replace(hyper, C=1.0)
+        # The same corpora in another TrainData are another data object.
+        with pytest.raises(ValueError, match="fork was taken on another data object"):
+            train(replace(data), larger, resume=report)
+        for start in ({"init_S": np.zeros((20, 15))}, {"init_alpha": np.zeros(30)}):
+            with pytest.raises(ValueError, match="init_S and init_alpha cannot be given"):
+                train(data, larger, resume=report, **start)
+        _, no_fork = train(data, replace(hyper, C=1e6))
+        with pytest.raises(ValueError, match="the report has no fork"):
+            train(data, replace(hyper, C=1e7), resume=no_fork)
+
+
 class TestMisalignFloor:
     """solver._misalign_floor, the bound an S probe is rejected by before its
     pair terms, never exceeds the misalignment term the full evaluation
