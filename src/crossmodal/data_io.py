@@ -339,6 +339,9 @@ def parse_model(text: bytes | str) -> tuple[TrainedModel, str, list[str]]:
         if not binary and not unseen:
             raise DataError("zero-shot model lists no unseen classes")
         p, q = doc["p"], doc["q"]
+        for name, value in (("p", p), ("q", q)):
+            if type(value) is not int or value < 0:
+                raise DataError(f"{name} must be a non-negative integer, got {value!r}")
         S = _finite(doc["S"], "S")
         if S.size != p * q:
             raise DataError(f"S has {S.size} entries, expected {p * q}")

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import DataError, NumericalError
 
 
@@ -103,10 +104,18 @@ class Hyperparameters:
             raise ValueError("tol must be > 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainedModel:
     """Everything prediction needs: the transfer matrix, the alpha coefficients,
-    and the embedded corpora they sum over."""
+    and the embedded corpora they sum over.
+
+    Construction also factors S for scoring, once (the fields after
+    `final_objective`): the thin SVD U Σ V' of S truncated to its numerical
+    rank r (`linalg.sigma_rank`), and the texts embedded as A = X U Σ. The
+    factors are computed from S and the texts alone, so a model read back
+    from its file scores exactly as the one that wrote it. The model is
+    frozen, so no field can be reassigned away from its factors; it keeps
+    the example lists it is given, which must not change afterwards."""
 
     S: np.ndarray
     alpha: np.ndarray
@@ -115,12 +124,27 @@ class TrainedModel:
     kernel: KernelSpec
     hyper: Hyperparameters
     final_objective: float | None = None
+    # (q, r): the right singular vectors of S's r nonzero singular values.
+    V: np.ndarray = field(init=False, repr=False, compare=False)
+    # (n, r): A = X U Σ, so that x_i' S z = A[i] @ (V' z); None when it or
+    # S's singular values overflow float64, which `_text_votes` refuses.
+    A: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.S = np.asarray(self.S, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        if self.alpha.shape != (len(self.train_images),):
+        S = np.asarray(self.S, dtype=float)
+        alpha = np.asarray(self.alpha, dtype=float)
+        if alpha.shape != (len(self.train_images),):
             raise DataError("alpha length must match the number of training images")
+        res = linalg.svd(S)
+        r = linalg.sigma_rank(res.sigma)
+        X = stack_features(self.source_texts, S.shape[0], "source text")
+        with np.errstate(over="ignore", invalid="ignore"):  # checked on the next line
+            A = X @ (res.U[:, :r] * res.sigma[:r])
+        if not (np.all(np.isfinite(res.sigma)) and np.all(np.isfinite(A))):
+            A = None
+        # A copy of V's first r columns, not a view that would keep all of V.
+        for name, value in (("S", S), ("alpha", alpha), ("V", res.V[:, :r].copy()), ("A", A)):
+            object.__setattr__(self, name, value)
 
     @property
     def normalize(self) -> bool:
@@ -253,9 +277,12 @@ def _queries(model: TrainedModel, Z) -> np.ndarray:
 
 
 def _text_votes(model: TrainedModel, Z: np.ndarray) -> np.ndarray:
-    """tanh(x_i' S z) for every query row z and source text x_i, shape (k, n)."""
-    X = stack_features(model.source_texts, model.S.shape[0], "source text")
-    return np.tanh(Z @ model.S.T @ X.T)
+    """tanh(x_i' S z) for every query row z and source text x_i, shape (k, n),
+    computed in the rank-r factors of S as tanh((Z V) A')."""
+    if model.A is None:
+        raise NumericalError("the model's text votes overflow float64: S or the "
+                             "source texts are too large to score with")
+    return np.tanh((Z @ model.V) @ model.A.T)
 
 
 def scores(model: TrainedModel, Z) -> np.ndarray:

@@ -20,6 +20,7 @@ from crossmodal.model import (
     KernelSpec,
     TrainedModel,
     scores,
+    unseen_scores,
 )
 from crossmodal.solver import TrainData, train
 from crossmodal.synth import SynthConfig, generate
@@ -174,14 +175,35 @@ class TestModelIO:
             final_objective=4.25,
         )
 
-    def test_round_trip_bit_exact(self):
-        model = self.trained_model()
-        text = data_io.serialize_model(model)
-        back, mode, unseen = data_io.parse_model(text)
-        assert mode == "binary" and unseen == []
+    def zeroshot_model(self):
+        rng = np.random.default_rng(2)
+        return TrainedModel(
+            S=rng.standard_normal((3, 2)),
+            alpha=np.zeros(0),
+            source_texts=[CorpusExample(f"t{i}", rng.standard_normal(3), c)
+                          for i, c in enumerate(["a", "b", "a", 1])],
+            train_images=[],
+            kernel=KernelSpec(),
+            hyper=Hyperparameters(),
+        )
+
+    @pytest.mark.parametrize("mode", ["binary", "zeroshot"])
+    def test_round_trip_bit_exact(self, mode):
+        # The file holds S, not its factors; the model read back factors S
+        # again and must score exactly as the one that wrote it.
+        binary = mode == "binary"
+        model = self.trained_model() if binary else self.zeroshot_model()
+        unseen = [] if binary else ["a", "b"]
+
+        def score(m, Z):
+            return scores(m, Z) if binary else unseen_scores(m, Z, unseen)
+
+        text = data_io.serialize_model(model, unseen)
+        back, back_mode, back_unseen = data_io.parse_model(text)
+        assert back_mode == mode and back_unseen == unseen
         Z = np.random.default_rng(1).standard_normal((10, 2))
-        assert np.all(scores(back, Z) == scores(model, Z))
-        assert data_io.serialize_model(back) == text
+        assert np.all(score(back, Z) == score(model, Z))
+        assert data_io.serialize_model(back, unseen) == text
 
     def test_hyper_and_kernel_keys_are_pinned(self):
         # The writer derives both objects from the dataclasses, so a field
@@ -972,6 +994,16 @@ class TestCli:
         expected = {"S": f"S has {len(doc['S'])} entries, expected {doc['p'] * doc['q']}",
                     "alpha": "alpha length must match the number of training images"}[field]
         self.assert_predict_rejects(tmp_path, capsys, model, test, doc, expected)
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", "1"), ("q", "2"), ("p", 3.0), ("q", True), ("p", -1), ("q", None),
+    ])
+    def test_predict_rejects_a_bad_dimension(self, tmp_path, synth_config, capsys,
+                                             field, value):
+        model, test, doc = self.trained_model_doc(tmp_path, synth_config, capsys)
+        doc[field] = value
+        self.assert_predict_rejects(tmp_path, capsys, model, test, doc,
+                                    f"{field} must be a non-negative integer, got {value!r}")
 
     @pytest.mark.parametrize("fault", ["class label", "integer id"])
     def test_predict_names_a_bad_model_file(self, tmp_path, synth_config, capsys, fault):

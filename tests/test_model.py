@@ -1,11 +1,14 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossmodal.errors import DataError
+import crossmodal.model as model_module
+from crossmodal import linalg
+from crossmodal.errors import DataError, NumericalError
 from crossmodal.model import (
     CorpusExample,
     Hyperparameters,
@@ -257,8 +260,15 @@ class TestDiscriminant:
         assert discriminant(flipped, z) == pytest.approx(-discriminant(model, z), abs=1e-10)
 
 
-def random_model(rng, kind, normalize, n, m, p=3, q=2, classes=None):
-    """Random small model; texts carry class ids when `classes` is given."""
+def random_model(rng, kind, normalize, n, m, classes=None):
+    """Random small model; texts carry class ids when `classes` is given.
+
+    S is (p, q) with p and q drawn from 1..4, so that p < q, p > q and p = q
+    all occur, and is the product of random factors of a rank r drawn from
+    0..min(p, q), so scoring truncates the SVD of S to r or fewer columns."""
+    p, q = (int(d) for d in rng.integers(1, 5, size=2))
+    r = int(rng.integers(0, min(p, q) + 1))
+    S = rng.standard_normal((p, r)) @ rng.standard_normal((r, q))
     if classes is None:
         text_labels = [int(v) for v in rng.choice([-1, 1], n)]
     else:
@@ -272,7 +282,7 @@ def random_model(rng, kind, normalize, n, m, p=3, q=2, classes=None):
     ]
     kernel = KernelSpec(kind=kind, bandwidth=float(rng.uniform(0.5, 2.0)))
     return make_model(
-        rng.standard_normal((p, q)) * 2.0, rng.uniform(0.0, 2.0, m), texts, imgs,
+        S, rng.uniform(0.0, 2.0, m), texts, imgs,
         kernel=kernel, normalize=normalize,
     )
 
@@ -298,7 +308,7 @@ class TestBatchedScores:
     def test_matches_scalar_oracle(self, seed, kind, normalize, n, m, k):
         rng = np.random.default_rng(seed)
         model = random_model(rng, kind, normalize, n, m)
-        Z = queries(rng, k, 2)
+        Z = queries(rng, k, model.S.shape[1])
         batched = scores(model, Z)
         assert batched.shape == (k + 1,)
         assert close_to_oracle(batched, [discriminant(model, z) for z in Z])
@@ -315,7 +325,7 @@ class TestBatchedScores:
         rng = np.random.default_rng(seed)
         classes = ["a", "b", "c"]
         model = random_model(rng, "gaussian", normalize, n, 0, classes=classes)
-        Z = queries(rng, k, 2)
+        Z = queries(rng, k, model.S.shape[1])
         batched = unseen_scores(model, Z, ["c", "a"])
         assert batched.shape == (k + 1, 2)
         for b, cls in enumerate(["c", "a"]):
@@ -333,6 +343,47 @@ class TestBatchedScores:
             Z = stack_features(ds.test_images, ds.config.q, "test image")
             oracle = [predict_label(model, z) for z in Z]
             assert labels(scores(model, Z)).tolist() == oracle
+
+    def test_scoring_factors_nothing_and_stacks_no_text(self, monkeypatch):
+        # S is factored and the texts embedded once, when the model is built.
+        rng = np.random.default_rng(3)
+        model = random_model(rng, "gaussian", False, 4, 3)
+        zs_model = random_model(rng, "gaussian", False, 4, 0, classes=["a", "b"])
+        svds, stacked = [], []
+        monkeypatch.setattr(linalg, "svd", svds.append)
+        stack = model_module.stack_features
+
+        def spy(examples, dim, what):
+            stacked.append(what)
+            return stack(examples, dim, what)
+
+        monkeypatch.setattr(model_module, "stack_features", spy)
+        for _ in range(2):
+            scores(model, queries(rng, 3, model.S.shape[1]))
+            unseen_scores(zs_model, queries(rng, 3, zs_model.S.shape[1]), ["a"])
+        assert svds == [] and "source text" not in stacked
+
+    def test_model_is_frozen(self):
+        model = random_model(np.random.default_rng(4), "linear", False, 2, 2)
+        for name, value in (("S", np.zeros_like(model.S)), ("alpha", model.alpha),
+                            ("source_texts", []), ("A", None)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, name, value)
+
+    @pytest.mark.parametrize("S, text", [
+        # S's largest singular value overflows float64.
+        ([[1e308, -1.7e308], [1.5e308, 3.0]], [1.0, 1.0]),
+        # Each factor is finite, but a text's embedding overflows.
+        ([[1e300, 0.0], [0.0, 1.0]], [1e300, 0.0]),
+    ])
+    def test_overflowing_votes_refused(self, S, text):
+        # The model is still built, as a model file of finite numbers always
+        # loads (`TestRoundTripProperties.test_model`), but it refuses to
+        # score instead of returning votes that are not finite.
+        model = make_model(np.array(S), [], [CorpusExample("t", np.array(text), 1)], [])
+        assert model.A is None
+        with pytest.raises(NumericalError, match="overflow float64"):
+            scores(model, np.ones((1, 2)))
 
     def test_wrong_query_dimension_rejected(self):
         model = make_model(np.zeros((3, 2)), [], [], [])

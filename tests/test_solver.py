@@ -413,7 +413,8 @@ class TestLoopMatchesReference:
 
     def test_one_svd_and_one_misalignment_per_s_probe(self, monkeypatch):
         # Alpha probes and the per-iteration objective reuse the accepted
-        # S probe's terms; only the starting point adds one of each. An S
+        # S probe's terms; only the starting point adds one of each, and the
+        # model `train` returns factors S once more for scoring. An S
         # probe computes its misalignment term only when the lower bound
         # cannot reject it, so every accepted probe does and most rejected
         # ones do not.
@@ -436,7 +437,7 @@ class TestLoopMatchesReference:
         assert calls["prox_step"] >= report.iterations
         assert report.iterations + 1 <= calls["misalign"] <= calls["prox_step"] + 1
         assert calls["misalign"] < calls["prox_step"]
-        assert calls["svd"] == calls["prox_step"] + 1
+        assert calls["svd"] == calls["prox_step"] + 2
 
     def test_non_finite_hinge_on_a_probe_raises_there(self, monkeypatch):
         # The third S probe of this fit fails the lower bound. A NaN in its
