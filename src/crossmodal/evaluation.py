@@ -172,13 +172,14 @@ def crossval_select(
     hyperparameters come from `base` unchanged.
 
     The result is that of fitting every grid point on both folds, but two
-    kinds of fit are skipped because they cannot change it. A fit at C runs
-    the same path as a fit at C_fit of the same (lam, gamma) and fold when
-    both are at least the earlier fit's `alpha_peak`, so its error is reused.
-    And a point is picked only if its mean error is strictly below the best
-    so far, so its remaining fold is not fitted once the mean with that
-    fold's error taken as 0 is not. A fit that does run shares its start
-    with a fit at a smaller C up to that fit's fork, so it resumes there
+    kinds of fit are skipped because they cannot change it. C enters a fit
+    only through the clip of alpha to [0, C], and a fit's report has a fork
+    where an alpha probe first passed its C, so a fit at C_fit <= C of the
+    same (lam, gamma) and fold without a fork runs the same path as the fit
+    at C, and its error is reused. And a point is picked only if its mean
+    error is strictly below the best so far, so its remaining fold is not
+    fitted once the mean with that fold's error taken as 0 is not. A fit
+    that does run resumes the fit at the largest smaller C from its fork
     (`_Fold.fit_error`).
     """
     if base is None:
@@ -238,26 +239,25 @@ class _Fold:
     truth_val: np.ndarray
     fits: dict = field(default_factory=dict)
 
+    def _below(self, hyper: Hyperparameters):
+        """The (C_fit, report, error) of the fit run so far at the largest
+        C_fit <= hyper.C of the same (lam, gamma), or None."""
+        return max((fit for fit in self.fits.get((hyper.lam, hyper.gamma), ())
+                    if fit[0] <= hyper.C), key=lambda fit: fit[0], default=None)
+
     def known_error(self, hyper: Hyperparameters) -> float | None:
         """The error of a fit already run whose path a fit at `hyper` repeats:
-        the clip to [0, C] is the only place C enters, and it never bit in a
-        fit whose alpha_peak is at most both C values."""
-        for C_fit, report, err in self.fits.get((hyper.lam, hyper.gamma), ()):
-            if hyper.C == C_fit or report.alpha_peak <= min(hyper.C, C_fit):
-                return err
-        return None
+        the fit below it (`_below`) when that is at the same C, or has no
+        fork and so is the fit at every larger C."""
+        below = self._below(hyper)
+        return below[2] if below and (below[0] == hyper.C or below[1].fork is None) else None
 
     def fit_error(self, hyper: Hyperparameters) -> float:
         """Fit at `hyper` and return its error rate on the held-out images.
-
-        The fit resumes the one at the largest smaller C of the same
-        (lam, gamma) that has a fork: up to that fork the two fits are the
-        same, and from there `train` runs the fit at `hyper` exactly."""
-        fits = self.fits.setdefault((hyper.lam, hyper.gamma), [])
-        forked = [(C_fit, report) for C_fit, report, _ in fits
-                  if C_fit < hyper.C and report.fork is not None]
-        resume = max(forked, key=lambda fit: fit[0])[1] if forked else None
-        model, report = train(self.data, hyper, resume=resume)
+        When `known_error` has none, the fit below (`_below`) has a fork, if
+        there is one, and the fit resumes it there."""
+        below = self._below(hyper)
+        model, report = train(self.data, hyper, resume=None if below is None else below[1])
         err = error_rate(score_labels(scores(model, self.Z_val)), self.truth_val)
-        fits.append((hyper.C, report, err))
+        self.fits.setdefault((hyper.lam, hyper.gamma), []).append((hyper.C, report, err))
         return err

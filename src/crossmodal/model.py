@@ -76,7 +76,7 @@ class KernelSpec:
                 raise ValueError("bandwidth must be positive and finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparameters:
     """Everything the solver needs beyond the data."""
 

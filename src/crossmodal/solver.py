@@ -59,23 +59,30 @@ class TrainData:
     pairs: list[CooccurrencePair] = field(default_factory=list)
 
 
-class Fork(NamedTuple):
-    """The loop state at the start of the iteration whose alpha step first
-    proposed a value above C, then the fit's hyperparameters and data. A fit
-    at a larger C runs the same path up to there, so `train(...,
-    resume=report)` continues from it. It holds S's thin factors and alpha,
-    never an (n, m) or (l,) array, so a report stays small."""
+class _State(NamedTuple):
+    """The training loop's state at the start of an iteration."""
 
     iteration: int
     factors: linalg.SvdResult  # S = U diag(sigma) V'
     alpha: np.ndarray
     L: float
     eps: float
-    peak: float
-    float32: bool
-    float64_from: int | None
+    float64_from: int | None  # None while the S step is float32 (`_train_loop`)
+
+
+class Fork(NamedTuple):
+    """The loop state at the start of the iteration whose alpha step first
+    proposed a value above C, and the fit's hyperparameters and data: a fit
+    at a larger C runs the same path up to there, so `train(..., resume=)`
+    continues from it. The state holds no (n, m) or (l,) array."""
+
+    state: _State
     hyper: Hyperparameters
-    data: weakref.ref  # to the TrainData the fit was made on
+    data: weakref.ref | None  # to the TrainData the fit was made on
+
+    def __reduce__(self):
+        # A weak reference does not pickle; no `resume` takes a fork without data.
+        return Fork, (self.state, self.hyper, None)
 
 
 @dataclass
@@ -83,15 +90,11 @@ class TrainReport:
     stop_reason: str  # "tol", "max_iter", or "linesearch" (no step could be accepted)
     final_rank: int
     objective_trace: list[float]
-    # The largest value the fit passed to `project_alpha` (its start and every
-    # alpha probe, accepted or not); 0.0 with alpha off. C enters a fit only
-    # through that clip, so a fit at any C >= alpha_peak runs the same path.
-    alpha_peak: float
     # The first iteration whose S step took the float64 pair gradient: 1 when
     # the fit never used float32, None when every iteration did.
     float64_from: int | None
-    # Where a larger C would first part from this fit; None with alpha off,
-    # after an init_S or init_alpha, and when alpha_peak <= C.
+    # Where a larger C first parts from this fit: a fit without a fork (alpha
+    # off, or no alpha probe above C) is also the fit at every larger C.
     fork: Fork | None = None
 
     @property
@@ -346,7 +349,7 @@ def project_alpha(alpha, C: float) -> np.ndarray:
 
 # Training loop ----------------------------------------------------------------
 
-def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None,
+def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
                 resume: TrainReport | None = None, source: weakref.ref | None = None):
     """Alternating prox/projected-gradient loop over the array problem.
 
@@ -357,7 +360,6 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     K(alpha * y) to the accepted S's terms. `cur`, `F` and `f` always hold the
     accepted iterate, its margins and its smooth value. `log`, when given,
     receives one CSV line per iteration: iteration, objective, rank, L, eps.
-    `peak` tracks the largest value passed to `project_alpha`.
 
     The S step takes the float32 pair gradient (`_grad_S`) while pb.pair32
     allows it. The acceptance test stays float64, so any gradient keeps the
@@ -365,50 +367,37 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
     failed line search, instead moves the loop to the float64 gradient for
     the rest of the fit, so only a float64 iteration reports such a stop.
 
-    A fit from S = 0, alpha = 0 records a `Fork` (with `source`, the data it
-    was built from) at the first alpha probe above C. `resume`, a report of
-    this problem with a fork at a smaller C (see `train`), starts the loop
-    from the fork's state and the objective trace up to there: `cur`, `F`
-    and `f` are functions of S's factors and alpha, so they come out as the
-    fit from the start had them.
+    The loop records a `Fork` (with `source`, the data it was built from) at
+    the first alpha probe above C. `resume`, a report of this problem with a
+    fork at a smaller C (see `train`), starts the loop from the fork's state
+    and trace, not S = 0, alpha = 0: `cur`, `F` and `f` are functions of S's
+    factors and alpha, so they come out as the fit from the start had them.
     """
     if resume is None:
-        shape_S = (pb.text_X.shape[1], pb.img_Z.shape[1])
-        shape_alpha = (pb.m if pb.K is not None else 0,)
-        starts = (("init_S", init_S, shape_S), ("init_alpha", init_alpha, shape_alpha))
-        for name, start, shape in starts:
-            if start is not None and np.shape(start) != shape:
-                raise ValueError(f"{name} has shape {np.shape(start)}, expected {shape}")
-        S = np.zeros(shape_S) if init_S is None else init_S
-        alpha = np.zeros(shape_alpha) if init_alpha is None else project_alpha(init_alpha, hyper.C)
-        peak = 0.0 if init_alpha is None else float(np.max(init_alpha, initial=0.0))
-        state = (1, linalg.svt_factors(S, 0.0), alpha, _L0, _EPS_ALPHA0, peak,
-                 pb.pair32 is not None, None)
+        zero = linalg.svt_factors(np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1])), 0.0)
+        state = _State(1, zero, np.zeros(pb.m if pb.K is not None else 0), _L0, _EPS_ALPHA0,
+                       None if pb.pair32 is not None else 1)
     else:
-        state = resume.fork[:8]  # the loop state of `Fork`
-    first, factors, alpha, L, eps, peak, float32, float64_from = state
+        state = resume.fork.state
+    first, factors, alpha, L, eps, float64_from = state
+    trace = [] if resume is None else resume.objective_trace[:first - 1]
     cur = _pair_terms(_text_terms(factors, pb), pb, hyper)
     F, h = _hinge_term(cur, alpha, pb, hyper)
     f = h + cur.misalign_term
     if not np.isfinite(f):
         raise NumericalError("smooth objective is non-finite")
-    if resume is None:
-        trace = [f + float(np.sum(cur.factors.sigma))]
-    else:
-        trace = resume.objective_trace[:first]
+    trace.append(f + float(np.sum(cur.factors.sigma)))
     stop_reason = "max_iter"
     fork = None
 
     for it in range(first, hyper.max_iter + 1):
-        start = (it, cur.factors, alpha, L, eps, peak, float32, float64_from)
-        if not float32 and float64_from is None:
-            float64_from = it
+        start = _State(it, cur.factors, alpha, L, eps, float64_from)
         if it > 1:
             L = max(L / 2.0, 1e-12)       # recovery probe: try a bolder step
             eps = min(eps * 2.0, 1e12)
 
         # S step: backtrack on L until the quadratic majorizer holds.
-        g, g_pair, g_err = _grad_S(cur, F, pb, hyper, float32)
+        g, g_pair, g_err = _grad_S(cur, F, pb, hyper, float64_from is None)
         moved = False
         for _ in range(_MAX_BACKTRACKS):
             cand = _text_terms(prox_step(cur.S, g, L), pb)
@@ -428,9 +417,8 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
             ga = _grad_alpha(F, pb, hyper)
             for _ in range(_MAX_BACKTRACKS):
                 step = alpha - eps * ga
-                peak = float(np.max(step, initial=peak))
-                if fork is None and peak > hyper.C and init_S is None and init_alpha is None:
-                    fork = Fork(*start, hyper, source)
+                if fork is None and np.max(step) > hyper.C:
+                    fork = Fork(start, hyper, source)
                 cand = project_alpha(step, hyper.C)
                 delta = cand - alpha
                 bound = f + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
@@ -450,8 +438,9 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
             log(f"{it},{obj:.12g},{linalg.sigma_rank(cur.factors.sigma)},{L:.6g},{eps:.6g}")
         if moved and abs(trace[-2] - trace[-1]) / max(1.0, abs(trace[-2])) >= hyper.tol:
             continue
-        if float32:
-            float32 = False
+        if float64_from is None:
+            # A switch on the last iteration leaves no float64 iteration.
+            float64_from = it + 1 if it < hyper.max_iter else None
             continue
         # Without a move both line searches ran out: the iterate and the
         # objective are unchanged, which is not convergence.
@@ -462,7 +451,6 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
         stop_reason=stop_reason,
         final_rank=linalg.sigma_rank(cur.factors.sigma),
         objective_trace=trace,
-        alpha_peak=peak,
         float64_from=float64_from,
         fork=fork,
     )
@@ -470,13 +458,13 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None, init_S=None, ini
 
 
 def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyperparameters,
-         log=None, init_S=None, init_alpha=None, resume: TrainReport | None = None):
+         log=None, resume: TrainReport | None = None):
     """Fit the label blocks text_Y and img_Y of `data` (see `_build_problem`)
     and return (TrainedModel, TrainReport). With a `kernel`, alpha is learned
     and the model keeps the training images and the resolved kernel; without,
     it keeps no images and `hyper.kernel`."""
     pb, texts, images = _build_problem(data, text_Y, img_Y, kernel, hyper)
-    S, alpha, report = _train_loop(pb, hyper, log, init_S, init_alpha, resume, weakref.ref(data))
+    S, alpha, report = _train_loop(pb, hyper, log, resume, weakref.ref(data))
     model = TrainedModel(
         S=S,
         alpha=alpha,
@@ -489,15 +477,12 @@ def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyper
     return model, report
 
 
-def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters,
-                  init_S, init_alpha):
+def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters):
     """Raise ValueError unless `resume` can continue a fit of `data` at `hyper`."""
     fork = resume.fork
     if fork is None:
         raise ValueError("resume: the report has no fork; its fit never proposed an "
                          "alpha above its C")
-    if init_S is not None or init_alpha is not None:
-        raise ValueError("resume: init_S and init_alpha cannot be given with resume")
     if not hyper.C > fork.hyper.C:
         raise ValueError(f"resume: C {hyper.C!r} is not larger than the fork's C "
                          f"{fork.hyper.C!r}")
@@ -505,13 +490,12 @@ def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters,
               if f.name != "C" and getattr(hyper, f.name) != getattr(fork.hyper, f.name)]
     if differ:
         raise ValueError(f"resume: {', '.join(differ)} differ from the fork's")
-    if fork.data() is not data:
+    if fork.data is None or fork.data() is not data:
         raise ValueError("resume: the fork was taken on another data object")
 
 
-def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None,
-          resume: TrainReport | None = None):
-    """Run the alternating optimization, by default from S = 0, alpha = 0.
+def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport | None = None):
+    """Run the alternating optimization from S = 0, alpha = 0.
 
     Returns (TrainedModel, TrainReport). The objective trace is non-increasing
     up to floating-point slack; convergence means the relative decrease dropped
@@ -519,16 +503,15 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, init_S=None, init_a
     `log`, when given, receives one line per iteration (see `_train_loop`);
     None trains silently.
 
-    `init_S` and `init_alpha` start the fit elsewhere. `resume`, the report
-    of an earlier fit of this same `data` object whose `fork` was taken at a
-    C below hyper.C, every other hyperparameter equal, continues that fit at
-    hyper.C from the fork's iteration: it returns exactly what a fit from
-    the start returns, without rerunning the iterations before the fork
-    (`log` receives lines from there on). A `resume` that does not fit, or
-    one given with `init_S` or `init_alpha`, raises ValueError.
+    `resume`, the report of an earlier fit of this same `data` object whose
+    `fork` was taken at a C below hyper.C, every other hyperparameter equal,
+    continues that fit at hyper.C from the fork's iteration: it returns
+    exactly what a fit from the start returns, without rerunning the
+    iterations before the fork (`log` receives lines from there on). A
+    `resume` that does not fit raises ValueError.
     """
     if resume is not None:
-        _check_resume(resume, data, hyper, init_S, init_alpha)
+        _check_resume(resume, data, hyper)
     text_Y = signs(data.source_texts, "source text")[:, None]
     img_Y = signs(data.train_images, "training image")[:, None]
-    return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, init_S, init_alpha, resume)
+    return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, resume)

@@ -265,23 +265,14 @@ def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
     return grad
 
 
-def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init_alpha=None,
-                         resume=None, source=None):
+def reference_train_loop(pb, hyper: Hyperparameters, log=None, resume=None, source=None):
     """solver._train_loop without its caches, its float32 phase or its forks,
     with the same signature and results; it reads the solver's step constants
     and solver._MAX_BACKTRACKS, so a test can patch both loops at once. It
     runs every fit from its start, so it takes no `resume`."""
     assert resume is None
-    if init_S is None:
-        S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
-    else:
-        S = np.array(init_S, dtype=float)
-    proposed = [0.0]
-    if init_alpha is None:
-        alpha = np.zeros(pb.m if pb.K is not None else 0)
-    else:
-        proposed.extend(np.ravel(init_alpha))
-        alpha = project_alpha(init_alpha, hyper.C)
+    S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
+    alpha = np.zeros(pb.m if pb.K is not None else 0)
     L = solver._L0
     eps = solver._EPS_ALPHA0
     trace = [_dense_smooth(S, alpha, pb, hyper) + trace_norm(S)]
@@ -309,7 +300,6 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
             ga = _dense_grad_alpha(S, alpha, pb, hyper)
             F_cur = _dense_smooth(S, alpha, pb, hyper)
             for _ in range(solver._MAX_BACKTRACKS):
-                proposed.extend(alpha - eps * ga)
                 cand = project_alpha(alpha - eps * ga, hyper.C)
                 delta = cand - alpha
                 bound = F_cur + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
@@ -336,7 +326,6 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, init_S=None, init
         stop_reason=stop_reason,
         final_rank=numerical_rank(S),
         objective_trace=trace,
-        alpha_peak=float(max(proposed)),
         float64_from=1 if len(trace) > 1 else None,
     )
     return S, alpha, report

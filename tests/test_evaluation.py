@@ -403,9 +403,9 @@ class TestCrossval:
     @pytest.mark.parametrize("seed", range(2))
     def test_fits_resume_from_a_smaller_C(self, monkeypatch, seed):
         # A fit at C resumes the fit of its (lam, gamma) and fold at the
-        # largest smaller C that has a fork, and so skips the SVDs of the
-        # iterations before the fork. A fit at C runs only when every such
-        # fit at a smaller C has alpha_peak above its own C, hence a fork.
+        # largest smaller C, and so skips the SVDs of the iterations before
+        # that fit's fork. A fit at C runs only when that fit proposed an
+        # alpha above its own C, hence has a fork.
         fits = _count_fits(monkeypatch)
         svds = _count_svds(monkeypatch)
         crossval_select(self.small_data(seed), base=self.base(), seed=seed)
@@ -467,7 +467,7 @@ class TestCrossvalMatchesFullGrid:
     GRIDS = {
         "unsorted_and_duplicate_C": {"lam": (1.0, 0.5), "gamma": (1.0, 0.1),
                                      "C": (5.0, 1.0, 5.0, 0.05)},
-        # Fits on this data at C = 100 report alpha peaks of 0.03 to 0.6.
+        # Fits on this data at C = 100 propose largest alphas of 0.03 to 0.6.
         "C_both_sides_of_peaks": {"lam": (0.0, 1.0), "gamma": (0.5, 2.0),
                                   "C": (0.01, 0.1, 0.3, 1.0, 10.0)},
         "C_descending": {"lam": (1.0,), "gamma": (0.5, 1.0), "C": (10.0, 0.3, 0.1, 0.01)},

@@ -1,7 +1,8 @@
 import math
+import pickle
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -183,22 +184,6 @@ class TestTrain:
         assert np.all(np.diff(trace) <= 1e-9)
         assert np.all(model.alpha >= 0) and np.all(model.alpha <= hyper.C)
 
-    def test_fixed_point_restart(self, small_instance):
-        data, hyper, _, _ = small_instance
-        from dataclasses import replace
-
-        hyper = replace(hyper, max_iter=400, tol=1e-10)
-        model, report = train(data, hyper)
-        assert report.converged
-        _, report2 = train(
-            data,
-            replace(hyper, max_iter=1),
-            init_S=model.S,
-            init_alpha=model.alpha,
-        )
-        first, second = report2.objective_trace[0], report2.objective_trace[-1]
-        assert abs(first - second) / max(1.0, first) < hyper.tol * 10
-
     def test_deterministic_trace(self, small_instance):
         data, hyper, _, _ = small_instance
         _, r1 = train(data, hyper)
@@ -249,17 +234,6 @@ class TestTrain:
         assert report.stop_reason == "linesearch"
         assert report.iterations == report.float64_from == 2
         assert report.objective_trace == [report.objective_trace[0]] * 3
-
-    @pytest.mark.parametrize("images, start, expected", [
-        (0, {"init_alpha": np.array([0.3])}, "init_alpha has shape (1,), expected (0,)"),
-        (16, {"init_alpha": np.zeros(2)}, "init_alpha has shape (2,), expected (16,)"),
-        (16, {"init_S": np.zeros((15, 20))}, "init_S has shape (15, 20), expected (20, 15)"),
-    ])
-    def test_start_of_the_wrong_shape_rejected(self, images, start, expected):
-        ds = _small_synth(0)
-        data = TrainData(ds.texts, ds.images[:images], ds.pairs)
-        with pytest.raises(ValueError, match=re.escape(expected)):
-            train(data, Hyperparameters(max_iter=5), **start)
 
     @pytest.mark.parametrize("label", [1.0, np.int64(1), np.float64(-1.0)])
     @pytest.mark.parametrize("part", ["source_texts", "train_images"])
@@ -344,7 +318,6 @@ def _assert_same_fit(fast, ref):
     assert report.final_rank == ref_report.final_rank
     assert report.float64_from == ref_report.float64_from
     _assert_close(report.objective_trace, ref_report.objective_trace)
-    _assert_close(report.alpha_peak, ref_report.alpha_peak)
     _assert_close(model.S, ref_model.S)
     _assert_close(model.alpha, ref_model.alpha)
 
@@ -353,6 +326,11 @@ def _small_synth(seed, **kw):
     cfg = dict(p=20, q=15, r_true=4, n_texts=80, m_images=30, l_pairs=400, n_test=100)
     cfg.update(kw)
     return generate(SynthConfig(seed=seed, **cfg))
+
+
+def _small_data(seed):
+    ds = _small_synth(seed)
+    return TrainData(ds.texts, ds.images, ds.pairs)
 
 
 class TestLoopMatchesReference:
@@ -386,15 +364,6 @@ class TestLoopMatchesReference:
         ds = _small_synth(2)
         data = TrainData(ds.texts, [], ds.pairs)
         _assert_same_fit(*_fit_both(monkeypatch, train, data, Hyperparameters(max_iter=80)))
-
-    def test_warm_start(self, monkeypatch):
-        ds = _small_synth(3)
-        data = TrainData(ds.texts, ds.images, ds.pairs)
-        warm, _ = train(data, Hyperparameters(max_iter=10))
-        hyper = Hyperparameters(max_iter=60)
-        _assert_same_fit(*_fit_both(
-            monkeypatch, train, data, hyper, init_S=warm.S, init_alpha=warm.alpha + 0.5
-        ))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_one_backtrack(self, monkeypatch, seed):
@@ -497,50 +466,44 @@ class TestNormalizeMatchesReference:
 
 
 class TestAlphaPeak:
-    """C enters a fit only through project_alpha's clip to [0, C], so a fit at
-    any C at or above its alpha_peak runs the same path."""
-
-    def fit(self, seed, C=50.0, init_alpha=None):
-        ds = _small_synth(seed)
-        hyper = Hyperparameters(gamma=0.7, lam=1.3, C=C, max_iter=40)
-        return train(TrainData(ds.texts, ds.images, ds.pairs), hyper, init_alpha=init_alpha)
+    """C enters a fit only through project_alpha's clip to [0, C]. A fit
+    records a fork at its first alpha probe above C, so a fit without one
+    never proposed an alpha above C and is the fit at every larger C."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fits_at_C_above_the_peak_are_identical(self, seed):
-        model, report = self.fit(seed)
-        assert 0.0 < report.alpha_peak < 50.0
-        assert np.max(model.alpha) <= report.alpha_peak
-        for C in (report.alpha_peak, 2.0 * report.alpha_peak, 1e6):
-            other, other_report = self.fit(seed, C)
-            assert np.array_equal(other.S, model.S)
-            assert np.array_equal(other.alpha, model.alpha)
-            assert other_report.objective_trace == report.objective_trace
-            assert other_report.alpha_peak == report.alpha_peak
+        hyper = Hyperparameters(gamma=0.7, lam=1.3, C=50.0, max_iter=40)
+        fit = train(_small_data(seed), hyper)
+        assert fit[1].fork is None and np.any(fit[0].alpha > 0)
+        for C in (100.0, 5e7):
+            _assert_identical_fit(train(_small_data(seed), replace(hyper, C=C)), fit)
 
-    def test_peak_is_the_largest_value_projected(self, monkeypatch):
-        # Rejected alpha probes count as well as accepted ones.
-        seen = []
+    def test_fork_is_the_first_iteration_past_C(self, monkeypatch):
+        # Rejected alpha probes count as well as accepted ones. `lines` holds
+        # one log line per finished iteration.
+        lines, seen = [], []
 
         def recording(alpha, C):
-            seen.append(float(np.max(alpha, initial=0.0)))
+            seen.append((len(lines) + 1, float(np.max(alpha))))
             return project_alpha(alpha, C)
 
         monkeypatch.setattr(solver, "project_alpha", recording)
-        _, report = self.fit(0, init_alpha=np.full(30, 0.2))
-        assert len(seen) > report.iterations + 1
-        assert report.alpha_peak == max(seen)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=40)
+        _, report = train(_small_data(0), hyper, log=lines.append)
+        assert len(seen) > report.iterations
+        first = min(it for it, peak in seen if peak > hyper.C)
+        assert report.fork.state.iteration == first > 1
 
-    def test_peak_counts_the_start(self):
-        _, report = self.fit(1, C=2.0, init_alpha=np.full(30, 7.0))
-        assert report.alpha_peak >= 7.0
-
-    def test_zero_without_alpha(self):
+    def test_no_fork_without_alpha(self):
+        # C 0.01 is below the first alpha probe of these problems.
+        hyper = Hyperparameters(C=0.01, max_iter=20)
         ds = _small_synth(2)
-        _, report = train(TrainData(ds.texts, [], ds.pairs), Hyperparameters(max_iter=5))
-        assert report.alpha_peak == 0.0
+        model, report = train(TrainData(ds.texts, [], ds.pairs), hyper)
+        assert model.alpha.size == 0 and report.fork is None
         ds = _small_synth(2, classes=3)
         data = TrainData(ds.texts, ds.images, ds.pairs)
-        assert train_zeroshot(data, {"c2"}, Hyperparameters(max_iter=5))[1].alpha_peak == 0.0
+        model, report = train_zeroshot(data, {"c2"}, hyper)
+        assert model.alpha.size == 0 and report.fork is None
 
 
 def _assert_identical_fit(got, want):
@@ -548,7 +511,6 @@ def _assert_identical_fit(got, want):
     assert np.array_equal(model.S, want_model.S)
     assert np.array_equal(model.alpha, want_model.alpha)
     assert report.objective_trace == want_report.objective_trace
-    assert report.alpha_peak == want_report.alpha_peak
     assert report.stop_reason == want_report.stop_reason
     assert report.float64_from == want_report.float64_from
     assert report.final_rank == want_report.final_rank
@@ -560,19 +522,15 @@ class TestResume:
     start of that iteration and must return the fit from the start, bit for
     bit."""
 
-    def data(self, seed):
-        ds = _small_synth(seed)
-        return TrainData(ds.texts, ds.images, ds.pairs)
-
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("lam, gamma, C1, C2", [
         (1.0, 1.0, 0.1, 0.3), (2.0, 0.5, 0.3, 1.0), (0.5, 2.0, 0.1, 2.0),
     ])
     def test_resumed_fit_is_the_fit_from_the_start(self, seed, lam, gamma, C1, C2):
-        data = self.data(seed)
+        data = _small_data(seed)
         hyper = Hyperparameters(lam=lam, gamma=gamma, C=C1, max_iter=200)
         _, report = train(data, hyper)
-        assert report.alpha_peak > C1 and report.fork is not None
+        assert report.fork is not None
         larger = replace(hyper, C=C2)
         _assert_identical_fit(train(data, larger, resume=report), train(data, larger))
 
@@ -581,36 +539,36 @@ class TestResume:
         (2, 1.0, 1.0, (0.1, 0.3, 1.0)),   # forks at iterations 1, 9 and 33
     ])
     def test_chain_resumes_from_a_resumed_fit(self, seed, lam, gamma, Cs):
-        data = self.data(seed)
+        data = _small_data(seed)
         hyper = Hyperparameters(lam=lam, gamma=gamma, C=Cs[0], max_iter=200)
         fit = train(data, hyper)
-        forks = [fit[1].fork.iteration]
+        forks = [fit[1].fork.state.iteration]
         for C in Cs[1:]:
             cold = train(data, replace(hyper, C=C))
             fit = train(data, replace(hyper, C=C), resume=fit[1])
             _assert_identical_fit(fit, cold)
-            forks.append(fit[1].fork.iteration)
+            forks.append(fit[1].fork.state.iteration)
         assert forks == sorted(forks) and forks[-1] > forks[0] > 0
 
-    @pytest.mark.parametrize("seed, C, float64_from", [(5, 0.27, 11), (0, 0.25, None)])
+    @pytest.mark.parametrize("seed, C, float64_from", [(5, 0.27, 11), (0, 0.25, 18)])
     def test_fork_after_the_float32_phase(self, seed, C, float64_from):
         # tol 1e-2 ends the float32 phase early. Seed 5 forks three iterations
         # into the float64 phase; seed 0 forks on the iteration right after
-        # the switch, before the loop has named its first float64 iteration.
-        data = self.data(seed)
+        # the switch, the first float64 one.
+        data = _small_data(seed)
         hyper = Hyperparameters(lam=1.0, gamma=0.5, C=C, max_iter=200, tol=1e-2)
         _, report = train(data, hyper)
-        fork = report.fork
-        assert fork.float32 is False and fork.float64_from == float64_from
-        assert fork.iteration >= report.float64_from > 1
+        state = report.fork.state
+        assert state.float64_from == report.float64_from == float64_from
+        assert state.iteration >= float64_from > 1
         larger = replace(hyper, C=1.0)
         _assert_identical_fit(train(data, larger, resume=report), train(data, larger))
 
     def test_log_receives_lines_from_the_fork_on(self):
-        data = self.data(0)
+        data = _small_data(0)
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
         _, report = train(data, hyper)
-        k = report.fork.iteration
+        k = report.fork.state.iteration
         assert k > 1
         cold, resumed = [], []
         train(data, replace(hyper, C=1.0), log=cold.append)
@@ -620,30 +578,22 @@ class TestResume:
 
     def test_fork_holds_no_problem_sized_array(self):
         # Every array of a fork is one of S's factors or alpha.
-        data = self.data(0)
+        data = _small_data(0)
         _, report = train(data, Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200))
         fork = report.fork
-        r = fork.factors.sigma.size
-        assert fork.factors.U.shape == (20, r) and fork.factors.V.shape == (15, r)
-        assert fork.alpha.shape == (30,)
+        factors = fork.state.factors
+        r = factors.sigma.size
+        assert factors.U.shape == (20, r) and factors.V.shape == (15, r)
+        assert fork.state.alpha.shape == (30,)
         assert fork.data() is data
 
     def test_no_fork(self):
-        ds = _small_synth(2)
+        # alpha off is TestAlphaPeak.test_no_fork_without_alpha.
+        data = _small_data(2)
         hyper = Hyperparameters(C=0.01, max_iter=20)
-        # alpha off: no images, or zero-shot training.
-        assert train(TrainData(ds.texts, [], ds.pairs), hyper)[1].fork is None
-        mc = _small_synth(2, classes=3)
-        mc_data = TrainData(mc.texts, mc.images, mc.pairs)
-        assert train_zeroshot(mc_data, {"c2"}, hyper)[1].fork is None
-        data = TrainData(ds.texts, ds.images, ds.pairs)
-        # A peak that never exceeds C.
-        _, report = train(data, replace(hyper, C=1e6))
-        assert report.alpha_peak <= 1e6 and report.fork is None
-        # A start elsewhere.
         assert train(data, hyper)[1].fork is not None
-        assert train(data, hyper, init_alpha=np.zeros(30))[1].fork is None
-        assert train(data, hyper, init_S=np.zeros((20, 15)))[1].fork is None
+        # No alpha probe exceeds C.
+        assert train(data, replace(hyper, C=1e6))[1].fork is None
 
     @pytest.mark.parametrize("change, expected", [
         ({"C": 0.3}, "C 0.3 is not larger than the fork's C 0.3"),
@@ -653,26 +603,50 @@ class TestResume:
         ({"C": 1.0, "kernel": KernelSpec(kind="linear")}, "kernel differ"),
     ])
     def test_mismatched_hyperparameters_rejected(self, change, expected):
-        data = self.data(0)
+        data = _small_data(0)
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
         _, report = train(data, hyper)
         with pytest.raises(ValueError, match=re.escape(f"resume: {expected}")):
             train(data, replace(hyper, **change), resume=report)
 
     def test_other_misuse_rejected(self):
-        data = self.data(0)
+        data = _small_data(0)
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
         _, report = train(data, hyper)
         larger = replace(hyper, C=1.0)
         # The same corpora in another TrainData are another data object.
         with pytest.raises(ValueError, match="fork was taken on another data object"):
             train(replace(data), larger, resume=report)
-        for start in ({"init_S": np.zeros((20, 15))}, {"init_alpha": np.zeros(30)}):
-            with pytest.raises(ValueError, match="init_S and init_alpha cannot be given"):
-                train(data, larger, resume=report, **start)
         _, no_fork = train(data, replace(hyper, C=1e6))
         with pytest.raises(ValueError, match="the report has no fork"):
             train(data, replace(hyper, C=1e7), resume=no_fork)
+
+
+    def test_hyperparameters_are_frozen(self):
+        # A fork keeps the Hyperparameters object its fit used, so a field
+        # changed on it afterwards would pass the checks above.
+        data = _small_data(0)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
+        _, report = train(data, hyper)
+        for f in fields(hyper):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report.fork.hyper, f.name, getattr(hyper, f.name))
+        with pytest.raises(FrozenInstanceError):
+            hyper.C = -5.0
+
+    def test_report_with_a_fork_pickles(self):
+        # The fork pickles without its data: the unpickled report keeps its
+        # trace and fork state, but no resume accepts it.
+        data = _small_data(0)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
+        _, report = train(data, hyper)
+        unpickled = pickle.loads(pickle.dumps(report))
+        assert unpickled.objective_trace == report.objective_trace
+        assert unpickled.fork.state.iteration == report.fork.state.iteration
+        assert np.array_equal(unpickled.fork.state.alpha, report.fork.state.alpha)
+        assert unpickled.fork.hyper == hyper and unpickled.fork.data is None
+        with pytest.raises(ValueError, match="fork was taken on another data object"):
+            train(data, replace(hyper, C=1.0), resume=unpickled)
 
 
 class TestMisalignFloor:
@@ -778,6 +752,17 @@ class TestFloat32Phase:
         first64 = report.float64_from
         assert 1 < first64 <= report.iterations
         assert modes == [True] * (first64 - 1) + [False] * (report.iterations - first64 + 1)
+
+    def test_switch_on_the_last_iteration_names_no_float64_iteration(self):
+        # The fit cut at max_iter k - 1 runs the same iterations up to the
+        # switch, which is its last, so no float64 iteration follows.
+        data = _small_data(0)
+        hyper = Hyperparameters(lam=1.0, gamma=0.5, C=0.25, max_iter=200, tol=1e-2)
+        _, full = train(data, hyper)
+        k = full.float64_from
+        _, cut = train(data, replace(hyper, max_iter=k - 1))
+        assert k > 2 and cut.float64_from is None and cut.stop_reason == "max_iter"
+        assert cut.objective_trace == full.objective_trace[:k]
 
     def test_products_float32_cannot_hold_keep_float64(self, monkeypatch):
         # Pair features near 1e30 give products near 1e60, past the float32
