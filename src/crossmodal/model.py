@@ -109,13 +109,14 @@ class TrainedModel:
     """Everything prediction needs: the transfer matrix, the alpha coefficients,
     and the embedded corpora they sum over.
 
-    Construction also factors S for scoring, once (the fields after
+    Construction also prepares scoring, once (the fields after
     `final_objective`): the thin SVD U Σ V' of S truncated to its numerical
-    rank r (`linalg.sigma_rank`), and the texts embedded as A = X U Σ. The
-    factors are computed from S and the texts alone, so a model read back
-    from its file scores exactly as the one that wrote it. The model is
-    frozen, so no field can be reassigned away from its factors; it keeps
-    the example lists it is given, which must not change afterwards."""
+    rank r (`linalg.sigma_rank`), the texts embedded as A = X U Σ, the texts'
+    labels and the training images' weights. These are computed from S, alpha
+    and the examples alone, so a model read back from its file scores exactly
+    as the one that wrote it. The model is frozen, so no field can be
+    reassigned away from what was computed from it; it keeps the example
+    lists it is given, which must not change afterwards."""
 
     S: np.ndarray
     alpha: np.ndarray
@@ -129,6 +130,12 @@ class TrainedModel:
     # (n, r): A = X U Σ, so that x_i' S z = A[i] @ (V' z); None when it or
     # S's singular values overflow float64, which `_text_votes` refuses.
     A: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # The texts' labels, and (n,) the same as floats when every one is +1/-1,
+    # else None (a zero-shot model), which `scores` refuses.
+    text_labels: list = field(init=False, repr=False, compare=False)
+    text_signs: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # (m,): alpha * y over the training images, the kernel term's weights.
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         S = np.asarray(self.S, dtype=float)
@@ -142,8 +149,13 @@ class TrainedModel:
             A = X @ (res.U[:, :r] * res.sigma[:r])
         if not (np.all(np.isfinite(res.sigma)) and np.all(np.isfinite(A))):
             A = None
+        labels = [t.label for t in self.source_texts]
+        text_signs = np.array(labels, dtype=float) if all(map(is_sign, labels)) else None
+        weights = alpha * signs(self.train_images, "training image")
         # A copy of V's first r columns, not a view that would keep all of V.
-        for name, value in (("S", S), ("alpha", alpha), ("V", res.V[:, :r].copy()), ("A", A)):
+        for name, value in (("S", S), ("alpha", alpha), ("V", res.V[:, :r].copy()), ("A", A),
+                            ("text_labels", labels), ("text_signs", text_signs),
+                            ("weights", weights)):
             object.__setattr__(self, name, value)
 
     @property
@@ -158,15 +170,16 @@ def normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / np.where(norms == 0.0, 1.0, norms)
 
 
-def stack_rows(rows: list[np.ndarray], dim: int, name) -> np.ndarray:
-    """(N, dim) matrix of the feature vectors `rows`; (0, dim) when empty.
+def stack_rows(rows: list[np.ndarray], dim: int, name, order: str = "C") -> np.ndarray:
+    """(N, dim) matrix of the feature vectors `rows`, in memory `order` ("C"
+    row-major, "F" column-major); (0, dim) when empty.
 
     The first row whose shape is not (dim,) raises a DataError that names it
     as `name(k)`."""
     if not rows:
         return np.zeros((0, dim))
     try:
-        X = np.array(rows)
+        X = np.array(rows, order=order)
     except ValueError:  # rows of different widths
         X = None
     if X is None or X.shape != (len(rows), dim):
@@ -198,15 +211,15 @@ def signs(examples: list[CorpusExample], what: str) -> np.ndarray:
     return np.array([float(e.label) for e in examples])
 
 
-def ovr_labels(examples: list[CorpusExample], classes: list[str]) -> np.ndarray:
-    """(N, B) one-vs-rest label matrix over an ordered class list."""
-    labels = np.full((len(examples), len(classes)), -1.0)
+def ovr_labels(labels: list, classes: list[str]) -> np.ndarray:
+    """(N, B) one-vs-rest label matrix of N labels over an ordered class list."""
+    out = np.full((len(labels), len(classes)), -1.0)
     index = {c: b for b, c in enumerate(classes)}
-    for i, ex in enumerate(examples):
-        b = index.get(ex.label)
+    for i, label in enumerate(labels):
+        b = index.get(label)
         if b is not None:
-            labels[i, b] = 1.0
-    return labels
+            out[i, b] = 1.0
+    return out
 
 
 def score_labels(s) -> np.ndarray:
@@ -291,11 +304,12 @@ def scores(model: TrainedModel, Z) -> np.ndarray:
     turns them into labels.
     """
     Z = _queries(model, Z)
-    s = _text_votes(model, Z) @ signs(model.source_texts, "source text")
+    if model.text_signs is None:
+        signs(model.source_texts, "source text")  # raises, naming the first text
+    s = _text_votes(model, Z) @ model.text_signs
     if model.train_images:
         Z_train = stack_features(model.train_images, Z.shape[1], "training image")
-        weights = model.alpha * signs(model.train_images, "training image")
-        s += kernel_matrix(model.kernel, Z, Z_train) @ weights
+        s += kernel_matrix(model.kernel, Z, Z_train) @ model.weights
     return s
 
 
@@ -303,4 +317,4 @@ def unseen_scores(model: TrainedModel, Z, classes: list[str]) -> np.ndarray:
     """Intermodal score of every row z of Z for each class, shape (k, B): texts
     of class b vote +1 and all other texts -1, sum_i y_ib tanh(x_i' S z)."""
     Z = _queries(model, Z)
-    return _text_votes(model, Z) @ ovr_labels(model.source_texts, classes)
+    return _text_votes(model, Z) @ ovr_labels(model.text_labels, classes)

@@ -114,10 +114,11 @@ class TrainReport:
 class _Float32Pairs:
     """Float32 copies of the pair features, which the S step's pair gradient
     is formed from, and the terms of the bound on that gradient's rounding
-    error (`_grad_S`)."""
+    error (`_grad_S`). The copies are row-major, whatever the layout of the
+    float64 pairs, so the gradient's product reads them as it always has."""
 
-    X: np.ndarray   # (l, p) float32
-    Z: np.ndarray   # (l, q) float32
+    X: np.ndarray   # (l, p) float32, C-contiguous
+    Z: np.ndarray   # (l, q) float32, C-contiguous
     W: np.ndarray   # (p, q) |P_x|' |P_z| in float64
     gamma: float    # relative error bound of an l-term float32 product sum
     tiny: float     # absolute error bound of the roundings below float32's normal range
@@ -144,8 +145,8 @@ def _float32_pairs(pair_X: np.ndarray, pair_Z: np.ndarray) -> _Float32Pairs | No
     if not (max(mx, mz) < _FLOAT32_LIMIT and 2.0 * l * mx * mz < _FLOAT32_LIMIT):
         return None
     return _Float32Pairs(
-        X=pair_X.astype(np.float32),
-        Z=pair_Z.astype(np.float32),
+        X=np.ascontiguousarray(pair_X, dtype=np.float32),
+        Z=np.ascontiguousarray(pair_Z, dtype=np.float32),
         W=abs_X.T @ abs_Z,
         gamma=(l + 5) * _U32 / (1.0 - (l + 5) * _U32),
         tiny=l * 2.0**-146 * (1.0 + mx) * (1.0 + mz),
@@ -165,8 +166,8 @@ class _Problem:
     text_Y: np.ndarray   # (n, B) labels per block
     img_Z: np.ndarray    # (m, q)
     img_Y: np.ndarray    # (m, B)
-    pair_X: np.ndarray   # (l, p)
-    pair_Z: np.ndarray   # (l, q)
+    pair_X: np.ndarray   # (l, p), F-contiguous: feature-major for `_pair_terms`
+    pair_Z: np.ndarray   # (l, q), F-contiguous
     K: np.ndarray | None  # (m, m) kernel Gram matrix; None (as when m = 0) disables alpha
     kernel: KernelSpec | None  # the resolved kernel K was built with
     pair32: _Float32Pairs | None  # None keeps the float64 pair gradient
@@ -187,7 +188,8 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None,
     as the model keeps them.
 
     Every text is stacked, so every text's width is checked, but a text whose
-    label row is all zero is left out of the problem. `hyper.normalize`
+    label row is all zero is left out of the problem. The pairs are stacked
+    feature-major (column-major), in one allocation. `hyper.normalize`
     L2-normalizes the stacked rows, and `pair32` is built only when lam > 0.
     A `kernel` of None leaves alpha off.
 
@@ -200,8 +202,8 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None,
     q = images[0].features.shape[0] if images else pairs[0].image_features.shape[0]
     text_X = stack_features(texts, p, "source text")
     img_Z = stack_features(images, q, "training image")
-    pair_X = stack_rows([c.text_features for c in pairs], p, lambda k: f"pair {k} text")
-    pair_Z = stack_rows([c.image_features for c in pairs], q, lambda k: f"pair {k} image")
+    pair_X = stack_rows([c.text_features for c in pairs], p, lambda k: f"pair {k} text", "F")
+    pair_Z = stack_rows([c.image_features for c in pairs], q, lambda k: f"pair {k} image", "F")
     if hyper.normalize:
         text_X, img_Z, pair_X, pair_Z = map(normalize_rows, (text_X, img_Z, pair_X, pair_Z))
         texts = [CorpusExample(e.id, x, e.label) for e, x in zip(texts, text_X)]
@@ -256,8 +258,12 @@ def _text_terms(factors: linalg.SvdResult, pb: _Problem) -> _Iterate:
 
 def _pair_terms(it: _Iterate, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
     """Add the pair scores and the misalignment term to `it`, in place:
-    O(l (p + q) r) instead of O(l p q)."""
-    it.a = np.einsum("ij,ij->i", pb.pair_X @ it.US, pb.pair_Z @ it.factors.V)
+    O(l (p + q) r) instead of O(l p q). The scores are the column sums of
+    (US' P_x') * (V' P_z'), two wide (r, l) products over the feature-major
+    pairs."""
+    prod = it.US.T @ pb.pair_X.T
+    prod *= it.factors.V.T @ pb.pair_Z.T
+    it.a = prod.sum(axis=0)
     it.misalign_term = hyper.lam * float(np.sum(misalign(it.a)))
     if not np.isfinite(it.misalign_term):
         raise NumericalError("smooth objective is non-finite")
@@ -296,6 +302,10 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool
     lam P_x' diag(tanh(a) - 1) P_z alone (zero without pairs or lam), and a
     bound g_err on that part's float32 rounding error, elementwise.
 
+    The hinge half X' (M * (1 - T^2)) Z, M = text_Y G, is formed over the
+    images A whose subgradient G is nonzero in some block, O(p n |A| + p |A| q):
+    the other columns of M are exact zeros. With A empty it is skipped.
+
     With `float32` (which needs pb.pair32) the misalignment part is one
     float32 product of the float32 pair features, returned as float64, and
     g_err = lam (gamma max|d| |P_x|' |P_z| + tiny). Otherwise all of it is
@@ -306,8 +316,10 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool
     if hyper.gamma > 0 and pb.n > 0 and pb.m > 0:
         yf = pb.img_Y.T * F                       # (B, m)
         G = hyper.gamma * hinge_subgrad(yf) * pb.img_Y.T
-        M = pb.text_Y @ G                         # (n, m)
-        grad += pb.text_X.T @ (M * (1.0 - it.T**2)) @ pb.img_Z
+        A = np.flatnonzero(np.any(G != 0, axis=0))
+        if A.size:
+            M = pb.text_Y @ G[:, A]               # (n, |A|)
+            grad += pb.text_X.T @ (M * (1.0 - it.T[:, A]**2)) @ pb.img_Z[A]
     if hyper.lam > 0 and pb.pair_X.shape[0] > 0:
         d = misalign_deriv(it.a)
         if float32:
@@ -324,9 +336,12 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool
 
 
 def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
+    """y * (K c), c = gamma hinge'(y F) y, with K's product taken over the
+    images A where c is nonzero: K[:, A] c[A], O(m |A|)."""
     y = pb.img_Y[:, 0]
     c = hyper.gamma * np.asarray(hinge_subgrad(y * F[0])) * y
-    grad = y * (pb.K @ c)
+    A = np.flatnonzero(c)
+    grad = y * (pb.K[:, A] @ c[A])
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient in alpha is non-finite")
     return grad

@@ -56,6 +56,7 @@ def train_zeroshot(
         raise DataError("no seen-class texts or pairs for S to learn from")
     classes = sorted(seen)
     # All-zero label rows keep the other texts out of the problem.
-    text_Y = np.where(in_seen[:, None], ovr_labels(texts, classes), 0.0)
-    return _fit(TrainData(texts, images, pairs), text_Y, ovr_labels(images, classes),
+    text_Y = np.where(in_seen[:, None], ovr_labels([t.label for t in texts], classes), 0.0)
+    return _fit(TrainData(texts, images, pairs), text_Y,
+                ovr_labels([i.label for i in images], classes),
                 None, hyper, log)

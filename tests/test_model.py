@@ -345,11 +345,12 @@ class TestBatchedScores:
             assert labels(scores(model, Z)).tolist() == oracle
 
     def test_scoring_factors_nothing_and_stacks_no_text(self, monkeypatch):
-        # S is factored and the texts embedded once, when the model is built.
+        # S is factored, the texts embedded and the labels read once, when
+        # the model is built.
         rng = np.random.default_rng(3)
         model = random_model(rng, "gaussian", False, 4, 3)
         zs_model = random_model(rng, "gaussian", False, 4, 0, classes=["a", "b"])
-        svds, stacked = [], []
+        svds, stacked, signed = [], [], []
         monkeypatch.setattr(linalg, "svd", svds.append)
         stack = model_module.stack_features
 
@@ -358,10 +359,19 @@ class TestBatchedScores:
             return stack(examples, dim, what)
 
         monkeypatch.setattr(model_module, "stack_features", spy)
+        monkeypatch.setattr(model_module, "signs", lambda *args: signed.append(args))
         for _ in range(2):
             scores(model, queries(rng, 3, model.S.shape[1]))
             unseen_scores(zs_model, queries(rng, 3, zs_model.S.shape[1]), ["a"])
-        assert svds == [] and "source text" not in stacked
+        assert svds == [] and "source text" not in stacked and signed == []
+
+    def test_zero_shot_model_refuses_binary_scores(self):
+        rng = np.random.default_rng(6)
+        model = random_model(rng, "gaussian", False, 3, 0, classes=["a", "b"])
+        assert model.text_signs is None
+        with pytest.raises(DataError, match=r"^source text 't0' has label '[ab]'; "
+                                            r"binary mode needs \+1/-1$"):
+            scores(model, queries(rng, 2, model.S.shape[1]))
 
     def test_model_is_frozen(self):
         model = random_model(np.random.default_rng(4), "linear", False, 2, 2)

@@ -26,6 +26,7 @@ from crossmodal.solver import TrainData, project_alpha, prox_step, train
 from crossmodal.synth import SynthConfig, generate
 from crossmodal.zeroshot import train_zeroshot
 from oracle_utils import (
+    _dense_pair_scores,
     evaluate_at,
     fd_grad_S,
     fd_grad_alpha,
@@ -806,3 +807,81 @@ class TestFloat32Phase:
         model, report = train(TrainData([], images, pairs), Hyperparameters(max_iter=5))
         assert model.S.shape == (p, q)
         assert report.iterations >= 1
+
+
+class TestFastPathOracles:
+    """Each fast path of the S and alpha steps against the slow form it
+    replaces: the hinge half of the S gradient and alpha's K c over the
+    images inside the margin only, and the pair scores from the
+    feature-major pairs."""
+
+    @staticmethod
+    def problem(rng, n, m, B, kernel, normalize=False, l=6, p=5, q=4):
+        texts = [CorpusExample(f"t{i}", rng.standard_normal(p), 1) for i in range(n)]
+        images = [CorpusExample(f"i{j}", rng.standard_normal(q), 1) for j in range(m)]
+        pairs = [CooccurrencePair(rng.standard_normal(p), rng.standard_normal(q))
+                 for _ in range(l)]
+        text_Y = rng.choice([-1.0, 0.0, 1.0], (n, B))
+        img_Y = rng.choice([-1.0, 1.0], (m, B))
+        hyper = Hyperparameters(gamma=float(rng.uniform(0.2, 2.0)), lam=0.0, normalize=normalize,
+                                kernel=KernelSpec(bandwidth=float(rng.uniform(0.5, 2.0))))
+        pb, _, _ = solver._build_problem(TrainData(texts, images, pairs), text_Y, img_Y,
+                                         hyper.kernel if kernel else None, hyper)
+        return pb, hyper
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7), m=st.integers(1, 9), B=st.integers(1, 3),
+        # Margins y F all at or above the kink (no active image), all below
+        # it (every image active), or either.
+        active=st.sampled_from(["none", "all", "some"]),
+    )
+    def test_active_images_match_the_full_products(self, seed, n, m, B, active):
+        rng = np.random.default_rng(seed)
+        pb, hyper = self.problem(rng, n, m, B, kernel=True)
+        S = rng.standard_normal((5, 4))
+        it = solver._text_terms(linalg.svt_factors(S, 0.0), pb)
+        low, high = {"none": (1.0, 3.0), "all": (-3.0, 0.999), "some": (-1.0, 3.0)}[active]
+        yf = rng.uniform(low, high, (B, m))
+        if active == "none":
+            yf[:, 0] = 1.0  # exactly on the kink, whose subgradient is 0
+        F = pb.img_Y.T * yf
+        G = hyper.gamma * np.where(yf < 1.0, -1.0, 0.0) * pb.img_Y.T
+        full = pb.text_X.T @ ((pb.text_Y @ G) * (1.0 - it.T**2)) @ pb.img_Z
+        grad, _, _ = solver._grad_S(it, F, pb, hyper)
+        _assert_close(grad, full)
+        y = pb.img_Y[:, 0]
+        _assert_close(solver._grad_alpha(F, pb, hyper), y * (pb.K @ G[0]))
+        if active == "none":
+            assert not np.any(grad) and not np.any(solver._grad_alpha(F, pb, hyper))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        l=st.integers(0, 12), rank=st.integers(0, 4),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        normalize=st.booleans(),
+    )
+    def test_pair_scores_match_the_dense_form(self, seed, l, rank, scale, normalize):
+        rng = np.random.default_rng(seed)
+        pb, hyper = self.problem(rng, 2, 2, 1, kernel=False, normalize=normalize, l=l)
+        hyper = replace(hyper, lam=1.0)
+        S = scale * rng.standard_normal((5, rank)) @ rng.standard_normal((rank, 4))
+        it = solver._pair_terms(solver._text_terms(linalg.svt_factors(S, 0.0), pb), pb, hyper)
+        _assert_close(it.a, _dense_pair_scores(S, pb))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("l", [1, 400])
+    def test_pair_layouts(self, normalize, l):
+        # The pair scores read the pairs feature-major; the float32 pair
+        # gradient reads its copies row-major, as it always has.
+        ds = _small_synth(0, l_pairs=l)
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        hyper = Hyperparameters(normalize=normalize)
+        text_Y, img_Y = signs(ds.texts, "text")[:, None], signs(ds.images, "image")[:, None]
+        pb, _, _ = solver._build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
+        assert pb.pair_X.shape == (l, 20) and pb.pair_Z.shape == (l, 15)
+        assert pb.pair_X.flags.f_contiguous and pb.pair_Z.flags.f_contiguous
+        assert pb.pair32.X.flags.c_contiguous and pb.pair32.Z.flags.c_contiguous
+        np.testing.assert_array_equal(pb.pair32.X, pb.pair_X.astype(np.float32))
