@@ -33,23 +33,25 @@ class OptionValueError(Exception):
     """An option value the parser accepts but the model rejects, such as --cap-c 0."""
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser, searched: bool = True):
-    """The hyperparameter flags; `searched` False leaves out --gamma, --lambda
-    and --cap-c, whose values crossval's grid picks."""
+def _add_hyper_flags(p, reads=("gamma", "lam", "C", "kernel", "max_iter", "tol", "normalize")):
+    """The flags of the `Hyperparameters` fields in `reads`, the ones the
+    command's fits read; every other field keeps its default."""
     d = Hyperparameters()
-    if searched:
-        p.add_argument("--gamma", type=float, default=d.gamma)
-        p.add_argument("--lambda", dest="lam", type=float, default=d.lam)
-        p.add_argument("--cap-c", dest="cap_c", type=float, default=d.C)
-    else:
-        p.set_defaults(gamma=d.gamma, lam=d.lam, cap_c=d.C)
-    p.add_argument("--kernel", choices=["gaussian", "linear"], default=d.kernel.kind)
-    p.add_argument("--bandwidth", type=float, default=d.kernel.bandwidth,
-                   help="gaussian bandwidth; default: median heuristic")
-    p.add_argument("--max-iter", type=int, default=d.max_iter)
-    p.add_argument("--tol", type=float, default=d.tol)
-    p.add_argument("--normalize", action="store_true", default=d.normalize,
-                   help="L2-normalize feature vectors before training")
+    p.set_defaults(gamma=d.gamma, lam=d.lam, cap_c=d.C, kernel=d.kernel.kind,
+                   bandwidth=d.kernel.bandwidth, max_iter=d.max_iter, tol=d.tol,
+                   normalize=d.normalize)
+    for name, flag, kwargs in [
+        ("gamma", "--gamma", dict(type=float)),
+        ("lam", "--lambda", dict(dest="lam", type=float)),
+        ("C", "--cap-c", dict(dest="cap_c", type=float)),
+        ("kernel", "--kernel", dict(choices=["gaussian", "linear"])),
+        ("kernel", "--bandwidth", dict(type=float, help="gaussian; default: median heuristic")),
+        ("max_iter", "--max-iter", dict(type=int)),
+        ("tol", "--tol", dict(type=float)),
+        ("normalize", "--normalize", dict(action="store_true", help="L2-normalize the features")),
+    ]:
+        if name in reads:
+            p.add_argument(flag, **kwargs)
 
 
 def _hyper_from_args(args) -> Hyperparameters:
@@ -95,13 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crossval", help="twofold cross-validated grid search")
     p.add_argument("--data", required=True)
     p.add_argument("--seed", type=int, default=0)
-    _add_hyper_flags(p, searched=False)
+    _add_hyper_flags(p, ("kernel", "max_iter", "tol", "normalize"))
 
     p = sub.add_parser("zeroshot", help="train a shared transfer matrix")
     p.add_argument("--data", required=True)
     p.add_argument("--unseen", required=True, help="comma-separated class ids")
     p.add_argument("--out", required=True)
-    _add_hyper_flags(p)
+    # A zero-shot fit learns no alpha, so it reads no C or kernel.
+    _add_hyper_flags(p, ("gamma", "lam", "max_iter", "tol", "normalize"))
     p.add_argument("--verbose", action="store_true")
 
     return parser

@@ -336,12 +336,11 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool
 
 
 def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
-    """y * (K c), c = gamma hinge'(y F) y, with K's product taken over the
-    images A where c is nonzero: K[:, A] c[A], O(m |A|)."""
+    """y * (K c), c = gamma hinge'(y F) y: one dense product, which up to a few
+    hundred images is faster than gathering the columns where c is nonzero."""
     y = pb.img_Y[:, 0]
     c = hyper.gamma * np.asarray(hinge_subgrad(y * F[0])) * y
-    A = np.flatnonzero(c)
-    grad = y * (pb.K[:, A] @ c[A])
+    grad = y * (pb.K @ c)
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient in alpha is non-finite")
     return grad
@@ -402,6 +401,8 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
     if not np.isfinite(f):
         raise NumericalError("smooth objective is non-finite")
     trace.append(f + float(np.sum(cur.factors.sigma)))
+    if resume is not None and trace[-1] != resume.objective_trace[first - 1]:
+        raise ValueError(f"resume: the objective at the fork is {trace[-1]!r}, not the fit's")
     stop_reason = "max_iter"
     fork = None
 
@@ -523,7 +524,7 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport
     continues that fit at hyper.C from the fork's iteration: it returns
     exactly what a fit from the start returns, without rerunning the
     iterations before the fork (`log` receives lines from there on). A
-    `resume` that does not fit raises ValueError.
+    `resume` that does not fit, or whose data changed, raises ValueError.
     """
     if resume is not None:
         _check_resume(resume, data, hyper)

@@ -49,8 +49,6 @@ class SynthDataset(Corpora):
     """The training corpora of a config, plus its held-out test images."""
 
     test_images: list[CorpusExample] = field(default_factory=list)
-    config: SynthConfig | None = None
-    class_ids: list[str] = field(default_factory=list)
 
 
 def _labels(H: np.ndarray, W: np.ndarray, binary: bool):
@@ -146,6 +144,4 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     Hp = rng.standard_normal((cfg.l_pairs, cfg.r_true))
     pairs = [CooccurrencePair(row[:cfg.p], row[cfg.p:], class_id=None if binary else tag(t))
              for t, row in zip(_labels(Hp, W, binary).tolist(), emit(Hp, A, B))]
-    class_ids = [] if binary else [tag(c) for c in range(cfg.classes)]
-    return SynthDataset(texts=texts, images=images, pairs=pairs, test_images=test_images,
-                        config=cfg, class_ids=class_ids)
+    return SynthDataset(texts=texts, images=images, pairs=pairs, test_images=test_images)

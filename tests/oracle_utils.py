@@ -383,8 +383,6 @@ def reference_generate(cfg: SynthConfig) -> SynthDataset:
     def to_label(raw):
         return int(raw) if binary else f"c{raw}"
 
-    class_ids = [] if binary else [f"c{c}" for c in range(cfg.classes)]
-
     H, labels = _draw_labeled(rng, cfg.n_texts, cfg, W, binary)
     texts = [
         CorpusExample(f"t{i}", emit_text(H[i]), to_label(labels[i]))
@@ -419,8 +417,6 @@ def reference_generate(cfg: SynthConfig) -> SynthDataset:
         images=images,
         test_images=test_images,
         pairs=pairs,
-        config=cfg,
-        class_ids=class_ids,
     )
 
 

@@ -161,7 +161,8 @@ def test_criterion_06_pairs_count_trend():
 
 
 def test_criterion_07_low_rank_recovery():
-    ds = generate(SynthConfig(seed=1))
+    cfg = SynthConfig(seed=1)
+    ds = generate(cfg)
     model, rep = train(
         TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(**DEFAULT_TRAIN)
     )
@@ -169,7 +170,7 @@ def test_criterion_07_low_rank_recovery():
     report(
         "criterion 7: low-rank transfer matrix",
         rank <= 15,
-        f"numerical rank {rank} (planted rank {ds.config.r_true})",
+        f"numerical rank {rank} (planted rank {cfg.r_true})",
     )
 
 
@@ -177,14 +178,13 @@ def test_criterion_08_zeroshot_sanity():
     start = time.time()
     aucs = []
     for seed in range(20):
-        ds = generate(
-            SynthConfig(seed=seed, classes=5, n_texts=200, m_images=100,
-                        l_pairs=1000, n_test=200)
-        )
+        cfg = SynthConfig(seed=seed, classes=5, n_texts=200, m_images=100,
+                          l_pairs=1000, n_test=200)
+        ds = generate(cfg)
         data = TrainData(ds.texts, ds.images, ds.pairs)
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=100, tol=1e-7)
         model, _ = train_zeroshot(data, {"c0"}, hyper)
-        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        Z = stack_features(ds.test_images, cfg.q, "test image")
         c0_scores = unseen_scores(model, Z, ["c0"])[:, 0]
         truth = np.array([1 if e.label == "c0" else -1 for e in ds.test_images])
         aucs.append(auc(c0_scores, truth))

@@ -274,7 +274,6 @@ class TestSynth:
     def test_matches_per_example_generator_bytes(self, config, seed):
         cfg = SynthConfig(**config, seed=seed)
         ds, ref = generate(cfg), reference_generate(cfg)
-        assert ds.class_ids == ref.class_ids
         for group in ("texts", "images", "test_images"):
             got, want = getattr(ds, group), getattr(ref, group)
             assert [(e.id, e.label, type(e.label)) for e in got] == \
@@ -292,7 +291,7 @@ class TestSynth:
         ds = generate(SynthConfig(p=8, q=6, r_true=2, classes=5, n_texts=60, m_images=30,
                                   l_pairs=120, n_test=40, seed=seed))
         for group in (ds.texts, ds.images, ds.test_images):
-            counts = [sum(e.label == c for e in group) for c in ds.class_ids]
+            counts = [sum(e.label == f"c{c}" for e in group) for c in range(5)]
             assert min(counts) >= 0.5 * len(group) / 5
 
     def test_deterministic(self):
@@ -333,9 +332,9 @@ class TestSynth:
         ds = generate(
             SynthConfig(seed=4, classes=3, n_texts=60, m_images=30, l_pairs=40, n_test=30)
         )
-        assert ds.class_ids == ["c0", "c1", "c2"]
-        assert {e.label for e in ds.texts} <= set(ds.class_ids)
-        assert all(p.class_id in ds.class_ids for p in ds.pairs)
+        class_ids = {"c0", "c1", "c2"}
+        assert {e.label for e in ds.texts} == class_ids
+        assert all(p.class_id in class_ids for p in ds.pairs)
 
 
 class TestCrossval:

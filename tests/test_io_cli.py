@@ -641,13 +641,23 @@ class TestCli:
         assert main(["crossval", "--data", str(data), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: bad option value: --seed must be >= 0\n"
 
-    @pytest.mark.parametrize("flags", [
-        ["--grid", "default"], ["--verbose"],
-        # The grid picks these three, so crossval does not offer them.
-        ["--gamma", "7"], ["--lambda", "9"], ["--cap-c", "3"],
-    ])
+    # Flags a command does not take. crossval's grid picks gamma, lambda and
+    # C; a zero-shot fit has no alpha, so no C and no kernel.
+    _UNUSED_FLAGS = {
+        "crossval": [["--grid", "default"], ["--verbose"],
+                     ["--gamma", "7"], ["--lambda", "9"], ["--cap-c", "3"]],
+        "zeroshot": [["--cap-c", "3"], ["--kernel", "linear"], ["--bandwidth", "1"]],
+    }
+
+    @pytest.mark.parametrize("flags", _UNUSED_FLAGS["crossval"])
     def test_crossval_rejects_unused_flags(self, tmp_path, capsys, flags):
         assert main(["crossval", "--data", str(tmp_path / "d.jsonl"), *flags]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", _UNUSED_FLAGS["zeroshot"])
+    def test_zeroshot_rejects_unused_flags(self, tmp_path, capsys, flags):
+        assert main(["zeroshot", "--data", str(tmp_path / "d.jsonl"), "--unseen", "c0",
+                     "--out", str(tmp_path / "m.json"), *flags]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_train_verbose_prints_iterations_then_report(self, tmp_path, synth_config, capsys):

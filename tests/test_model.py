@@ -335,12 +335,13 @@ class TestBatchedScores:
 
     def test_labels_identical_on_synth_seeds(self):
         for seed in range(10):
-            ds = generate(SynthConfig(seed=seed, n_test=100))
+            cfg = SynthConfig(seed=seed, n_test=100)
+            ds = generate(cfg)
             model, _ = train(
                 TrainData(ds.texts, ds.images, ds.pairs),
                 Hyperparameters(max_iter=15, normalize=seed % 2 == 1),
             )
-            Z = stack_features(ds.test_images, ds.config.q, "test image")
+            Z = stack_features(ds.test_images, cfg.q, "test image")
             oracle = [predict_label(model, z) for z in Z]
             assert labels(scores(model, Z)).tolist() == oracle
 

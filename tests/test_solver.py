@@ -622,6 +622,22 @@ class TestResume:
         with pytest.raises(ValueError, match="the report has no fork"):
             train(data, replace(hyper, C=1e7), resume=no_fork)
 
+    def test_data_changed_at_the_fork_rejected(self):
+        # The same data object, one training image negated in place after the
+        # fit: the fork's state no longer gives the trace's objective. Without
+        # the check the resumed fit ends at 114.79, the fit from the start at
+        # 105.44.
+        ds = generate(SynthConfig(seed=0))
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        hyper = Hyperparameters(gamma=0.5, lam=2.0, C=1.0, max_iter=60)
+        _, report = train(data, hyper)
+        assert report.fork.state.iteration == 7
+        image = data.train_images[0]
+        image.features *= -1.0
+        image.label = -image.label
+        with pytest.raises(ValueError, match="resume: the objective at the fork is 243.10"):
+            train(data, replace(hyper, C=10.0), resume=report)
+
 
     def test_hyperparameters_are_frozen(self):
         # A fork keeps the Hyperparameters object its fit used, so a field
@@ -810,10 +826,10 @@ class TestFloat32Phase:
 
 
 class TestFastPathOracles:
-    """Each fast path of the S and alpha steps against the slow form it
-    replaces: the hinge half of the S gradient and alpha's K c over the
-    images inside the margin only, and the pair scores from the
-    feature-major pairs."""
+    """Each fast path of the S step against the slow form it replaces: the
+    hinge half of the S gradient over the images inside the margin only, and
+    the pair scores from the feature-major pairs. The alpha gradient, one
+    dense K c, is checked alongside."""
 
     @staticmethod
     def problem(rng, n, m, B, kernel, normalize=False, l=6, p=5, q=4):

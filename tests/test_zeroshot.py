@@ -233,12 +233,12 @@ class TestTrainZeroshot:
                    for c in data.pairs],
         )
         scaled_model, _ = train_zeroshot(scaled, {"c0"}, hyper)
-        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        Z = stack_features(ds.test_images, SynthConfig().q, "test image")
         np.testing.assert_allclose(
             unseen_scores(scaled_model, Z, ["c0"]), unseen_scores(model, Z, ["c0"]),
             rtol=1e-12, atol=1e-12,
         )
-        norms = np.linalg.norm(stack_features(model.source_texts, ds.config.p, "text"), axis=1)
+        norms = np.linalg.norm(stack_features(model.source_texts, SynthConfig().p, "text"), axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
     def test_no_seen_texts_and_no_pairs_rejected(self):
@@ -265,7 +265,7 @@ class TestTrainZeroshot:
         ds, data = multiclass_split(seed=7)
         hyper = Hyperparameters(gamma=0.5, lam=1.0, max_iter=80, tol=1e-7)
         model, _ = train_zeroshot(data, {"c0"}, hyper)
-        Z = stack_features(ds.test_images, ds.config.q, "test image")
+        Z = stack_features(ds.test_images, SynthConfig().q, "test image")
         scores = unseen_scores(model, Z, ["c0"])[:, 0]
         truth = np.array([1 if e.label == "c0" else -1 for e in ds.test_images])
         assert auc(scores, truth) > 0.75
