@@ -44,8 +44,14 @@ def atomic_write_text(path: str, content: str) -> None:
         raise
 
 
+def _floats(values) -> list:
+    """The array `values` as (nested) lists of the Python floats `float` makes
+    of its entries, in one conversion instead of one call per entry."""
+    return np.asarray(values, dtype=float).tolist()
+
+
 def _example_record(kind: str, ex: CorpusExample) -> dict:
-    rec = {"kind": kind, "id": ex.id, "features": list(map(float, ex.features))}
+    rec = {"kind": kind, "id": ex.id, "features": _floats(ex.features)}
     if ex.label is not None:
         rec["label" if is_sign(ex.label) else "class"] = ex.label
     return rec
@@ -55,8 +61,8 @@ def _pair_record(idx: int, pair: CooccurrencePair) -> dict:
     rec = {
         "kind": "pair",
         "id": f"p{idx}",
-        "text_features": list(map(float, pair.text_features)),
-        "image_features": list(map(float, pair.image_features)),
+        "text_features": _floats(pair.text_features),
+        "image_features": _floats(pair.image_features),
     }
     if pair.class_id is not None:
         rec["class"] = pair.class_id
@@ -205,11 +211,11 @@ def write_predictions(path: str, ids: list[str], scores, classes: list[str] | No
     with its `score_labels` label, or, given `classes`, an (N, B) zero-shot
     table with one column per class."""
     if classes is None:
-        records = ({"id": i, "score": float(s), "label": y}
-                   for i, s, y in zip(ids, scores, score_labels(scores).tolist()))
+        records = ({"id": i, "score": s, "label": y}
+                   for i, s, y in zip(ids, _floats(scores), score_labels(scores).tolist()))
     else:
-        records = ({"id": i, "scores": dict(zip(classes, map(float, row)))}
-                   for i, row in zip(ids, scores))
+        records = ({"id": i, "scores": dict(zip(classes, row))}
+                   for i, row in zip(ids, _floats(scores)))
     atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
 
 
@@ -283,8 +289,8 @@ def serialize_model(model: TrainedModel, unseen_classes: list[str] | None = None
         "mode": "zeroshot" if unseen_classes else "binary",
         "p": p,
         "q": q,
-        "S": list(map(float, model.S.ravel())),
-        "alpha": list(map(float, model.alpha)),
+        "S": _floats(model.S.ravel()),
+        "alpha": _floats(model.alpha),
         "kernel": asdict(model.kernel),
         "source_texts": [_example_record("text", t) for t in model.source_texts],
         "train_images": [_example_record("image", i) for i in model.train_images],

@@ -41,7 +41,12 @@ def svt_factors(M: np.ndarray, threshold: float) -> SvdResult:
     nonzero ones and their vectors."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    res = svd(M)
+    return shrink(svd(M), threshold)
+
+
+def shrink(res: SvdResult, threshold: float) -> SvdResult:
+    """The SVD `res` with its singular values soft-thresholded by `threshold`,
+    keeping only the nonzero ones and their vectors."""
     shrunk = res.sigma - threshold
     r = int(np.count_nonzero(shrunk > 0.0))  # sigma is sorted non-increasing
     return SvdResult(U=res.U[:, :r], sigma=shrunk[:r], V=res.V[:, :r])

@@ -346,12 +346,21 @@ def _grad_alpha(F, pb: _Problem, hyper: Hyperparameters) -> np.ndarray:
     return grad
 
 
-def prox_step(S_tau: np.ndarray, grad: np.ndarray, L: float) -> linalg.SvdResult:
+def prox_step(S_tau: np.ndarray, grad: np.ndarray, L: float,
+              ray: linalg.SvdResult | None = None) -> linalg.SvdResult:
     """Minimize the quadratic majorizer plus trace norm: svt(S - grad/L, 1/L),
-    as the thin factors of its nonzero singular values."""
+    as the thin factors of its nonzero singular values.
+
+    `ray`, the SVD U diag(sigma) V' of -grad when S_tau is zero, stands in
+    for the SVD: svt(-grad/L, 1/L) = U diag((sigma - 1)+ / L) V'. Scaling by
+    a power of two is exact, so for such an L the result is the one without
+    `ray`, bit for bit."""
     if L <= 0:
         raise ValueError("L must be positive")
-    return linalg.svt_factors(S_tau - grad / L, 1.0 / L)
+    if ray is None:
+        return linalg.svt_factors(S_tau - grad / L, 1.0 / L)
+    out = linalg.shrink(ray, 1.0)
+    return linalg.SvdResult(U=out.U, sigma=out.sigma / L, V=out.V)
 
 
 def project_alpha(alpha, C: float) -> np.ndarray:
@@ -388,7 +397,8 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
     factors and alpha, so they come out as the fit from the start had them.
     """
     if resume is None:
-        zero = linalg.svt_factors(np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1])), 0.0)
+        p, q = pb.text_X.shape[1], pb.img_Z.shape[1]
+        zero = linalg.SvdResult(U=np.zeros((p, 0)), sigma=np.zeros(0), V=np.zeros((q, 0)))
         state = _State(1, zero, np.zeros(pb.m if pb.K is not None else 0), _L0, _EPS_ALPHA0,
                        None if pb.pair32 is not None else 1)
     else:
@@ -414,9 +424,11 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
 
         # S step: backtrack on L until the quadratic majorizer holds.
         g, g_pair, g_err = _grad_S(cur, F, pb, hyper, float64_from is None)
+        # From S = 0 every probe is a scaling of one SVD (`prox_step`).
+        ray = linalg.svd(cur.S - g) if cur.factors.sigma.size == 0 else None
         moved = False
         for _ in range(_MAX_BACKTRACKS):
-            cand = _text_terms(prox_step(cur.S, g, L), pb)
+            cand = _text_terms(prox_step(cur.S, g, L, ray), pb)
             delta = cand.S - cur.S
             bound = f + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
             F_cand, h_cand = _hinge_term(cand, alpha, pb, hyper)

@@ -359,6 +359,56 @@ class TestModelIO:
             data_io.parse_model(json.dumps(doc))
 
 
+def _float_by_float(values):
+    """The writers' earlier per-entry conversion: `float` of each entry."""
+    a = np.asarray(values)
+    return [_float_by_float(row) for row in a] if a.ndim > 1 else list(map(float, a))
+
+
+class TestFloatsWrittenAsBefore:
+    """The writers convert float arrays with one ndarray.tolist(); the files
+    are byte for byte those of `float` taken entry by entry."""
+
+    EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072009e-308,
+                      2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                      0.1, 1 / 3, -1e16, 123456789.0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bytes(self, monkeypatch, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([self.EDGES, rng.standard_normal(50) * 10.0 ** rng.integers(-320, 308, 50)])
+
+        def values(*shape):
+            return rng.choice(pool, shape)
+
+        corpora = data_io.Corpora(
+            texts=[CorpusExample(f"t{k}", values(5), k % 2 * 2 - 1) for k in range(6)],
+            images=[CorpusExample(f"i{k}", values(7), "c0") for k in range(6)],
+            pairs=[CooccurrencePair(values(5), values(7), None) for _ in range(6)])
+        kernel = KernelSpec(bandwidth=1.3)
+        model = TrainedModel(
+            S=rng.permutation(self.EDGES).reshape(2, 7), alpha=values(2),
+            source_texts=[CorpusExample("t0", values(2), 1)],
+            train_images=[CorpusExample("i0", values(7), 1), CorpusExample("i1", values(7), -1)],
+            kernel=kernel, hyper=Hyperparameters(kernel=kernel))
+        ids = [f"q{k}" for k in range(8)]
+        path = tmp_path / "pred.jsonl"
+
+        def write_all():
+            out = [data_io.serialize_dataset(corpora), data_io.serialize_model(model)]
+            for scores, classes in ((values(8), None), (values(8, 3), ["a", "b", "c"])):
+                data_io.write_predictions(str(path), ids, scores, classes)
+                out.append(path.read_bytes())
+            return out
+
+        state = rng.bit_generator.state
+        now = write_all()
+        assert all(repr(v) in now[1] for v in self.EDGES.tolist())
+        rng.bit_generator.state = state
+        monkeypatch.setattr(data_io, "_floats", _float_by_float)
+        assert write_all() == now
+
+
 class TestOneDecoder:
     """Every JSON input goes through `data_io.loads_object`: UTF-8 bytes, one
     JSON object, no NaN or Infinity token, no integer `int()` refuses and no

@@ -6,8 +6,9 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crossmodal.losses import misalign
 from crossmodal.model import (
@@ -40,6 +41,14 @@ from oracle_utils import (
     smooth_value,
     trace_norm,
 )
+
+
+def _gradients():
+    """Small gradient matrices with exact zeros and entries far enough from
+    underflow that dividing them by 2^40 is exact."""
+    entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e2), st.floats(-1e2, -1e-6))
+    return st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=entries))
 
 
 @pytest.fixture
@@ -138,6 +147,36 @@ class TestSteps:
         g = rng.standard_normal((3, 4))
         out = prox_step(S, g, 1e12)
         np.testing.assert_allclose((out.U * out.sigma) @ out.V.T, S, atol=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_gradients())
+    @example(np.array([[0.0, 3.0, 0.0], [-2.0, 0.0, 0.0]]))  # exact zeros
+    @example(np.array([[0.5, 0.0], [0.0, -0.25]]))           # rank 0 at every L
+    @example(np.full((1, 4), -0.5))                          # sigma = 1, a tie
+    def test_prox_from_zero_matches_its_svd(self, g):
+        # prox_step at S = 0 from the SVD of -grad against the SVD of
+        # -grad / L: bit for bit at a power of two, the only L a line search
+        # from S = 0 reaches unless L hit its 1e-12 floor; within 1e-12 of
+        # the argument's scale after the floor. There a singular value at the
+        # threshold may survive one path as a rounding residue and not the
+        # other, so ranks are compared through zero-padded singular values.
+        zero = np.zeros_like(g)
+        ray = linalg.svd(zero - g)
+        for k in range(41):
+            want, got = prox_step(zero, g, 2.0**k), prox_step(zero, g, 2.0**k, ray)
+            for a, b in ((want.U, got.U), (want.sigma, got.sigma), (want.V, got.V)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for k in range(41):
+            L = 1e-12 * 2.0**k
+            want, got = prox_step(zero, g, L), prox_step(zero, g, L, ray)
+            scale = max(float(np.max(np.abs(g))), 1.0) / L
+            r = max(want.sigma.size, got.sigma.size)
+            np.testing.assert_allclose(np.pad(got.sigma, (0, r - got.sigma.size)),
+                                       np.pad(want.sigma, (0, r - want.sigma.size)),
+                                       rtol=1e-12, atol=1e-12 * scale)
+            np.testing.assert_allclose((got.U * got.sigma) @ got.V.T,
+                                       (want.U * want.sigma) @ want.V.T,
+                                       rtol=0.0, atol=1e-12 * scale)
 
     def test_project_alpha(self):
         np.testing.assert_allclose(
@@ -402,12 +441,45 @@ class TestLoopMatchesReference:
         counted(solver, "prox_step")
         counted(solver, "misalign")
         counted(linalg, "svd")
+        at_end = {}
+
+        def log(line):
+            at_end[int(line.split(",")[0])] = dict(calls)
+
         ds = _small_synth(0)
-        _, report = train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20))
+        _, report = train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=20),
+                          log=log)
         assert calls["prox_step"] >= report.iterations
         assert report.iterations + 1 <= calls["misalign"] <= calls["prox_step"] + 1
         assert calls["misalign"] < calls["prox_step"]
-        assert calls["svd"] == calls["prox_step"] + 2
+        # Iteration 1 starts from S = 0, whose probes share one SVD; no
+        # other iteration of this fit starts from rank 0.
+        first = at_end[1]["prox_step"]
+        assert calls["svd"] == calls["prox_step"] - first + 2
+
+    def test_first_line_search_takes_one_svd(self, monkeypatch):
+        # The fit starts at S = 0 with L = 1, and its first line search
+        # doubles L over several probes. Each still goes through prox_step,
+        # but all of them scale one SVD of the negated gradient.
+        calls = Counter()
+        svd, prox = linalg.svd, solver.prox_step
+
+        def counted_svd(M):
+            calls["svd"] += 1
+            return svd(M)
+
+        def counted_prox(*args):
+            calls["prox_step"] += 1
+            return prox(*args)
+
+        monkeypatch.setattr(linalg, "svd", counted_svd)
+        monkeypatch.setattr(solver, "prox_step", counted_prox)
+        first = []
+        ds = _small_synth(0)
+        train(TrainData(ds.texts, ds.images, ds.pairs), Hyperparameters(max_iter=1),
+              log=lambda line: first.append(dict(calls)))
+        assert first[0]["prox_step"] >= 2
+        assert first[0]["svd"] == 1
 
     def test_non_finite_hinge_on_a_probe_raises_there(self, monkeypatch):
         # The third S probe of this fit fails the lower bound. A NaN in its
