@@ -10,6 +10,8 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .model import (
 
 MODEL_FORMAT_VERSION = 1
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int
+_BLOCK = 256  # records whose feature vectors are checked as one array
 
 
 def atomic_write_text(path: str, content: str) -> None:
@@ -145,15 +148,46 @@ def loads_object(raw: bytes | str, what: str) -> dict:
     return doc
 
 
-def _read_jsonl(path: str, what: str, take) -> None:
-    """Call `take` on each non-blank line's object; errors get a `path:lineno` prefix."""
+def _blocks(path: str):
+    """The non-blank lines of `path` with their line numbers, `_BLOCK` at a time."""
+    block = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                if line.strip():
-                    take(loads_object(line, what))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if line.strip():
+                block.append((lineno, line))
+                if len(block) == _BLOCK:
+                    yield block
+                    block = []
+    if block:
+        yield block
+
+
+def _replay(path: str, what: str, block: list, take) -> None:
+    """Call `take` on each line's object; errors get a `path:lineno` prefix."""
+    for lineno, line in block:
+        try:
+            take(loads_object(line, what))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _rows_array(rows: list, width: int | None) -> np.ndarray | None:
+    """The feature vectors `rows` as one (len(rows), width) float array, when
+    each would pass `_features` at `width` (the first row's, if None); else None."""
+    if set(map(type, rows)) != {list}:
+        return None
+    if width is None:
+        width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    # The same element types `_finite` allows, scanned once for the block.
+    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        return None
+    try:
+        arr = np.array(rows, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def _example(rec: dict, kind: str, dims: dict[str, int]) -> CorpusExample:
@@ -163,32 +197,83 @@ def _example(rec: dict, kind: str, dims: dict[str, int]) -> CorpusExample:
     return CorpusExample(rec["id"], _features(rec, "features", dims, kind), _parse_label(rec))
 
 
+def _new_kind(rec: dict, seen_ids: dict[str, set]) -> str:
+    """The kind of a dataset record, whose string id, new for that kind, joins `seen_ids`."""
+    kind = rec.get("kind")
+    if kind not in ("text", "image", "pair"):
+        raise DataError(f"unknown kind {kind!r}")
+    rid = rec.get("id")
+    if not isinstance(rid, str):
+        raise DataError("missing string id")
+    if rid in seen_ids[kind]:
+        raise DataError(f"duplicate {kind} id {rid!r}")
+    seen_ids[kind].add(rid)
+    return kind
+
+
+def _take_record(rec: dict, corpora: Corpora, dims: dict[str, int], seen_ids) -> None:
+    """Check one dataset record and add it to `corpora`."""
+    kind = _new_kind(rec, seen_ids)
+    if kind == "pair":
+        # Pairs share each modality's width with the texts or the images.
+        x = _features(rec, "text_features", dims, "text")
+        z = _features(rec, "image_features", dims, "image")
+        corpora.pairs.append(CooccurrencePair(x, z, class_id=_parse_class(rec)))
+    else:
+        ex = _example(rec, kind, dims)
+        (corpora.texts if kind == "text" else corpora.images).append(ex)
+
+
+def _take_block(block: list, corpora: Corpora, dims: dict[str, int], seen_ids) -> bool:
+    """`_take_record` of each line of `block`, with the feature vectors checked
+    as one array per modality. False, with nothing taken, when any check fails."""
+    taken, labels = [], []  # (kind, record), and its label or class
+    rows = {"text": [], "image": []}
+    try:
+        for _, line in block:
+            rec = loads_object(line, "record")
+            kind = _new_kind(rec, seen_ids)
+            taken.append((kind, rec))
+            if kind == "pair":
+                labels.append(_parse_class(rec))
+                rows["text"].append(rec.get("text_features"))
+                rows["image"].append(rec.get("image_features"))
+            else:
+                labels.append(_parse_label(rec))
+                rows[kind].append(rec.get("features"))
+        arrays = {m: _rows_array(r, dims.get(m)) for m, r in rows.items() if r}
+    except DataError:
+        arrays = None
+    if arrays is None or any(a is None for a in arrays.values()):
+        for kind, rec in taken:
+            seen_ids[kind].discard(rec["id"])
+        return False
+    vectors = {m: iter(a) for m, a in arrays.items()}
+    for (kind, rec), label in zip(taken, labels):
+        if kind == "pair":
+            corpora.pairs.append(
+                CooccurrencePair(next(vectors["text"]), next(vectors["image"]), class_id=label))
+        else:
+            ex = CorpusExample(rec["id"], next(vectors[kind]), label)
+            (corpora.texts if kind == "text" else corpora.images).append(ex)
+    for m, a in arrays.items():
+        dims.setdefault(m, a.shape[1])
+    return True
+
+
 def parse_dataset(path: str) -> Corpora:
-    """Parse and validate a dataset file; errors carry the offending line number."""
+    """Parse and validate a dataset file; errors carry the offending line number.
+
+    A block whose checks all pass is taken at once. Otherwise its records are
+    replayed one at a time, so the first error is the one a record-by-record
+    read meets, with the same message and line."""
     corpora = Corpora()
     dims: dict[str, int] = {}
     seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
 
-    def take(rec):
-        kind = rec.get("kind")
-        if kind not in ("text", "image", "pair"):
-            raise DataError(f"unknown kind {kind!r}")
-        rid = rec.get("id")
-        if not isinstance(rid, str):
-            raise DataError("missing string id")
-        if rid in seen_ids[kind]:
-            raise DataError(f"duplicate {kind} id {rid!r}")
-        seen_ids[kind].add(rid)
-        if kind == "pair":
-            # Pairs share each modality's width with the texts or the images.
-            x = _features(rec, "text_features", dims, "text")
-            z = _features(rec, "image_features", dims, "image")
-            corpora.pairs.append(CooccurrencePair(x, z, class_id=_parse_class(rec)))
-        else:
-            ex = _example(rec, kind, dims)
-            (corpora.texts if kind == "text" else corpora.images).append(ex)
-
-    _read_jsonl(path, "record", take)
+    for block in _blocks(path):
+        if not _take_block(block, corpora, dims, seen_ids):
+            _replay(path, "record", block, lambda rec: _take_record(rec, corpora, dims, seen_ids))
     return corpora
 
 
@@ -206,17 +291,33 @@ class Predictions:
     classes: list[str] | None = None
 
 
+def _float_tokens(values) -> list[str]:
+    """The text json writes for each entry of the array `values`, in C order."""
+    flat = _floats(np.ravel(values))
+    return json.dumps(flat)[1:-1].split(", ") if flat else []
+
+
 def write_predictions(path: str, ids: list[str], scores, classes: list[str] | None = None) -> None:
     """Write the scores of the images `ids`: an (N,) binary score vector, each
     with its `score_labels` label, or, given `classes`, an (N, B) zero-shot
-    table with one column per class."""
+    table with one column per class.
+
+    Each line is `json.dumps` of its record, built from a template around the
+    tokens json writes for the id, the class names and the floats."""
+    id_tokens = map(_json_str, ids)
     if classes is None:
-        records = ({"id": i, "score": s, "label": y}
-                   for i, s, y in zip(ids, _floats(scores), score_labels(scores).tolist()))
+        lines = map('{"id": %s, "score": %s, "label": %s}\n'.__mod__,
+                    zip(id_tokens, _float_tokens(scores), score_labels(scores).tolist()))
     else:
-        records = ({"id": i, "scores": dict(zip(classes, row))}
-                   for i, row in zip(ids, _floats(scores)))
-    atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
+        # As dict(zip(classes, row)): a repeated class keeps its first place, its last score.
+        columns = {c: j for j, c in enumerate(classes)}
+        keys = ", ".join(_json_str(c).replace("%", "%%") + ": %s" for c in columns)
+        template = '{"id": %s, "scores": {' + keys + '}}\n'
+        table = np.asarray(scores, dtype=float)[:, list(columns.values())]
+        tokens, width = _float_tokens(table), len(columns)
+        rows = (tokens[k * width:(k + 1) * width] for k in range(len(table)))
+        lines = (template % (i, *row) for i, row in zip(id_tokens, rows))
+    atomic_write_text(path, "".join(lines))
 
 
 def _finite_number(value, what: str) -> float:
@@ -259,7 +360,8 @@ def read_predictions(path: str) -> Predictions:
             raise DataError(f"duplicate id {rec['id']!r}")
         ids[rec["id"]] = None
 
-    _read_jsonl(path, "prediction", take)
+    for block in _blocks(path):
+        _replay(path, "prediction", block, take)
     if classes is None:
         return Predictions(list(ids), np.array(rows, dtype=float), np.array(labels, dtype=int))
     return Predictions(list(ids), np.array(rows), classes=classes)
@@ -307,10 +409,41 @@ def write_model(model, path, unseen_classes=None) -> None:
 
 def _model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list[CorpusExample]:
     """The embedded corpus `key` of a model file, each record read as
-    `parse_dataset` reads one; a binary model's labels must be +1/-1."""
+    `parse_dataset` reads one; a binary model's labels must be +1/-1. As
+    there, a block whose feature vectors fail their array check is replayed
+    record by record."""
     kind = "text" if key == "source_texts" else "image"
+    recs = doc[key]
+    if type(recs) is not list:
+        return _model_examples_each(recs, key, kind, dims, binary)
     out = []
-    for rec in doc[key]:
+    for start in range(0, len(recs), _BLOCK):
+        block = recs[start:start + _BLOCK]
+        taken = _model_block(block, kind, dims, binary)
+        out += _model_examples_each(block, key, kind, dims, binary) if taken is None else taken
+    return out
+
+
+def _model_block(recs: list, kind: str, dims: dict, binary: bool) -> list[CorpusExample] | None:
+    """The examples of `recs` with their vectors checked as one array, or None
+    when any check fails."""
+    if set(map(type, recs)) != {dict} or not all(isinstance(r.get("id"), str) for r in recs):
+        return None
+    try:
+        labels = [_parse_label(rec) for rec in recs]
+    except DataError:
+        return None
+    if binary and not all(map(is_sign, labels)):
+        return None
+    arr = _rows_array([rec.get("features") for rec in recs], dims[kind])
+    if arr is None:
+        return None
+    return [CorpusExample(rec["id"], row, label) for rec, row, label in zip(recs, arr, labels)]
+
+
+def _model_examples_each(recs, key: str, kind: str, dims: dict, binary: bool) -> list:
+    out = []
+    for rec in recs:
         try:
             ex = _example(rec, kind, dims)
             if binary and not is_sign(ex.label):

@@ -252,6 +252,7 @@ def kernel_matrix(kernel: KernelSpec, Z1: np.ndarray, Z2: np.ndarray) -> np.ndar
 
 
 _BANDWIDTH_MAX_PAIRS = 10_000
+_BANDWIDTH_BLOCK = 1024  # pairs whose distances are taken at once
 
 
 def median_bandwidth(Z: np.ndarray) -> float:
@@ -270,7 +271,12 @@ def median_bandwidth(Z: np.ndarray) -> float:
         i = rng.integers(0, n, size=_BANDWIDTH_MAX_PAIRS)
         j = rng.integers(0, n - 1, size=_BANDWIDTH_MAX_PAIRS)
         j = np.where(j >= i, j + 1, j)
-    dists = np.linalg.norm(Z[i] - Z[j], axis=1)
+    # In blocks of pairs, so no (pairs, q) difference array is ever built;
+    # each row's norm is the same float ops either way.
+    dists = np.empty(i.size)
+    for s in range(0, i.size, _BANDWIDTH_BLOCK):
+        block = slice(s, s + _BANDWIDTH_BLOCK)
+        dists[block] = np.linalg.norm(Z[i[block]] - Z[j[block]], axis=1)
     med = float(np.median(dists))
     if not np.isfinite(med):
         raise NumericalError("median image distance is non-finite; pass an explicit bandwidth")

@@ -5,22 +5,27 @@ the dense trace norm, SVT and numerical rank, the single-block objective and
 its gradients, the uncached training loop the solver's loop is checked
 against, the full-grid cross-validation crossval_select is checked
 against, the per-example synthetic generator the block generator is checked
-against, and random small training instances."""
+against, the record-by-record dataset and model-corpus readers the block
+readers are checked against, the one-shot median bandwidth, and random small
+training instances."""
 import itertools
 from dataclasses import replace
 
 import numpy as np
 
-from crossmodal import linalg, solver
-from crossmodal.errors import NumericalError
+from crossmodal import data_io, linalg, solver
+from crossmodal import model as model_module
+from crossmodal.errors import DataError, NumericalError
 from crossmodal.evaluation import _stratified_folds, error_rate
 from crossmodal.losses import hinge, hinge_subgrad, misalign, misalign_deriv
 from crossmodal.model import (
     CooccurrencePair,
+    Corpora,
     CorpusExample,
     Hyperparameters,
     KernelSpec,
     TrainedModel,
+    is_sign,
     scores,
     signs,
     stack_features,
@@ -418,6 +423,84 @@ def reference_generate(cfg: SynthConfig) -> SynthDataset:
         test_images=test_images,
         pairs=pairs,
     )
+
+
+# Record-by-record readers and the one-shot median bandwidth.
+
+
+def reference_parse_dataset(path: str) -> Corpora:
+    """data_io.parse_dataset as it was before it checked feature vectors a
+    block at a time: each record read and checked on its own, in file order."""
+    corpora = Corpora()
+    dims: dict[str, int] = {}
+    seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
+
+    def take(rec):
+        kind = rec.get("kind")
+        if kind not in ("text", "image", "pair"):
+            raise DataError(f"unknown kind {kind!r}")
+        rid = rec.get("id")
+        if not isinstance(rid, str):
+            raise DataError("missing string id")
+        if rid in seen_ids[kind]:
+            raise DataError(f"duplicate {kind} id {rid!r}")
+        seen_ids[kind].add(rid)
+        if kind == "pair":
+            x = data_io._features(rec, "text_features", dims, "text")
+            z = data_io._features(rec, "image_features", dims, "image")
+            corpora.pairs.append(CooccurrencePair(x, z, class_id=data_io._parse_class(rec)))
+        else:
+            ex = data_io._example(rec, kind, dims)
+            (corpora.texts if kind == "text" else corpora.images).append(ex)
+
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    take(data_io.loads_object(line, "record"))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    return corpora
+
+
+def reference_model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list:
+    """data_io._model_examples as it was before it checked feature vectors a
+    block at a time."""
+    kind = "text" if key == "source_texts" else "image"
+    out = []
+    for rec in doc[key]:
+        try:
+            ex = data_io._example(rec, kind, dims)
+            if binary and not is_sign(ex.label):
+                raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
+        except DataError as exc:
+            if not isinstance(rec.get("id"), str):
+                raise DataError(f"{key} record without a string id") from exc
+            raise DataError(f"{key} {rec['id']!r}: {exc}") from exc
+        out.append(ex)
+    return out
+
+
+def reference_median_bandwidth(Z: np.ndarray) -> float:
+    """model.median_bandwidth with every sampled pair's difference taken in
+    one (pairs, q) array."""
+    Z = np.asarray(Z, dtype=float)
+    n = Z.shape[0]
+    if n < 2:
+        raise ValueError("median bandwidth needs at least 2 images")
+    if n * (n - 1) // 2 <= model_module._BANDWIDTH_MAX_PAIRS:
+        i, j = np.triu_indices(n, k=1)
+    else:
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, n, size=model_module._BANDWIDTH_MAX_PAIRS)
+        j = rng.integers(0, n - 1, size=model_module._BANDWIDTH_MAX_PAIRS)
+        j = np.where(j >= i, j + 1, j)
+    med = float(np.median(np.linalg.norm(Z[i] - Z[j], axis=1)))
+    if not np.isfinite(med):
+        raise NumericalError("median image distance is non-finite; pass an explicit bandwidth")
+    if med == 0.0:
+        raise DataError("all image features are identical; pass an explicit bandwidth")
+    return med
 
 
 # Random instances and finite differences.

@@ -366,8 +366,12 @@ def _float_by_float(values):
 
 
 class TestFloatsWrittenAsBefore:
-    """The writers convert float arrays with one ndarray.tolist(); the files
-    are byte for byte those of `float` taken entry by entry."""
+    """The writers convert float arrays with one ndarray.tolist() in
+    `data_io._floats`; the files are byte for byte those of `float` taken
+    entry by entry. The dataset and model writers pass those floats to
+    `json.dumps`; `write_predictions` fills its line template with the tokens
+    json writes for them, and `test_io_parity.TestPredictionLinesAreJsonDumps`
+    checks its lines against `json.dumps` of each record."""
 
     EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072009e-308,
                       2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,

@@ -31,6 +31,7 @@ from oracle_utils import (
     l2_normalize,
     one_vs_rest_texts,
     predict_label,
+    reference_median_bandwidth,
     score_unseen,
     transfer_score,
 )
@@ -173,6 +174,37 @@ class TestMedianBandwidth:
         assert bw != exhaustive
         # subsampled estimate stays near the exhaustive median
         assert abs(bw - exhaustive) < 0.3
+
+
+def _bandwidth_outcome(bandwidth, Z):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the scales that overflow
+            return bandwidth(Z)
+    except (DataError, NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockedBandwidthMatchesOneShot:
+    """The pair distances, taken a block at a time, give the bit-identical
+    median of one (pairs, q) difference array, on both sides of
+    `_BANDWIDTH_MAX_PAIRS`."""
+
+    # 141 images have 9870 pairs, all used; 142 have 10011, subsampled.
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.sampled_from([2, 45, 46, 141, 142]), st.integers(2, 220)),
+           q=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-300, 1e-160, 1.0, 1e150, 1e300]),
+           repeats=st.booleans())
+    @example(n=141, q=3, seed=0, scale=1.0, repeats=False)
+    @example(n=142, q=3, seed=0, scale=1.0, repeats=False)
+    def test_same_median(self, n, q, seed, scale, repeats):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((n, q)) * scale
+        if repeats:  # many zero distances
+            Z = Z[rng.integers(0, 2, n)]
+        want = _bandwidth_outcome(reference_median_bandwidth, Z)
+        got = _bandwidth_outcome(median_bandwidth, Z)
+        assert got == want and type(got) is type(want)
 
 
 class TestSigns:
