@@ -177,6 +177,9 @@ def _cmd_evaluate(args) -> int:
             report = evaluation.binary_report(preds.scores, preds.labels, signs(truth, "image"))
         else:
             labels = [ex.label for ex in truth]
+            if None in labels:
+                raise DataError(f"image {truth[labels.index(None)].id!r} has label None; "
+                                "zero-shot mode needs a class")
             report = evaluation.zeroshot_report(preds.scores, preds.classes, labels)
     except DataError as exc:
         raise DataError(f"{args.truth}: {exc}") from exc

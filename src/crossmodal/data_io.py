@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
@@ -30,13 +29,14 @@ from .model import (
 
 MODEL_FORMAT_VERSION = 1
 _FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int
-_BLOCK = 256  # records whose feature vectors are checked as one array
+_BLOCK = 256  # dataset records whose feature vectors are checked as one array
 
 
 def atomic_write_text(path: str, content: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    """Write via a temp file and rename, so failures leave no partial output.
+    The file gets the mode `open(path, "w")` gives a new file, 0o666 & ~umask."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(content)
@@ -409,18 +409,25 @@ def write_model(model, path, unseen_classes=None) -> None:
 
 def _model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list[CorpusExample]:
     """The embedded corpus `key` of a model file, each record read as
-    `parse_dataset` reads one; a binary model's labels must be +1/-1. As
-    there, a block whose feature vectors fail their array check is replayed
-    record by record."""
+    `parse_dataset` reads one; a binary model's labels must be +1/-1. The
+    corpus is checked as one block (`_model_block`); when that fails, its
+    records are read one at a time, so the first error is a record's own."""
     kind = "text" if key == "source_texts" else "image"
     recs = doc[key]
-    if type(recs) is not list:
-        return _model_examples_each(recs, key, kind, dims, binary)
+    taken = _model_block(recs, kind, dims, binary) if type(recs) is list else None
+    if taken is not None:
+        return taken
     out = []
-    for start in range(0, len(recs), _BLOCK):
-        block = recs[start:start + _BLOCK]
-        taken = _model_block(block, kind, dims, binary)
-        out += _model_examples_each(block, key, kind, dims, binary) if taken is None else taken
+    for rec in recs:
+        try:
+            ex = _example(rec, kind, dims)
+            if binary and not is_sign(ex.label):
+                raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
+        except DataError as exc:
+            if not isinstance(rec.get("id"), str):
+                raise DataError(f"{key} record without a string id") from exc
+            raise DataError(f"{key} {rec['id']!r}: {exc}") from exc
+        out.append(ex)
     return out
 
 
@@ -439,21 +446,6 @@ def _model_block(recs: list, kind: str, dims: dict, binary: bool) -> list[Corpus
     if arr is None:
         return None
     return [CorpusExample(rec["id"], row, label) for rec, row, label in zip(recs, arr, labels)]
-
-
-def _model_examples_each(recs, key: str, kind: str, dims: dict, binary: bool) -> list:
-    out = []
-    for rec in recs:
-        try:
-            ex = _example(rec, kind, dims)
-            if binary and not is_sign(ex.label):
-                raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
-        except DataError as exc:
-            if not isinstance(rec.get("id"), str):
-                raise DataError(f"{key} record without a string id") from exc
-            raise DataError(f"{key} {rec['id']!r}: {exc}") from exc
-        out.append(ex)
-    return out
 
 
 def parse_model(text: bytes | str) -> tuple[TrainedModel, str, list[str]]:

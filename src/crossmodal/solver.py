@@ -119,9 +119,8 @@ class _Float32Pairs:
 
     X: np.ndarray   # (l, p) float32, C-contiguous
     Z: np.ndarray   # (l, q) float32, C-contiguous
-    W: np.ndarray   # (p, q) |P_x|' |P_z| in float64
-    gamma: float    # relative error bound of an l-term float32 product sum
-    tiny: float     # absolute error bound of the roundings below float32's normal range
+    scale: float    # gamma_{l+5} sum_k ||x_k|| ||z_k||
+    tiny: float     # Frobenius bound of the roundings below float32's normal range
 
 
 def _float32_pairs(pair_X: np.ndarray, pair_Z: np.ndarray) -> _Float32Pairs | None:
@@ -129,27 +128,30 @@ def _float32_pairs(pair_X: np.ndarray, pair_Z: np.ndarray) -> _Float32Pairs | No
     float32 cannot hold the gradient's products (see `_FLOAT32_LIMIT`) or when
     l is so large that the error bound below is void.
 
-    Each term of an entry of P_x' diag(d) P_z in float32 takes three casts
-    and two products, and the sum of the l terms l - 1 more roundings, so the
-    entry is within gamma_{l+4} sum_k |x_k| |d_k| |z_k| of the exact value
-    (Higham 2002, sections 2.2 and 3.1). One more unit in gamma covers the
-    float64 rounding of W and of the margin. Roundings below float32's normal
-    range add an absolute error of at most 2^-148 (1 + |x_k|)(1 + |z_k|) per
+    The float32 gradient P_x' diag(d) P_z is within max|d| scale + tiny of the
+    exact one in Frobenius norm. Each entry takes three casts and two products
+    per term and l - 1 roundings to sum the l terms, so it is within
+    gamma_{l+4} max|d| W, W = |P_x|' |P_z| (Higham 2002, sections 2.2 and 3.1).
+    W sums the rank-one |x_k| |z_k|', so ||W||_F <= sum_k ||x_k|| ||z_k||
+    (triangle inequality), and the error costs a step delta at most its norm
+    times ||delta||_F (Cauchy-Schwarz; see `_misalign_floor`). One more unit
+    in gamma covers the float64 rounding of the norms and of the margin.
+    Roundings below float32's normal range (where every entry whose float64
+    square underflows is cast) add at most 2^-148 (1 + |x_k|)(1 + |z_k|) per
     term (|d| < 2; a sum that lands there is exact); `tiny` bounds their
-    total with room to spare."""
-    l = pair_X.shape[0]
+    total in an entry with room to spare, times sqrt(p q)."""
+    (l, p), q = pair_X.shape, pair_Z.shape[1]
     if l == 0 or (l + 5) * _U32 >= 0.5:
         return None
-    abs_X, abs_Z = np.abs(pair_X), np.abs(pair_Z)
-    mx, mz = float(np.max(abs_X, initial=0.0)), float(np.max(abs_Z, initial=0.0))
+    mx, mz = (float(max(A.max(initial=0.0), -A.min(initial=0.0))) for A in (pair_X, pair_Z))
     if not (max(mx, mz) < _FLOAT32_LIMIT and 2.0 * l * mx * mz < _FLOAT32_LIMIT):
         return None
+    nx, nz = (np.sqrt(np.einsum("kj,kj->k", A, A)) for A in (pair_X, pair_Z))
     return _Float32Pairs(
         X=np.ascontiguousarray(pair_X, dtype=np.float32),
         Z=np.ascontiguousarray(pair_Z, dtype=np.float32),
-        W=abs_X.T @ abs_Z,
-        gamma=(l + 5) * _U32 / (1.0 - (l + 5) * _U32),
-        tiny=l * 2.0**-146 * (1.0 + mx) * (1.0 + mz),
+        scale=(l + 5) * _U32 / (1.0 - (l + 5) * _U32) * float(nx @ nz),
+        tiny=l * 2.0**-146 * (1.0 + mx) * (1.0 + mz) * (p * q)**0.5,
     )
 
 
@@ -283,24 +285,27 @@ def _hinge_term(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
     return F, total
 
 
-def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, g_err, delta: np.ndarray) -> float:
+def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, g_err: float, delta: np.ndarray,
+                    delta_sq: float | None = None) -> float:
     """A lower bound on the misalignment term at cur.S + delta, from cur alone.
 
     misalign is convex and each pair score is linear in S, so the term lies
     above its tangent at cur: M(cur.S + delta) >= M(cur.S) + <grad M, delta>,
-    with grad M = g_pair up to g_err elementwise (see `_grad_S`), which costs
-    at most <g_err, |delta|>. The relative margin covers the float64 rounding
-    of both sides; its unit floor covers the absolute error of tanh(a) - 1
-    where tanh saturates."""
+    with grad M = g_pair up to g_err in Frobenius norm (see `_grad_S`), which
+    costs at most g_err ||delta||_F; `delta_sq` is ||delta||_F^2 if the caller
+    has it. The relative margin covers the float64 rounding of both sides; its
+    unit floor covers the absolute error of tanh(a) - 1 where tanh saturates."""
+    if delta_sq is None:
+        delta_sq = float(np.vdot(delta, delta))
     step = float(np.vdot(g_pair, delta))
     scale = max(1.0, abs(cur.misalign_term) + abs(step))
-    return cur.misalign_term + step - _FLOOR_RTOL * scale - float(np.sum(g_err * np.abs(delta)))
+    return cur.misalign_term + step - _FLOOR_RTOL * scale - g_err * delta_sq**0.5
 
 
 def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool = False):
     """The gradient of the smooth objective in S, its misalignment part
     lam P_x' diag(tanh(a) - 1) P_z alone (zero without pairs or lam), and a
-    bound g_err on that part's float32 rounding error, elementwise.
+    bound g_err on the Frobenius norm of that part's float32 rounding error.
 
     The hinge half X' (M * (1 - T^2)) Z, M = text_Y G, is formed over the
     images A whose subgradient G is nonzero in some block, O(p n |A| + p |A| q):
@@ -308,8 +313,8 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool
 
     With `float32` (which needs pb.pair32) the misalignment part is one
     float32 product of the float32 pair features, returned as float64, and
-    g_err = lam (gamma max|d| |P_x|' |P_z| + tiny). Otherwise all of it is
-    float64 and g_err is 0."""
+    g_err = lam (max|d| scale + tiny) (see `_float32_pairs`). Otherwise all of
+    it is float64 and g_err is 0.0."""
     grad = np.zeros_like(it.S)
     g_pair = np.zeros_like(it.S)
     g_err = 0.0
@@ -326,7 +331,7 @@ def _grad_S(it: _Iterate, F, pb: _Problem, hyper: Hyperparameters, float32: bool
             p32 = pb.pair32
             g32 = p32.X.T @ (d.astype(np.float32)[:, None] * p32.Z)
             g_pair = hyper.lam * g32.astype(float)
-            g_err = hyper.lam * (p32.gamma * float(np.max(np.abs(d))) * p32.W + p32.tiny)
+            g_err = hyper.lam * (float(np.max(np.abs(d))) * p32.scale + p32.tiny)
         else:
             g_pair = hyper.lam * pb.pair_X.T @ (d[:, None] * pb.pair_Z)
         grad += g_pair
@@ -430,9 +435,10 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
         for _ in range(_MAX_BACKTRACKS):
             cand = _text_terms(prox_step(cur.S, g, L, ray), pb)
             delta = cand.S - cur.S
-            bound = f + float(np.vdot(g, delta)) + 0.5 * L * float(np.vdot(delta, delta))
+            dd = float(np.vdot(delta, delta))
+            bound = f + float(np.vdot(g, delta)) + 0.5 * L * dd
             F_cand, h_cand = _hinge_term(cand, alpha, pb, hyper)
-            if h_cand + _misalign_floor(cur, g_pair, g_err, delta) <= bound + _ACCEPT_SLACK:
+            if h_cand + _misalign_floor(cur, g_pair, g_err, delta, dd) <= bound + _ACCEPT_SLACK:
                 f_cand = h_cand + _pair_terms(cand, pb, hyper).misalign_term
                 if f_cand <= bound + _ACCEPT_SLACK:
                     cur, F, f = cand, F_cand, f_cand

@@ -1149,6 +1149,23 @@ class TestCli:
         if unseen == "c2":
             assert wrong == 0
 
+    def test_zeroshot_evaluate_refuses_an_unlabelled_truth_image(self, tmp_path, capsys):
+        # An image of seen class c0 is a negative of c1; one with no class is
+        # refused, as binary mode refuses an image without a +1/-1 label.
+        truth, pred = tmp_path / "truth.jsonl", tmp_path / "pred.jsonl"
+        pred.write_text("".join(json.dumps({"id": f"i{k}", "scores": {"c1": s}}) + "\n"
+                                for k, s in enumerate([0.5, -0.5, 0.1])))
+        records = [{"kind": "image", "id": f"i{k}", "class": c, "features": [0.0]}
+                   for k, c in enumerate(["c1", "c0", "c0"])]
+        truth.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 0
+        capsys.readouterr()
+        del records[2]["class"]
+        truth.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {truth}: image 'i2' has label None; zero-shot mode needs a class\n")
+
     def test_zeroshot_evaluate_without_scored_class_images_exit_2(self, tmp_path, capsys):
         truth = tmp_path / "truth.jsonl"
         truth.write_text("".join(
@@ -1296,3 +1313,18 @@ class TestAtomicWrites:
             data_io.atomic_write_text(str(target), "partial")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        # The mode open(path, "w") gives a new file, 0o666 & ~umask.
+        model = TestModelIO().trained_model()
+        old = os.umask(umask)
+        try:
+            data_io.write_dataset(data_io.Corpora(images=model.train_images),
+                                  str(tmp_path / "data.jsonl"))
+            data_io.write_model(model, str(tmp_path / "model.json"))
+            data_io.write_predictions(str(tmp_path / "pred.jsonl"), ["i0"], np.array([0.5]))
+        finally:
+            os.umask(old)
+        for name in ("data.jsonl", "model.json", "pred.jsonl"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode

@@ -823,6 +823,7 @@ class TestFloat32Phase:
         _, g64, _ = solver._grad_S(cur, F, pb, hyper)
         _, g32, g_err = solver._grad_S(cur, F, pb, hyper, float32=True)
         assert np.all(np.abs(g32 - g64) <= g_err)
+        assert np.linalg.norm(g32 - g64) <= g_err
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tol_stop_is_made_on_a_float64_iteration(self, monkeypatch, seed):
