@@ -1,11 +1,13 @@
 """Command-line surface: synth, train, predict, evaluate, crossval, zeroshot.
 
 Exit codes: 0 success, 1 usage error, 2 data error or an option value out of
-range, 3 numerical failure.
+range, 3 numerical failure, 141 standard output closed by its reader (128 +
+SIGPIPE, as a shell reports a process that SIGPIPE stopped).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import data_io, evaluation, synth, zeroshot
@@ -17,6 +19,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +231,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # Nothing reads standard output; point it at devnull so the exit flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

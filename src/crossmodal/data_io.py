@@ -162,15 +162,6 @@ def _blocks(path: str):
         yield block
 
 
-def _replay(path: str, what: str, block: list, take) -> None:
-    """Call `take` on each line's object; errors get a `path:lineno` prefix."""
-    for lineno, line in block:
-        try:
-            take(loads_object(line, what))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-
-
 def _rows_array(rows: list, width: int | None) -> np.ndarray | None:
     """The feature vectors `rows` as one (len(rows), width) float array, when
     each would pass `_features` at `width` (the first row's, if None); else None."""
@@ -190,13 +181,6 @@ def _rows_array(rows: list, width: int | None) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _example(rec: dict, kind: str, dims: dict[str, int]) -> CorpusExample:
-    """A text or image record: a string id, its `_features`, a label or class."""
-    if not isinstance(rec.get("id"), str):
-        raise DataError("missing string id")
-    return CorpusExample(rec["id"], _features(rec, "features", dims, kind), _parse_label(rec))
-
-
 def _new_kind(rec: dict, seen_ids: dict[str, set]) -> str:
     """The kind of a dataset record, whose string id, new for that kind, joins `seen_ids`."""
     kind = rec.get("kind")
@@ -211,69 +195,67 @@ def _new_kind(rec: dict, seen_ids: dict[str, set]) -> str:
     return kind
 
 
-def _take_record(rec: dict, corpora: Corpora, dims: dict[str, int], seen_ids) -> None:
-    """Check one dataset record and add it to `corpora`."""
-    kind = _new_kind(rec, seen_ids)
-    if kind == "pair":
-        # Pairs share each modality's width with the texts or the images.
-        x = _features(rec, "text_features", dims, "text")
-        z = _features(rec, "image_features", dims, "image")
-        corpora.pairs.append(CooccurrencePair(x, z, class_id=_parse_class(rec)))
-    else:
-        ex = _example(rec, kind, dims)
-        (corpora.texts if kind == "text" else corpora.images).append(ex)
+# The feature vectors of a record of each kind: its key, and the modality whose width it shares.
+_VECTOR_KEYS = {"text": (("features", "text"),), "image": (("features", "image"),),
+                "pair": (("text_features", "text"), ("image_features", "image"))}
 
 
-def _take_block(block: list, corpora: Corpora, dims: dict[str, int], seen_ids) -> bool:
-    """`_take_record` of each line of `block`, with the feature vectors checked
-    as one array per modality. False, with nothing taken, when any check fails."""
-    taken, labels = [], []  # (kind, record), and its label or class
+def _vectors(records: list, dims: dict[str, int], where) -> dict:
+    """Iterators over the feature vectors of `records`, (tag, record, kind) in
+    file order, one per modality. They are checked as one `_rows_array` per
+    modality; when that fails, `_features` checks each in file order, and the
+    first error it raises is prefixed by `where(tag)`."""
     rows = {"text": [], "image": []}
-    try:
-        for _, line in block:
-            rec = loads_object(line, "record")
-            kind = _new_kind(rec, seen_ids)
-            taken.append((kind, rec))
-            if kind == "pair":
-                labels.append(_parse_class(rec))
-                rows["text"].append(rec.get("text_features"))
-                rows["image"].append(rec.get("image_features"))
-            else:
-                labels.append(_parse_label(rec))
-                rows[kind].append(rec.get("features"))
-        arrays = {m: _rows_array(r, dims.get(m)) for m, r in rows.items() if r}
-    except DataError:
-        arrays = None
-    if arrays is None or any(a is None for a in arrays.values()):
-        for kind, rec in taken:
-            seen_ids[kind].discard(rec["id"])
-        return False
-    vectors = {m: iter(a) for m, a in arrays.items()}
-    for (kind, rec), label in zip(taken, labels):
-        if kind == "pair":
-            corpora.pairs.append(
-                CooccurrencePair(next(vectors["text"]), next(vectors["image"]), class_id=label))
-        else:
-            ex = CorpusExample(rec["id"], next(vectors[kind]), label)
-            (corpora.texts if kind == "text" else corpora.images).append(ex)
+    for _, rec, kind in records:
+        for key, modality in _VECTOR_KEYS[kind]:
+            rows[modality].append(rec.get(key))
+    arrays = {m: _rows_array(r, dims.get(m)) for m, r in rows.items() if r}
+    if any(a is None for a in arrays.values()):
+        arrays = {m: [] for m in arrays}
+        for tag, rec, kind in records:
+            for key, modality in _VECTOR_KEYS[kind]:
+                try:
+                    arrays[modality].append(_features(rec, key, dims, modality))
+                except DataError as exc:
+                    raise DataError(f"{where(tag)}: {exc}") from exc
     for m, a in arrays.items():
-        dims.setdefault(m, a.shape[1])
-    return True
+        dims.setdefault(m, len(a[0]))
+    return {m: iter(a) for m, a in arrays.items()}
 
 
 def parse_dataset(path: str) -> Corpora:
     """Parse and validate a dataset file; errors carry the offending line number.
 
-    A block whose checks all pass is taken at once. Otherwise its records are
-    replayed one at a time, so the first error is the one a record-by-record
+    Each line is decoded and its record checked once. The feature vectors are
+    checked a block at a time (`_vectors`), and those before a failing record
+    check are checked first, so the first error is the one a record-by-record
     read meets, with the same message and line."""
     corpora = Corpora()
     dims: dict[str, int] = {}
     seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
 
+    def where(lineno):
+        return f"{path}:{lineno}"
+
     for block in _blocks(path):
-        if not _take_block(block, corpora, dims, seen_ids):
-            _replay(path, "record", block, lambda rec: _take_record(rec, corpora, dims, seen_ids))
+        records, labels = [], []  # (lineno, record, kind), and its label or class
+        for lineno, line in block:
+            try:
+                rec = loads_object(line, "record")
+                kind = _new_kind(rec, seen_ids)
+                records.append((lineno, rec, kind))
+                labels.append(_parse_class(rec) if kind == "pair" else _parse_label(rec))
+            except DataError as exc:
+                _vectors(records, dims, where)
+                raise DataError(f"{where(lineno)}: {exc}") from exc
+        vectors = _vectors(records, dims, where)
+        for (_, rec, kind), label in zip(records, labels):
+            if kind == "pair":
+                corpora.pairs.append(
+                    CooccurrencePair(next(vectors["text"]), next(vectors["image"]), class_id=label))
+            else:
+                ex = CorpusExample(rec["id"], next(vectors[kind]), label)
+                (corpora.texts if kind == "text" else corpora.images).append(ex)
     return corpora
 
 
@@ -299,8 +281,8 @@ def _float_tokens(values) -> list[str]:
 
 def write_predictions(path: str, ids: list[str], scores, classes: list[str] | None = None) -> None:
     """Write the scores of the images `ids`: an (N,) binary score vector, each
-    with its `score_labels` label, or, given `classes`, an (N, B) zero-shot
-    table with one column per class.
+    with its `score_labels` label, or, given `classes`, distinct names, an
+    (N, B) zero-shot table with one column per class.
 
     Each line is `json.dumps` of its record, built from a template around the
     tokens json writes for the id, the class names and the floats."""
@@ -309,13 +291,10 @@ def write_predictions(path: str, ids: list[str], scores, classes: list[str] | No
         lines = map('{"id": %s, "score": %s, "label": %s}\n'.__mod__,
                     zip(id_tokens, _float_tokens(scores), score_labels(scores).tolist()))
     else:
-        # As dict(zip(classes, row)): a repeated class keeps its first place, its last score.
-        columns = {c: j for j, c in enumerate(classes)}
-        keys = ", ".join(_json_str(c).replace("%", "%%") + ": %s" for c in columns)
+        keys = ", ".join(_json_str(c).replace("%", "%%") + ": %s" for c in classes)
         template = '{"id": %s, "scores": {' + keys + '}}\n'
-        table = np.asarray(scores, dtype=float)[:, list(columns.values())]
-        tokens, width = _float_tokens(table), len(columns)
-        rows = (tokens[k * width:(k + 1) * width] for k in range(len(table)))
+        tokens, width = _float_tokens(scores), len(classes)
+        rows = (tokens[k * width:(k + 1) * width] for k in range(len(scores)))
         lines = (template % (i, *row) for i, row in zip(id_tokens, rows))
     atomic_write_text(path, "".join(lines))
 
@@ -361,7 +340,11 @@ def read_predictions(path: str) -> Predictions:
         ids[rec["id"]] = None
 
     for block in _blocks(path):
-        _replay(path, "prediction", block, take)
+        for lineno, line in block:
+            try:
+                take(loads_object(line, "prediction"))
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
     if classes is None:
         return Predictions(list(ids), np.array(rows, dtype=float), np.array(labels, dtype=int))
     return Predictions(list(ids), np.array(rows), classes=classes)
@@ -408,44 +391,32 @@ def write_model(model, path, unseen_classes=None) -> None:
 
 
 def _model_examples(doc: dict, key: str, dims: dict, binary: bool) -> list[CorpusExample]:
-    """The embedded corpus `key` of a model file, each record read as
-    `parse_dataset` reads one; a binary model's labels must be +1/-1. The
-    corpus is checked as one block (`_model_block`); when that fails, its
-    records are read one at a time, so the first error is a record's own."""
+    """The embedded corpus `key` of a model file, each record checked as
+    `parse_dataset` checks one and its errors prefixed by its id; a binary
+    model's labels must be +1/-1."""
     kind = "text" if key == "source_texts" else "image"
-    recs = doc[key]
-    taken = _model_block(recs, kind, dims, binary) if type(recs) is list else None
-    if taken is not None:
-        return taken
-    out = []
-    for rec in recs:
-        try:
-            ex = _example(rec, kind, dims)
-            if binary and not is_sign(ex.label):
-                raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
-        except DataError as exc:
-            if not isinstance(rec.get("id"), str):
-                raise DataError(f"{key} record without a string id") from exc
-            raise DataError(f"{key} {rec['id']!r}: {exc}") from exc
-        out.append(ex)
-    return out
+    records, labels = [], []  # (id, record, kind), and its label or class
 
+    def where(rid):
+        return f"{key} {rid!r}"
 
-def _model_block(recs: list, kind: str, dims: dict, binary: bool) -> list[CorpusExample] | None:
-    """The examples of `recs` with their vectors checked as one array, or None
-    when any check fails."""
-    if set(map(type, recs)) != {dict} or not all(isinstance(r.get("id"), str) for r in recs):
-        return None
     try:
-        labels = [_parse_label(rec) for rec in recs]
-    except DataError:
-        return None
-    if binary and not all(map(is_sign, labels)):
-        return None
-    arr = _rows_array([rec.get("features") for rec in recs], dims[kind])
-    if arr is None:
-        return None
-    return [CorpusExample(rec["id"], row, label) for rec, row, label in zip(recs, arr, labels)]
+        for rec in doc[key]:
+            if not isinstance(rec.get("id"), str):
+                raise DataError(f"{key} record without a string id")
+            records.append((rec["id"], rec, kind))
+            try:
+                label = _parse_label(rec)
+                if binary and not is_sign(label):
+                    raise DataError(f"label {label!r} in a binary model, which needs +1/-1")
+            except DataError as exc:
+                raise DataError(f"{where(rec['id'])}: {exc}") from exc
+            labels.append(label)
+    except (AttributeError, DataError):  # a record that is not an object has no .get
+        _vectors(records, dims, where)
+        raise
+    vectors = _vectors(records, dims, where).get(kind, ())
+    return [CorpusExample(rid, x, label) for (rid, _, _), x, label in zip(records, vectors, labels)]
 
 
 def parse_model(text: bytes | str) -> tuple[TrainedModel, str, list[str]]:

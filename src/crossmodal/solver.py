@@ -286,17 +286,15 @@ def _hinge_term(it: _Iterate, alpha, pb: _Problem, hyper: Hyperparameters):
 
 
 def _misalign_floor(cur: _Iterate, g_pair: np.ndarray, g_err: float, delta: np.ndarray,
-                    delta_sq: float | None = None) -> float:
+                    delta_sq: float) -> float:
     """A lower bound on the misalignment term at cur.S + delta, from cur alone.
 
     misalign is convex and each pair score is linear in S, so the term lies
     above its tangent at cur: M(cur.S + delta) >= M(cur.S) + <grad M, delta>,
     with grad M = g_pair up to g_err in Frobenius norm (see `_grad_S`), which
-    costs at most g_err ||delta||_F; `delta_sq` is ||delta||_F^2 if the caller
-    has it. The relative margin covers the float64 rounding of both sides; its
-    unit floor covers the absolute error of tanh(a) - 1 where tanh saturates."""
-    if delta_sq is None:
-        delta_sq = float(np.vdot(delta, delta))
+    costs at most g_err ||delta||_F, with `delta_sq` = ||delta||_F^2. The
+    relative margin covers the float64 rounding of both sides; its unit floor
+    covers the absolute error of tanh(a) - 1 where tanh saturates."""
     step = float(np.vdot(g_pair, delta))
     scale = max(1.0, abs(cur.misalign_term) + abs(step))
     return cur.misalign_term + step - _FLOOR_RTOL * scale - g_err * delta_sq**0.5

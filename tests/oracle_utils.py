@@ -428,6 +428,58 @@ def reference_generate(cfg: SynthConfig) -> SynthDataset:
 # Record-by-record readers and the one-shot median bandwidth.
 
 
+# The record checks as data_io made them before it read feature vectors a block
+# at a time, kept here so the references share no check with the reader.
+
+
+def _ref_parse_class(rec: dict):
+    if "class" in rec and not isinstance(rec["class"], str):
+        raise DataError("class must be a string")
+    return rec.get("class")
+
+
+def _ref_parse_label(rec: dict):
+    if "label" in rec:
+        label = rec["label"]
+        if not is_sign(label):
+            raise DataError(f"label must be 1 or -1, got {label!r}")
+        return label
+    return _ref_parse_class(rec)
+
+
+def _ref_finite(values, what: str) -> np.ndarray:
+    odd = set(map(type, values)) - {float, int}
+    if odd:
+        names = ", ".join(sorted(t.__name__ for t in odd))
+        raise DataError(f"{what} must hold numbers only, not {names}")
+    try:
+        arr = np.array(values, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"{what} must hold numbers: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise DataError(f"{what} holds a non-finite number")
+    return arr
+
+
+def _ref_features(rec: dict, key: str, dims: dict, modality: str) -> np.ndarray:
+    if key not in rec:
+        raise DataError(f"missing {key!r}")
+    values = rec[key]
+    if not isinstance(values, list) or not values:
+        raise DataError(f"{key!r} must be a non-empty array of numbers")
+    v = _ref_finite(values, repr(key))
+    dim = dims.setdefault(modality, v.shape[0])
+    if v.shape[0] != dim:
+        raise DataError(f"{modality} feature dimension {v.shape[0]} != expected {dim}")
+    return v
+
+
+def _ref_example(rec: dict, kind: str, dims: dict) -> CorpusExample:
+    if not isinstance(rec.get("id"), str):
+        raise DataError("missing string id")
+    return CorpusExample(rec["id"], _ref_features(rec, "features", dims, kind), _ref_parse_label(rec))
+
+
 def reference_parse_dataset(path: str) -> Corpora:
     """data_io.parse_dataset as it was before it checked feature vectors a
     block at a time: each record read and checked on its own, in file order."""
@@ -446,11 +498,11 @@ def reference_parse_dataset(path: str) -> Corpora:
             raise DataError(f"duplicate {kind} id {rid!r}")
         seen_ids[kind].add(rid)
         if kind == "pair":
-            x = data_io._features(rec, "text_features", dims, "text")
-            z = data_io._features(rec, "image_features", dims, "image")
-            corpora.pairs.append(CooccurrencePair(x, z, class_id=data_io._parse_class(rec)))
+            x = _ref_features(rec, "text_features", dims, "text")
+            z = _ref_features(rec, "image_features", dims, "image")
+            corpora.pairs.append(CooccurrencePair(x, z, class_id=_ref_parse_class(rec)))
         else:
-            ex = data_io._example(rec, kind, dims)
+            ex = _ref_example(rec, kind, dims)
             (corpora.texts if kind == "text" else corpora.images).append(ex)
 
     with open(path, "rb") as fh:
@@ -470,7 +522,7 @@ def reference_model_examples(doc: dict, key: str, dims: dict, binary: bool) -> l
     out = []
     for rec in doc[key]:
         try:
-            ex = data_io._example(rec, kind, dims)
+            ex = _ref_example(rec, kind, dims)
             if binary and not is_sign(ex.label):
                 raise DataError(f"label {ex.label!r} in a binary model, which needs +1/-1")
         except DataError as exc:

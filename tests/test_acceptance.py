@@ -125,7 +125,7 @@ def test_criterion_04_loss_identities():
 
 def test_criterion_05_planted_advantage():
     start = time.time()
-    full_errs, base_errs = _script("planted_advantage").seed_errors(
+    full_errs, base_errs = _script("experiments").seed_errors(
         range(20), Hyperparameters(**DEFAULT_TRAIN), pairs=2000, images=4
     )
     diffs = np.array(base_errs) - np.array(full_errs)
@@ -142,7 +142,7 @@ def test_criterion_05_planted_advantage():
 def test_criterion_06_pairs_count_trend():
     start = time.time()
     means, ses = [], []
-    errors = _script("pairs_sweep").sweep_errors(
+    errors = _script("experiments").sweep_errors(
         (100, 500, 2000), range(10), Hyperparameters(**DEFAULT_TRAIN), images_per_class=2
     )
     for errs in errors.values():

@@ -581,6 +581,21 @@ class TestCli:
         assert "auc 0.75" in done.stdout
         assert done.stdout.splitlines()[-1] == "[]"
 
+    def test_closed_standard_output_exits_141(self, tmp_path, synth_config):
+        """A reader that closes the pipe, as `| head -1` does, ends the CLI with
+        the code a shell reports for SIGPIPE, and with no data error."""
+        data = tmp_path / "train.jsonl"
+        assert main(["synth", "--config", str(synth_config), "--out", str(data)]) == 0
+        src = os.path.dirname(os.path.dirname(crossmodal.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crossmodal.cli", "train", "--data", str(data),
+             "--out", str(tmp_path / "model.json"), "--max-iter", "5", "--verbose"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the interpreter has started, so before any write
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (141, b"")
+
     @pytest.mark.parametrize("bad_line, expected", [
         ('{"id": "i1", "label": 1}', "'score' must be a finite number"),
         ('{"id": "i1", "score": NaN, "label": 1}',

@@ -2,8 +2,8 @@
 writer against `json.dumps`.
 
 `data_io.parse_dataset` and the embedded corpora of `data_io.parse_model`
-check feature vectors a block of records at a time and replay a failing
-block record by record. Files of one to three blocks, valid or with one or
+check feature vectors a block of records at a time, and check them one by
+one before raising a record's error or when the block's check fails. Files of one to three blocks, valid or with one or
 two faults, must read to the same arrays or fail with the same message as
 `oracle_utils.reference_parse_dataset` and `reference_model_examples`.
 """
@@ -312,7 +312,7 @@ class TestPredictionLinesAreJsonDumps:
             table = np.array([EDGES, EDGES[::-1]]).T
         else:
             ids = data.draw(st.lists(NAME, max_size=6))
-            classes = data.draw(st.lists(NAME, min_size=1, max_size=4))  # repeats too
+            classes = data.draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
             binary = np.array(data.draw(st.lists(SCORE, min_size=len(ids), max_size=len(ids))))
             table = np.array(data.draw(st.lists(
                 SCORE, min_size=len(ids) * len(classes),

@@ -763,7 +763,9 @@ class TestMisalignFloor:
         _, probe, _, _ = evaluate_at(S_probe, alpha, data, hyper)
         assert pb.pair32 is not None
         _, g_pair, g_err = solver._grad_S(cur, F, pb, hyper, float32)
-        gap = probe.misalign_term - solver._misalign_floor(cur, g_pair, g_err, probe.S - cur.S)
+        delta = probe.S - cur.S
+        floor = solver._misalign_floor(cur, g_pair, g_err, delta, np.vdot(delta, delta))
+        gap = probe.misalign_term - floor
         assert gap >= 0.0
         if step <= 1e-8:
             # A tangent bound is tight to first order in the step.
