@@ -7,7 +7,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError
-from .model import CorpusExample, Hyperparameters, score_labels, scores, signs, stack_features
+from .model import (CorpusExample, Hyperparameters, ovr_labels, score_labels, scores, signs,
+                    stack_features)
 from .solver import TrainData, train
 
 # Grid searched by twofold cross-validation, in selection order
@@ -80,13 +81,9 @@ def auc(scores, truth) -> float:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of the values of x, each tie group given the mean of the
     ranks it spans (so a tie contributes 1/2 to the AUC)."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2.0)[group]
 
 
 def mean_ap(per_class_aps) -> float:
@@ -122,12 +119,11 @@ def zeroshot_report(table, classes, truth) -> EvalReport:
                         f"and classes {list(classes)}")
     order = sorted(range(len(classes)), key=list(classes).__getitem__)
     classes, table = [classes[b] for b in order], table[:, order]
-    # Object arrays compare labels as Python values: a label 1 is not class "1".
-    hits = np.array(truth, dtype=object)[:, None] == np.array(classes, dtype=object)
+    ys = ovr_labels(truth, classes)
+    hits = ys > 0
     scored = hits.any(axis=1)
     if not scored.any():
         raise DataError(f"no predicted image is of a scored class {classes}")
-    ys = np.where(hits, 1, -1)
     aucs = [auc(table[:, b], ys[:, b]) for b in range(len(classes))]
     aps = [average_precision(table[:, b], ys[:, b]) for b in range(len(classes))]
     return EvalReport(
@@ -153,10 +149,9 @@ def _stratified_folds(images: list[CorpusExample], seed: int):
         by_label.setdefault(ex.label, []).append(idx)
     folds = ([], [])
     for label in sorted(by_label, key=str):
-        idxs = np.array(by_label[label])
-        rng.shuffle(idxs)
-        for k, idx in enumerate(idxs):
-            folds[k % 2].append(int(idx))
+        idxs = rng.permutation(by_label[label])
+        folds[0].extend(idxs[0::2].tolist())
+        folds[1].extend(idxs[1::2].tolist())
     return sorted(folds[0]), sorted(folds[1])
 
 

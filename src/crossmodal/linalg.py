@@ -1,4 +1,4 @@
-"""Dense SVD and the singular-value-thresholding prox operator, as thin factors."""
+"""Dense SVD, soft-thresholding of its singular values, and numerical rank."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -35,18 +35,12 @@ def svd(M: np.ndarray) -> SvdResult:
     return SvdResult(U=U, sigma=s, V=Vt.T)
 
 
-def svt_factors(M: np.ndarray, threshold: float) -> SvdResult:
-    """Thin SVD of the minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr:
-    the singular values of M soft-thresholded by `threshold`, keeping only the
-    nonzero ones and their vectors."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return shrink(svd(M), threshold)
-
-
 def shrink(res: SvdResult, threshold: float) -> SvdResult:
     """The SVD `res` with its singular values soft-thresholded by `threshold`,
-    keeping only the nonzero ones and their vectors."""
+    keeping only the nonzero ones and their vectors. `shrink(svd(M), t)` is
+    the thin SVD of the minimizer of 1/2 ||X - M||_F^2 + t * ||X||_tr."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     shrunk = res.sigma - threshold
     r = int(np.count_nonzero(shrunk > 0.0))  # sigma is sorted non-increasing
     return SvdResult(U=res.U[:, :r], sigma=shrunk[:r], V=res.V[:, :r])

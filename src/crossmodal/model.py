@@ -212,14 +212,11 @@ def signs(examples: list[CorpusExample], what: str) -> np.ndarray:
 
 
 def ovr_labels(labels: list, classes: list[str]) -> np.ndarray:
-    """(N, B) one-vs-rest label matrix of N labels over an ordered class list."""
-    out = np.full((len(labels), len(classes)), -1.0)
-    index = {c: b for b, c in enumerate(classes)}
-    for i, label in enumerate(labels):
-        b = index.get(label)
-        if b is not None:
-            out[i, b] = 1.0
-    return out
+    """(N, B) one-vs-rest label matrix of N labels over an ordered class list:
+    +1 where a label equals the class, else -1. Object arrays compare them as
+    Python values, so a label 1 is not the class "1"."""
+    hits = np.array(labels, dtype=object)[:, None] == np.array(classes, dtype=object)
+    return np.where(hits, 1.0, -1.0)
 
 
 def score_labels(s) -> np.ndarray:

@@ -361,7 +361,7 @@ def prox_step(S_tau: np.ndarray, grad: np.ndarray, L: float,
     if L <= 0:
         raise ValueError("L must be positive")
     if ray is None:
-        return linalg.svt_factors(S_tau - grad / L, 1.0 / L)
+        return linalg.shrink(linalg.svd(S_tau - grad / L), 1.0 / L)
     out = linalg.shrink(ray, 1.0)
     return linalg.SvdResult(U=out.U, sigma=out.sigma / L, V=out.V)
 

@@ -49,14 +49,15 @@ def train_zeroshot(
             raise DataError(f"pair at index {idx} has no class tag")
     images = [i for i in data.train_images if i.label not in unseen]
     pairs = [c for c in data.pairs if c.class_id not in unseen]
-    in_seen = np.array([t.label in seen for t in texts], dtype=bool)
+    classes = sorted(seen)
+    text_Y = ovr_labels([t.label for t in texts], classes)
+    in_seen = (text_Y > 0).any(axis=1)
     if not in_seen.any() and not pairs:
         # Every text is stacked, so p is known; but with no seen-class text
         # and no pair, S would have nothing to learn from.
         raise DataError("no seen-class texts or pairs for S to learn from")
-    classes = sorted(seen)
     # All-zero label rows keep the other texts out of the problem.
-    text_Y = np.where(in_seen[:, None], ovr_labels([t.label for t in texts], classes), 0.0)
+    text_Y = np.where(in_seen[:, None], text_Y, 0.0)
     return _fit(TrainData(texts, images, pairs), text_Y,
                 ovr_labels([i.label for i in images], classes),
                 None, hyper, log)

@@ -4,7 +4,8 @@ against, the per-vector L2 normalizer the row normalizer is checked against,
 the dense trace norm, SVT and numerical rank, the single-block objective and
 its gradients, the uncached training loop the solver's loop is checked
 against, the full-grid cross-validation crossval_select is checked
-against, the per-example synthetic generator the block generator is checked
+against, the loop forms of the one-vs-rest label matrix, the tie ranks and
+the stratified fold split, the per-example synthetic generator the block generator is checked
 against, the record-by-record dataset and model-corpus readers the block
 readers are checked against, the one-shot median bandwidth, and random small
 training instances."""
@@ -16,7 +17,7 @@ import numpy as np
 from crossmodal import data_io, linalg, solver
 from crossmodal import model as model_module
 from crossmodal.errors import DataError, NumericalError
-from crossmodal.evaluation import _stratified_folds, error_rate
+from crossmodal.evaluation import error_rate
 from crossmodal.losses import hinge, hinge_subgrad, misalign, misalign_deriv
 from crossmodal.model import (
     CooccurrencePair,
@@ -157,7 +158,7 @@ def svt(M: np.ndarray, threshold: float) -> np.ndarray:
 
     Returns the unique minimizer of 1/2 ||X - M||_F^2 + threshold * ||X||_tr.
     """
-    res = linalg.svt_factors(M, threshold)
+    res = linalg.shrink(linalg.svd(M), threshold)
     return (res.U * res.sigma) @ res.V.T
 
 
@@ -180,7 +181,7 @@ def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):
     """(problem, iterate of S, margins, smooth value) at (S, alpha)."""
     pb = _binary_problem(data, hyper)
     alpha = np.asarray(alpha, dtype=float)
-    factors = linalg.svt_factors(np.asarray(S, dtype=float), 0.0)
+    factors = linalg.shrink(linalg.svd(np.asarray(S, dtype=float)), 0.0)
     it = _pair_terms(_text_terms(factors, pb), pb, hyper)
     F, h = _hinge_term(it, alpha, pb, hyper)
     return pb, it, F, h + it.misalign_term
@@ -339,7 +340,7 @@ def reference_train_loop(pb, hyper: Hyperparameters, log=None, resume=None, sour
 def reference_crossval_select(data: TrainData, base: Hyperparameters, grid: dict, seed=0):
     """crossval_select as it was before it skipped any fit: every grid point
     from a cold start on both folds, the first lowest mean error wins."""
-    fold_a, fold_b = _stratified_folds(data.train_images, seed)
+    fold_a, fold_b = reference_stratified_folds(data.train_images, seed)
     Z = stack_features(data.train_images, data.train_images[0].features.shape[0], "image")
     truth = signs(data.train_images, "training image")
     best, best_err = None, np.inf
@@ -359,6 +360,34 @@ def reference_crossval_select(data: TrainData, base: Hyperparameters, grid: dict
         if mean_err < best_err:
             best_err, best = mean_err, cand
     return best
+
+
+def reference_stratified_folds(images: list[CorpusExample], seed: int):
+    """evaluation._stratified_folds dealing each label's shuffled indices to
+    the two folds one index at a time."""
+    rng = np.random.default_rng(seed)
+    by_label: dict = {}
+    for idx, ex in enumerate(images):
+        by_label.setdefault(ex.label, []).append(idx)
+    folds = ([], [])
+    for label in sorted(by_label, key=str):
+        idxs = np.array(by_label[label])
+        rng.shuffle(idxs)
+        for k, idx in enumerate(idxs):
+            folds[k % 2].append(int(idx))
+    return sorted(folds[0]), sorted(folds[1])
+
+
+def reference_ovr_labels(labels: list, classes: list[str]) -> np.ndarray:
+    """model.ovr_labels one label at a time, through a dict from class to
+    column."""
+    out = np.full((len(labels), len(classes)), -1.0)
+    index = {c: b for b, c in enumerate(classes)}
+    for i, label in enumerate(labels):
+        b = index.get(label)
+        if b is not None:
+            out[i, b] = 1.0
+    return out
 
 
 def reference_generate(cfg: SynthConfig) -> SynthDataset:
@@ -642,6 +671,18 @@ def brute_force_average_precision(scores, truth):
             hits += 1
             precisions.append(hits / rank)
     return sum(precisions) / len(precisions)
+
+
+def reference_average_ranks(x: np.ndarray) -> np.ndarray:
+    """evaluation._average_ranks by a stable argsort and a scan for the runs
+    of equal sorted values."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def brute_force_auc(scores, truth):

@@ -26,8 +26,10 @@ from crossmodal.synth import SynthConfig, generate
 from oracle_utils import (
     brute_force_auc,
     brute_force_average_precision,
+    reference_average_ranks,
     reference_crossval_select,
     reference_generate,
+    reference_stratified_folds,
 )
 
 
@@ -124,6 +126,23 @@ class TestAuc:
     def test_nan_score_rejected(self):
         with pytest.raises(DataError, match="NaN"):
             auc([0.5, np.nan, 0.1], [1, -1, -1])
+
+
+class TestAverageRanksMatchTheScan:
+    """`_average_ranks` takes its tie groups from `np.unique`;
+    `reference_average_ranks` from a stable argsort and a scan for runs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 3.0, np.inf]),
+                    min_size=1, max_size=60))
+    def test_equal(self, values):
+        x = np.array(values)
+        np.testing.assert_array_equal(evaluation._average_ranks(x),
+                                      reference_average_ranks(x))
+
+    def test_signed_zeros_tie(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, -0.0])
+        assert evaluation._average_ranks(x).tolist() == [3.0, 3.0, 5.0, 1.0, 3.0]
 
 
 class TestBruteForceOracles:
@@ -335,6 +354,24 @@ class TestSynth:
         class_ids = {"c0", "c1", "c2"}
         assert {e.label for e in ds.texts} == class_ids
         assert all(p.class_id in class_ids for p in ds.pairs)
+
+
+class TestStratifiedFoldsMatchTheLoop:
+    """`_stratified_folds` deals each label's shuffled indices by two slices;
+    `reference_stratified_folds` one index at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.integers(1, 4).flatmap(lambda k: st.lists(
+            st.sampled_from([1, -1, "c0", "1"][:k]), min_size=1, max_size=40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal(self, labels, seed):
+        images = [CorpusExample(f"i{k}", np.zeros(1), label) for k, label in enumerate(labels)]
+        got = evaluation._stratified_folds(images, seed)
+        assert got == reference_stratified_folds(images, seed)
+        assert sorted(got[0] + got[1]) == list(range(len(labels)))
+        assert all(type(idx) is int for fold in got for idx in fold)
 
 
 class TestCrossval:

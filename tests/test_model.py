@@ -16,6 +16,7 @@ from crossmodal.model import (
     TrainedModel,
     kernel_matrix,
     median_bandwidth,
+    ovr_labels,
     scores,
     signs,
     stack_features,
@@ -32,6 +33,7 @@ from oracle_utils import (
     one_vs_rest_texts,
     predict_label,
     reference_median_bandwidth,
+    reference_ovr_labels,
     score_unseen,
     transfer_score,
 )
@@ -219,6 +221,28 @@ class TestSigns:
         examples = [CorpusExample("a", np.ones(1), 1), CorpusExample("b", np.ones(1), label)]
         with pytest.raises(DataError, match=r"example 'b' has label .*\+1/-1"):
             signs(examples, "example")
+
+
+class TestOvrLabelsMatchesTheLoop:
+    """`ovr_labels` compares object arrays; `reference_ovr_labels` looks each
+    label up in a dict. Classes are distinct, as every caller's are."""
+
+    NAMES = ["a", "b", "1", "-1"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.lists(st.one_of(st.sampled_from(NAMES + ["z"]), st.sampled_from([1, -1]),
+                                  st.none()), max_size=20),
+        classes=st.lists(st.sampled_from(NAMES), unique=True, max_size=4),
+    )
+    @example(labels=[1, "1", None, -1, "-1"], classes=["1", "-1"])
+    def test_equal(self, labels, classes):
+        got = ovr_labels(labels, classes)
+        assert got.dtype == np.float64 and got.shape == (len(labels), len(classes))
+        np.testing.assert_array_equal(got, reference_ovr_labels(labels, classes))
+
+    def test_int_label_is_not_its_string_class(self):
+        assert ovr_labels([1, "1", None], ["1"]).tolist() == [[-1.0], [1.0], [-1.0]]
 
 
 class TestDiscriminant:

@@ -932,7 +932,7 @@ class TestFastPathOracles:
         rng = np.random.default_rng(seed)
         pb, hyper = self.problem(rng, n, m, B, kernel=True)
         S = rng.standard_normal((5, 4))
-        it = solver._text_terms(linalg.svt_factors(S, 0.0), pb)
+        it = solver._text_terms(linalg.shrink(linalg.svd(S), 0.0), pb)
         low, high = {"none": (1.0, 3.0), "all": (-3.0, 0.999), "some": (-1.0, 3.0)}[active]
         yf = rng.uniform(low, high, (B, m))
         if active == "none":
@@ -959,7 +959,7 @@ class TestFastPathOracles:
         pb, hyper = self.problem(rng, 2, 2, 1, kernel=False, normalize=normalize, l=l)
         hyper = replace(hyper, lam=1.0)
         S = scale * rng.standard_normal((5, rank)) @ rng.standard_normal((rank, 4))
-        it = solver._pair_terms(solver._text_terms(linalg.svt_factors(S, 0.0), pb), pb, hyper)
+        it = solver._pair_terms(solver._text_terms(linalg.shrink(linalg.svd(S), 0.0), pb), pb, hyper)
         _assert_close(it.a, _dense_pair_scores(S, pb))
 
     @pytest.mark.parametrize("normalize", [False, True])
