@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DataError
 from .model import (CorpusExample, Hyperparameters, ovr_labels, score_labels, scores, signs,
                     stack_features)
-from .solver import TrainData, train
+from .solver import TrainData, binary_problem, train
 
 # Grid searched by twofold cross-validation, in selection order
 # (lam-major, then gamma, then C).
@@ -175,7 +175,8 @@ def crossval_select(
     error is strictly below the best so far, so its remaining fold is not
     fitted once the mean with that fold's error taken as 0 is not. A fit
     that does run resumes the fit at the largest smaller C from its fork
-    (`_Fold.fit_error`).
+    (`_Fold.fit_error`), and every fit of a fold trains on one problem per
+    sign of lam, built at its first fit (`solver.binary_problem`).
     """
     if base is None:
         base = Hyperparameters()
@@ -226,13 +227,14 @@ def _mean_floor(errs) -> float:
 @dataclass
 class _Fold:
     """One cross-validation split: the data its fits train on, the held-out
-    images they are scored on, and per (lam, gamma) the (C, report, error)
-    of each fit run so far."""
+    images they are scored on, per (lam, gamma) the (C, report, error) of
+    each fit run so far, and per lam > 0 the problem those fits share."""
 
     data: TrainData
     Z_val: np.ndarray
     truth_val: np.ndarray
     fits: dict = field(default_factory=dict)
+    problems: dict = field(default_factory=dict)
 
     def _below(self, hyper: Hyperparameters):
         """The (C_fit, report, error) of the fit run so far at the largest
@@ -250,9 +252,15 @@ class _Fold:
     def fit_error(self, hyper: Hyperparameters) -> float:
         """Fit at `hyper` and return its error rate on the held-out images.
         When `known_error` has none, the fit below (`_below`) has a fork, if
-        there is one, and the fit resumes it there."""
+        there is one, and the fit resumes it there. Every hyper of a
+        crossval_select call shares its kernel and normalize, so the fold's
+        problem at lam > 0 is the same for all of them, and likewise at 0."""
         below = self._below(hyper)
-        model, report = train(self.data, hyper, resume=None if below is None else below[1])
+        key = hyper.lam > 0
+        if key not in self.problems:
+            self.problems[key] = binary_problem(self.data, hyper)
+        model, report = train(self.data, hyper, resume=None if below is None else below[1],
+                              problem=self.problems[key])
         err = error_rate(score_labels(scores(model, self.Z_val)), self.truth_val)
         self.fits.setdefault((hyper.lam, hyper.gamma), []).append((hyper.C, report, err))
         return err

@@ -262,7 +262,11 @@ def _pair_terms(it: _Iterate, pb: _Problem, hyper: Hyperparameters) -> _Iterate:
     """Add the pair scores and the misalignment term to `it`, in place:
     O(l (p + q) r) instead of O(l p q). The scores are the column sums of
     (US' P_x') * (V' P_z'), two wide (r, l) products over the feature-major
-    pairs."""
+    pairs. At lam = 0 the term is 0.0 and no score is formed: nothing reads
+    `it.a` then, since `_grad_S` checks lam first."""
+    if hyper.lam == 0:
+        it.misalign_term = 0.0
+        return it
     prod = it.US.T @ pb.pair_X.T
     prod *= it.factors.V.T @ pb.pair_Z.T
     it.a = prod.sum(axis=0)
@@ -489,24 +493,48 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
     return cur.S, alpha, report
 
 
-def _fit(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None, hyper: Hyperparameters,
-         log=None, resume: TrainReport | None = None):
-    """Fit the label blocks text_Y and img_Y of `data` (see `_build_problem`)
-    and return (TrainedModel, TrainReport). With a `kernel`, alpha is learned
-    and the model keeps the training images and the resolved kernel; without,
-    it keeps no images and `hyper.kernel`."""
-    pb, texts, images = _build_problem(data, text_Y, img_Y, kernel, hyper)
-    S, alpha, report = _train_loop(pb, hyper, log, resume, weakref.ref(data))
+def _fit(pb: _Problem, texts, images, hyper: Hyperparameters, log=None,
+         resume: TrainReport | None = None, source: weakref.ref | None = None):
+    """Fit the problem `pb` with the texts and images the model keeps (see
+    `_build_problem`) and return (TrainedModel, TrainReport). With a kernel,
+    alpha is learned and the model keeps the training images and the resolved
+    kernel; without, it keeps no images and `hyper.kernel`."""
+    S, alpha, report = _train_loop(pb, hyper, log, resume, source)
     model = TrainedModel(
         S=S,
         alpha=alpha,
         source_texts=texts,
-        train_images=images if kernel is not None else [],
-        kernel=pb.kernel if kernel is not None else hyper.kernel,
+        train_images=images if pb.kernel is not None else [],
+        kernel=pb.kernel if pb.kernel is not None else hyper.kernel,
         hyper=hyper,
         final_objective=report.final_objective,
     )
     return model, report
+
+
+class BinaryProblem(NamedTuple):
+    """The problem a binary fit of `data` at `hyper` trains on
+    (`binary_problem`): the arrays, the texts and images the model keeps, a
+    weak reference to the data and the hyperparameters it was built at. It
+    depends on `hyper` only through `kernel`, `normalize` and whether lam > 0,
+    so fits of the same data that agree on these can share it
+    (`train(..., problem=)`)."""
+
+    arrays: _Problem
+    texts: list[CorpusExample]
+    images: list[CorpusExample]
+    data: weakref.ref
+    hyper: Hyperparameters
+
+
+def binary_problem(data: TrainData, hyper: Hyperparameters) -> BinaryProblem:
+    """Stack, normalize and label the corpora of `data` for a binary fit at
+    `hyper`: the texts' and images' +1/-1 labels are the one label block, and
+    `hyper.kernel` (its bandwidth resolved) gives the Gram matrix."""
+    text_Y = signs(data.source_texts, "source text")[:, None]
+    img_Y = signs(data.train_images, "training image")[:, None]
+    pb, texts, images = _build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
+    return BinaryProblem(pb, texts, images, weakref.ref(data), hyper)
 
 
 def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters):
@@ -526,7 +554,23 @@ def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters):
         raise ValueError("resume: the fork was taken on another data object")
 
 
-def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport | None = None):
+def _check_problem(problem: BinaryProblem, data: TrainData, hyper: Hyperparameters):
+    """Raise ValueError unless `problem` is the one `binary_problem` builds
+    for `data` at `hyper`."""
+    if problem.data() is not data:
+        raise ValueError("problem: it was built from another data object")
+    built = problem.hyper
+    differ = [name for name, ours, theirs in (
+        ("kernel", hyper.kernel, built.kernel),
+        ("normalize", hyper.normalize, built.normalize),
+        ("lam > 0", hyper.lam > 0, built.lam > 0),
+    ) if ours != theirs]
+    if differ:
+        raise ValueError(f"problem: {', '.join(differ)} differ from the problem's")
+
+
+def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport | None = None,
+          *, problem: BinaryProblem | None = None):
     """Run the alternating optimization from S = 0, alpha = 0.
 
     Returns (TrainedModel, TrainReport). The objective trace is non-increasing
@@ -541,9 +585,18 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport
     exactly what a fit from the start returns, without rerunning the
     iterations before the fork (`log` receives lines from there on). A
     `resume` that does not fit, or whose data changed, raises ValueError.
+
+    `problem`, built by `binary_problem` from this same `data` object at the
+    same `kernel`, `normalize` and lam > 0 (else ValueError), is fitted as it
+    is; without it the fit builds its own. It is read, never written, so
+    several fits can share it, but it holds the data as they were when it was
+    built.
     """
     if resume is not None:
         _check_resume(resume, data, hyper)
-    text_Y = signs(data.source_texts, "source text")[:, None]
-    img_Y = signs(data.train_images, "training image")[:, None]
-    return _fit(data, text_Y, img_Y, hyper.kernel, hyper, log, resume)
+    if problem is None:
+        problem = binary_problem(data, hyper)
+    else:
+        _check_problem(problem, data, hyper)
+    pb, texts, images, source, _ = problem
+    return _fit(pb, texts, images, hyper, log, resume, source)

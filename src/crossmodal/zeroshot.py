@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DataError
 from .model import Hyperparameters, TrainedModel, check_unseen_texts, is_sign, ovr_labels
-from .solver import TrainData, TrainReport, _fit
+from .solver import TrainData, TrainReport, _build_problem, _fit
 
 
 def train_zeroshot(
@@ -58,6 +58,7 @@ def train_zeroshot(
         raise DataError("no seen-class texts or pairs for S to learn from")
     # All-zero label rows keep the other texts out of the problem.
     text_Y = np.where(in_seen[:, None], text_Y, 0.0)
-    return _fit(TrainData(texts, images, pairs), text_Y,
-                ovr_labels([i.label for i in images], classes),
-                None, hyper, log)
+    pb, texts, images = _build_problem(TrainData(texts, images, pairs), text_Y,
+                                       ovr_labels([i.label for i in images], classes),
+                                       None, hyper)
+    return _fit(pb, texts, images, hyper, log)

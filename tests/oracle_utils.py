@@ -34,12 +34,12 @@ from crossmodal.model import (
 from crossmodal.solver import (
     TrainData,
     TrainReport,
-    _build_problem,
     _grad_alpha,
     _grad_S,
     _hinge_term,
     _pair_terms,
     _text_terms,
+    binary_problem,
     project_alpha,
     train,
 )
@@ -171,15 +171,9 @@ def numerical_rank(M: np.ndarray) -> int:
 # through the package's own iterate, smooth value and gradient code.
 
 
-def _binary_problem(data: TrainData, hyper: Hyperparameters):
-    text_Y = signs(data.source_texts, "source text")[:, None]
-    img_Y = signs(data.train_images, "training image")[:, None]
-    return _build_problem(data, text_Y, img_Y, hyper.kernel, hyper)[0]
-
-
 def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):
     """(problem, iterate of S, margins, smooth value) at (S, alpha)."""
-    pb = _binary_problem(data, hyper)
+    pb = binary_problem(data, hyper).arrays
     alpha = np.asarray(alpha, dtype=float)
     factors = linalg.shrink(linalg.svd(np.asarray(S, dtype=float)), 0.0)
     it = _pair_terms(_text_terms(factors, pb), pb, hyper)

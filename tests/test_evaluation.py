@@ -457,6 +457,30 @@ class TestCrossval:
             train(data, hyper)
         assert shared < len(svds) - shared
 
+    def test_each_fit_carries_its_folds_problem(self, monkeypatch):
+        # The benchmark's crossval_grid at seed 0: the same 14 fits through
+        # `train` as when each fit built its own problem, on one problem per
+        # fold, built from that fold's data at lam > 0.
+        fits = _count_fits(monkeypatch, "problem")
+        ds = generate(SynthConfig(n_test=1000, seed=0))
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        grid = {"lam": (0.5, 2.0), "gamma": (0.1, 1.0), "C": (1.0, 10.0)}
+        crossval_select(data, Hyperparameters(max_iter=20, tol=1e-12), grid, seed=0)
+        assert len(fits) == 14
+        for fold_data, hyper, problem in fits:
+            assert problem.data() is fold_data and problem.hyper.lam > 0
+        assert len({id(d) for d, _, _ in fits}) == len({id(p) for _, _, p in fits}) == 2
+
+    def test_one_problem_per_fold_and_sign_of_lam(self, monkeypatch):
+        fits = _count_fits(monkeypatch, "problem")
+        grid = {"lam": (0.0, 1.0, 0.0), "gamma": (0.5,), "C": (1.0,)}
+        crossval_select(self.small_data(), base=self.base(), grid=grid)
+        keys = {(id(d), h.lam > 0): p for d, h, p in fits}
+        assert len(keys) == len({id(p) for p in keys.values()}) == 4
+        for (fold, positive), problem in keys.items():
+            assert id(problem.data()) == fold and (problem.hyper.lam > 0) == positive
+        assert all(keys[id(d), h.lam > 0] is p for d, h, p in fits)
+
     def test_empty_fold_named(self):
         # One image per label: stratification puts both in the first fold.
         images = [CorpusExample("i0", np.array([1.0]), 1), CorpusExample("i1", np.array([-1.0]), -1)]
@@ -464,14 +488,15 @@ class TestCrossval:
             crossval_select(TrainData(train_images=images), base=self.base())
 
 
-def _count_fits(monkeypatch) -> list:
-    """Every fit crossval_select runs from here on, as (data, hyper, resume):
-    `resume` is the report the fit resumed, None for a fit from the start."""
+def _count_fits(monkeypatch, keyword="resume") -> list:
+    """Every fit crossval_select runs from here on, as (data, hyper, the
+    `keyword` argument of `train`): `resume` is the report the fit resumed,
+    None for a fit from the start; `problem` is the problem it was given."""
     calls = []
     original = evaluation.train
 
     def counted(data, hyper, **kwargs):
-        calls.append((data, hyper, kwargs.get("resume")))
+        calls.append((data, hyper, kwargs.get(keyword)))
         return original(data, hyper, **kwargs)
 
     monkeypatch.setattr(evaluation, "train", counted)
@@ -522,5 +547,25 @@ class TestCrossvalMatchesFullGrid:
         data = TrainData(ds.texts, ds.images, ds.pairs)
         base = Hyperparameters(max_iter=15, tol=1e-5, kernel=KernelSpec(bandwidth=1.0))
         grid = self.GRIDS[name]
+        got = crossval_select(data, base=base, grid=grid, seed=seed)
+        assert got == reference_crossval_select(data, base, grid, seed)
+
+    # Bases whose fold problems differ from the one above: normalized rows, a
+    # linear Gram matrix, and the median-heuristic bandwidth of each fold's
+    # images. The grid has lam = 0 and lam > 0, so each fold builds both.
+    BASES = {
+        "normalize": {"normalize": True},
+        "linear": {"kernel": KernelSpec("linear")},
+        "median_bandwidth": {"kernel": KernelSpec()},
+    }
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("base", BASES)
+    def test_same_selection_on_a_base(self, base, seed):
+        ds = generate(SynthConfig(seed=seed, n_texts=30, m_images=12, l_pairs=40, n_test=1))
+        data = TrainData(ds.texts, ds.images, ds.pairs)
+        base = replace(Hyperparameters(max_iter=15, tol=1e-5, kernel=KernelSpec(bandwidth=1.0)),
+                       **self.BASES[base])
+        grid = self.GRIDS["C_both_sides_of_peaks"]
         got = crossval_select(data, base=base, grid=grid, seed=seed)
         assert got == reference_crossval_select(data, base, grid, seed)

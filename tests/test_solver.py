@@ -738,6 +738,106 @@ class TestResume:
             train(data, replace(hyper, C=1.0), resume=unpickled)
 
 
+class TestSharedProblem:
+    """`train(..., problem=)` fits a problem `binary_problem` built once; it
+    must return the fit that builds its own, and refuse a problem of other
+    data or built at another kernel, normalize or sign of lam."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("base", [
+        Hyperparameters(lam=1.0, max_iter=40),
+        Hyperparameters(lam=0.0, max_iter=40),
+        Hyperparameters(lam=2.0, max_iter=40, normalize=True, kernel=KernelSpec("linear")),
+    ])
+    def test_shared_problem_gives_the_fit_from_the_start(self, seed, base):
+        data = _small_data(seed)
+        problem = solver.binary_problem(data, base)
+        lams = (0.5, 2.0) if base.lam > 0 else (0.0,)
+        for lam, gamma, C in [(lam, g, c) for lam in lams for g in (0.5, 1.0) for c in (0.1, 1.0)]:
+            hyper = replace(base, lam=lam, gamma=gamma, C=C)
+            _assert_identical_fit(train(data, hyper, problem=problem), train(data, hyper))
+
+    def test_shared_problem_with_resume(self):
+        data = _small_data(0)
+        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
+        problem = solver.binary_problem(data, hyper)
+        _, report = train(data, hyper, problem=problem)
+        larger = replace(hyper, C=1.0)
+        _assert_identical_fit(train(data, larger, resume=report, problem=problem),
+                              train(data, larger))
+
+    @pytest.mark.parametrize("change, expected", [
+        ({"kernel": KernelSpec(kind="linear")}, "kernel differ"),
+        ({"kernel": KernelSpec(bandwidth=1.0)}, "kernel differ"),
+        ({"normalize": True}, "normalize differ"),
+        ({"lam": 0.0}, "lam > 0 differ"),
+        ({"lam": 0.0, "normalize": True}, "normalize, lam > 0 differ"),
+    ])
+    def test_mismatched_hyperparameters_rejected(self, change, expected):
+        data = _small_data(0)
+        hyper = Hyperparameters(lam=1.0, max_iter=5)
+        problem = solver.binary_problem(data, hyper)
+        with pytest.raises(ValueError, match=re.escape(f"problem: {expected} from the problem's")):
+            train(data, replace(hyper, **change), problem=problem)
+        # And the other way round: a lam = 0 problem refuses a lam > 0 fit.
+        if change == {"lam": 0.0}:
+            with pytest.raises(ValueError, match=re.escape("problem: lam > 0 differ")):
+                train(data, hyper, problem=solver.binary_problem(data, replace(hyper, **change)))
+
+    def test_other_data_rejected(self):
+        data = _small_data(0)
+        hyper = Hyperparameters(max_iter=5)
+        problem = solver.binary_problem(data, hyper)
+        # The same corpora in another TrainData are another data object.
+        with pytest.raises(ValueError, match="problem: it was built from another data object"):
+            train(replace(data), hyper, problem=problem)
+        # Only the data, kernel, normalize and sign of lam are the problem's.
+        train(data, replace(hyper, gamma=0.1, lam=3.0, C=5.0, max_iter=2, tol=0.5),
+              problem=problem)
+
+    def test_problem_is_keyword_only(self):
+        data = _small_data(0)
+        hyper = Hyperparameters(max_iter=5)
+        with pytest.raises(TypeError):
+            train(data, hyper, None, None, solver.binary_problem(data, hyper))
+
+
+class TestPairTermsAtLamZero:
+    """At lam = 0 `_pair_terms` forms no pair score: the misalignment term is
+    0.0, as lam times the sum was, and the fit is the one that forms them."""
+
+    def test_no_pair_scores(self):
+        data = _small_data(0)
+        hyper = Hyperparameters(lam=0.0)
+        pb = solver.binary_problem(data, hyper).arrays
+        rng = np.random.default_rng(0)
+        S = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 15))
+        it = solver._pair_terms(solver._text_terms(linalg.shrink(linalg.svd(S), 0.0), pb), pb, hyper)
+        assert it.a is None and it.misalign_term == 0.0
+        # There were pairs to score, and a lam = 0 problem has no float32 copies.
+        assert pb.pair_X.shape[0] == 400 and pb.pair32 is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["gaussian", "linear"])
+    def test_fit_equals_the_fit_that_forms_them(self, monkeypatch, seed, kind):
+        def forming(it, pb, hyper):
+            # `_pair_terms` as it was, at every lam.
+            prod = it.US.T @ pb.pair_X.T
+            prod *= it.factors.V.T @ pb.pair_Z.T
+            it.a = prod.sum(axis=0)
+            it.misalign_term = hyper.lam * float(np.sum(misalign(it.a)))
+            return it
+
+        data = _small_data(seed)
+        ds = _small_synth(seed, classes=4)
+        zs_data = TrainData(ds.texts, ds.images, ds.pairs)
+        hyper = Hyperparameters(lam=0.0, max_iter=60, kernel=KernelSpec(kind))
+        got, got_zs = train(data, hyper), train_zeroshot(zs_data, {"c3"}, hyper)
+        monkeypatch.setattr(solver, "_pair_terms", forming)
+        _assert_identical_fit(got, train(data, hyper))
+        _assert_identical_fit(got_zs, train_zeroshot(zs_data, {"c3"}, hyper))
+
+
 class TestMisalignFloor:
     """solver._misalign_floor, the bound an S probe is rejected by before its
     pair terms, never exceeds the misalignment term the full evaluation
