@@ -32,19 +32,26 @@ _FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares with any int
 _BLOCK = 256  # dataset records whose feature vectors are checked as one array
 
 
-def atomic_write_text(path: str, content: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial output.
-    The file gets the mode `open(path, "w")` gives a new file, 0o666 & ~umask."""
+def _write_atomic(path: str, chunks) -> None:
+    """Write the strings `chunks` in turn to a temp file and rename it to
+    `path`, so a failure, in a write or in drawing the next chunk, leaves no
+    partial output and an existing `path` untouched. The file gets the mode
+    `open(path, "w")` gives a new file, 0o666 & ~umask."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, content: str) -> None:
+    """Write the string `content` to `path` atomically (`_write_atomic`)."""
+    _write_atomic(path, (content,))
 
 
 def _floats(values) -> list:
@@ -72,15 +79,31 @@ def _pair_record(idx: int, pair: CooccurrencePair) -> dict:
     return rec
 
 
+# json.dumps's encoder, except that it refuses the NaN and Infinity tokens `parse_dataset` refuses.
+_RECORD_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _dataset_lines(corpora: Corpora):
+    """The lines of the dataset file of `corpora`, one record at a time: each
+    is `json.dumps` of the record and a newline. A non-finite feature raises
+    ValueError naming the record's kind and id."""
+    records = chain((_example_record("text", t) for t in corpora.texts),
+                    (_example_record("image", i) for i in corpora.images),
+                    (_pair_record(k, c) for k, c in enumerate(corpora.pairs)))
+    for rec in records:
+        try:
+            yield _RECORD_ENCODER.encode(rec) + "\n"
+        except ValueError as exc:
+            raise ValueError(f"{rec['kind']} {rec['id']!r}: {exc}") from exc
+
+
 def serialize_dataset(corpora: Corpora) -> str:
-    lines = [json.dumps(_example_record("text", t)) for t in corpora.texts]
-    lines += [json.dumps(_example_record("image", i)) for i in corpora.images]
-    lines += [json.dumps(_pair_record(k, c)) for k, c in enumerate(corpora.pairs)]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_dataset_lines(corpora))
 
 
 def write_dataset(corpora: Corpora, path: str) -> None:
-    atomic_write_text(path, serialize_dataset(corpora))
+    """Write the dataset file of `corpora` a record at a time, atomically."""
+    _write_atomic(path, _dataset_lines(corpora))
 
 
 def _parse_class(rec: dict) -> str | None:

@@ -298,7 +298,8 @@ def _text_votes(model: TrainedModel, Z: np.ndarray) -> np.ndarray:
     if model.A is None:
         raise NumericalError("the model's text votes overflow float64: S or the "
                              "source texts are too large to score with")
-    return np.tanh((Z @ model.V) @ model.A.T)
+    votes = (Z @ model.V) @ model.A.T
+    return np.tanh(votes, out=votes)
 
 
 def scores(model: TrainedModel, Z) -> np.ndarray:

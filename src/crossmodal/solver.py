@@ -254,7 +254,8 @@ def _text_terms(factors: linalg.SvdResult, pb: _Problem) -> _Iterate:
     taken through the rank-r factors: O((n + m)(p + q) r) instead of O(n p q)."""
     US = factors.U * factors.sigma
     V = factors.V
-    T = np.tanh((pb.text_X @ US) @ (pb.img_Z @ V).T)
+    T = (pb.text_X @ US) @ (pb.img_Z @ V).T
+    np.tanh(T, out=T)
     return _Iterate(S=US @ V.T, factors=factors, US=US, T=T, F_inter=pb.text_Y.T @ T)
 
 

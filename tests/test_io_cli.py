@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1328,6 +1329,51 @@ class TestAtomicWrites:
             data_io.atomic_write_text(str(target), "partial")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [None, b"the previous file\n"])
+    @pytest.mark.parametrize("kind, rid, bad", [("text", "t299", np.nan), ("image", "i1", np.inf),
+                                                ("pair", "p1", -np.inf)])
+    def test_non_finite_feature_refused_mid_stream(self, tmp_path, kind, rid, bad, existing):
+        # parse_dataset refuses NaN and Infinity tokens, so write_dataset writes none.
+        # The bad record follows 299 texts, some 140 KB of lines that have
+        # reached the temp file by then.
+        rng = np.random.default_rng(0)
+        vectors = rng.standard_normal((306, 20))
+        vectors[{"text": 299, "image": 301, "pair": 304}[kind], 4] = bad
+        corpora = data_io.Corpora(
+            texts=[CorpusExample(f"t{k}", vectors[k], 1) for k in range(300)],
+            images=[CorpusExample(f"i{k}", vectors[300 + k], -1) for k in range(3)],
+            pairs=[CooccurrencePair(np.ones(20), vectors[303 + k], None) for k in range(3)])
+        target = tmp_path / "data.jsonl"
+        if existing is not None:
+            target.write_bytes(existing)
+        with pytest.raises(ValueError, match=f"^{kind} '{rid}': Out of range float"):
+            data_io.write_dataset(corpora, str(target))
+        with pytest.raises(ValueError, match=f"^{kind} '{rid}': "):
+            data_io.serialize_dataset(corpora)
+        assert [f.name for f in tmp_path.iterdir()] == ([] if existing is None else [target.name])
+        if existing is not None:
+            assert target.read_bytes() == existing
+
+    def test_dataset_write_memory_does_not_grow_with_the_file(self, tmp_path):
+        # write_dataset holds one record's line at a time, so the peak of what
+        # it allocates stays put while the file grows four-fold.
+        rng = np.random.default_rng(0)
+        sizes, peaks = [], []
+        for n_pairs in (2000, 8000):
+            corpora = data_io.Corpora(pairs=[
+                CooccurrencePair(rng.standard_normal(30), rng.standard_normal(20), "c0")
+                for _ in range(n_pairs)])
+            path = tmp_path / f"pairs{n_pairs}.jsonl"
+            tracemalloc.start()
+            try:
+                data_io.write_dataset(corpora, str(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(path.stat().st_size)
+        assert sizes[0] > 2**21 and sizes[1] > 3.9 * sizes[0]
+        assert max(peaks) < 2**20, peaks
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):

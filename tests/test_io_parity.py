@@ -1,5 +1,5 @@
-"""The block readers against the record-by-record ones, and the prediction
-writer against `json.dumps`.
+"""The block readers against the record-by-record ones, and the dataset and
+prediction writers against `json.dumps`.
 
 `data_io.parse_dataset` and the embedded corpora of `data_io.parse_model`
 check feature vectors a block of records at a time, and check them one by
@@ -13,12 +13,14 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossmodal import data_io
 from crossmodal.errors import DataError
-from crossmodal.model import score_labels
+from crossmodal.model import CooccurrencePair, CorpusExample, score_labels
+from crossmodal.synth import SynthConfig, generate
 from oracle_utils import reference_model_examples, reference_parse_dataset
 import test_io_cli
 
@@ -323,3 +325,57 @@ class TestPredictionLinesAreJsonDumps:
                 data_io.write_predictions(path, ids, scores, names)
                 with open(path, encoding="ascii") as fh:
                     assert fh.read() == reference_prediction_text(ids, scores, names)
+
+
+def reference_dataset_text(corpora) -> str:
+    """The dataset file as `json.dumps` writes each record, its floats taken entry by entry."""
+    def example_record(kind, ex):
+        rec = {"kind": kind, "id": ex.id, "features": [float(v) for v in ex.features]}
+        if ex.label is not None:
+            rec["class" if isinstance(ex.label, str) else "label"] = ex.label
+        return rec
+
+    records = [example_record("text", t) for t in corpora.texts]
+    records += [example_record("image", i) for i in corpora.images]
+    for k, pair in enumerate(corpora.pairs):
+        records.append({"kind": "pair", "id": f"p{k}",
+                        "text_features": [float(v) for v in pair.text_features],
+                        "image_features": [float(v) for v in pair.image_features]})
+        if pair.class_id is not None:
+            records[-1]["class"] = pair.class_id
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+class TestDatasetLinesAreJsonDumps:
+    """`write_dataset` writes a record at a time the lines `serialize_dataset`
+    joins, and each is `json.dumps` of its record."""
+
+    @staticmethod
+    def assert_written_as_dumps(corpora, tmp_path):
+        path = tmp_path / "data.jsonl"
+        data_io.write_dataset(corpora, str(path))
+        want = reference_dataset_text(corpora)
+        assert data_io.serialize_dataset(corpora) == want
+        assert path.read_bytes() == want.encode("ascii")
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_synth(self, tmp_path, seed, classes):
+        # Binary synth pairs have no class, multi-class ones have one.
+        ds = generate(SynthConfig(p=8, q=6, r_true=2, n_texts=60, m_images=30, l_pairs=120,
+                                  n_test=40, classes=classes, seed=seed))
+        self.assert_written_as_dumps(ds, tmp_path)
+        self.assert_written_as_dumps(data_io.Corpora(images=ds.test_images), tmp_path)
+
+    def test_edges_and_odd_ids(self, tmp_path):
+        ids = ['q"\\', "é-", "☃", "%s", ""]
+        edges = np.array(EDGES)
+        corpora = data_io.Corpora(
+            texts=[CorpusExample(i, np.roll(edges, k), (1, -1, "c0", None, "ü")[k])
+                   for k, i in enumerate(ids)],
+            images=[CorpusExample(i, edges[k:], ("é", None, -1, 1, "c1")[k])
+                    for k, i in enumerate(ids)],
+            pairs=[CooccurrencePair(np.roll(edges, k), edges[::-1], (None, 'c"', "☃")[k % 3])
+                   for k in range(6)])
+        self.assert_written_as_dumps(corpora, tmp_path)
+        self.assert_written_as_dumps(data_io.Corpora(), tmp_path)
