@@ -162,7 +162,10 @@ def _cmd_predict(args) -> int:
         table = scores(model, Z) if classes is None else unseen_scores(model, Z, classes)
     except DataError as exc:
         raise DataError(f"{args.images}: {exc}") from exc
-    data_io.write_predictions(args.out, [ex.id for ex in images], table, classes)
+    try:
+        data_io.write_predictions(args.out, [ex.id for ex in images], table, classes)
+    except ValueError as exc:  # a non-finite score, which no prediction file holds
+        raise NumericalError(f"{args.images}: {exc}") from exc
     return EXIT_OK
 
 

@@ -2,7 +2,8 @@
 
 Dataset records are self-describing objects with a `kind` of text, image, or
 pair. Floats round-trip exactly because json prints shortest-round-trip
-decimals.
+decimals, and both decoders `_decode` uses round each decimal to the nearest
+double.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
+import orjson
 
 from .errors import DataError
 from .model import (
@@ -79,7 +81,7 @@ def _pair_record(idx: int, pair: CooccurrencePair) -> dict:
     return rec
 
 
-# json.dumps's encoder, except that it refuses the NaN and Infinity tokens `parse_dataset` refuses.
+# json.dumps's encoder, except that it refuses the NaN and Infinity tokens the readers refuse.
 _RECORD_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
@@ -157,13 +159,54 @@ def _reject_constant(token: str):
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# The deepest nesting of arrays and objects that orjson decodes. `_DECODER`
+# recurses and fails near the recursion limit; orjson reads past it, and deep
+# enough nesting overflows its stack.
+_MAX_DEPTH = 64
+_NOT_MARK = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_STEPS = np.zeros(256, dtype=np.int64)
+_STEPS[list(b"[{")] = 1
+_STEPS[list(b"]}")] = -1
+
+
+def _nests_within(data: bytes, depth: int) -> bool:
+    """Whether the brackets outside the strings of the JSON text `data` nest at
+    most `depth` deep. On text that is not JSON, the count holds up to where a
+    parser refuses it."""
+    # Each array or object opens with a bracket, in a string or not.
+    if data.count(b"[") + data.count(b"{") <= depth:
+        return True
+    if b"\\" in data:  # drop escaped backslashes, then escaped quotes
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    # The quotes left delimit the strings.
+    marks = np.frombuffer(data.translate(None, _NOT_MARK), np.uint8)
+    steps = _STEPS[marks]
+    steps[np.cumsum(marks == ord('"')) % 2 == 1] = 0
+    return int(np.cumsum(steps).max()) <= depth
+
+
+def _decode(raw: bytes | str):
+    """The JSON document `raw` as `_DECODER` reads it, bytes as UTF-8.
+
+    orjson decodes `raw` when it nests at most `_MAX_DEPTH` deep, and its
+    result is returned when it accepts `raw`: both decoders then read the same
+    values, with decimals rounded to the same doubles, except that orjson
+    reads an integer outside [-2**63, 2**64) as the nearest double, not an int.
+    Every other document, and so every refusal, goes to `_DECODER`."""
+    data = raw.encode("utf-8", "surrogatepass") if isinstance(raw, str) else raw
+    if _nests_within(data, _MAX_DEPTH):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return _DECODER.decode(raw if isinstance(raw, str) else raw.decode("utf-8"))
 
 
 def loads_object(raw: bytes | str, what: str) -> dict:
     """The JSON object `raw`, bytes read as UTF-8. Every decode failure (bad JSON or UTF-8,
     NaN or Infinity, an integer int() refuses, deep nesting) is a DataError naming `what`."""
     try:
-        doc = _DECODER.decode(raw if isinstance(raw, str) else raw.decode("utf-8"))
+        doc = _decode(raw)
     except (RecursionError, ValueError) as exc:
         raise DataError(f"malformed {what}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -297,9 +340,10 @@ class Predictions:
 
 
 def _float_tokens(values) -> list[str]:
-    """The text json writes for each entry of the array `values`, in C order."""
+    """The text json writes for each entry of the array `values`, in C order;
+    a non-finite entry raises ValueError."""
     flat = _floats(np.ravel(values))
-    return json.dumps(flat)[1:-1].split(", ") if flat else []
+    return _RECORD_ENCODER.encode(flat)[1:-1].split(", ") if flat else []
 
 
 def write_predictions(path: str, ids: list[str], scores, classes: list[str] | None = None) -> None:
@@ -308,15 +352,22 @@ def write_predictions(path: str, ids: list[str], scores, classes: list[str] | No
     (N, B) zero-shot table with one column per class.
 
     Each line is `json.dumps` of its record, built from a template around the
-    tokens json writes for the id, the class names and the floats."""
+    tokens json writes for the id, the class names and the floats. A
+    non-finite score, which `read_predictions` refuses, raises ValueError
+    naming its image, and nothing is written."""
+    width = 1 if classes is None else len(classes)
+    try:
+        tokens = _float_tokens(scores)
+    except ValueError as exc:
+        k = np.flatnonzero(~np.isfinite(np.ravel(scores)))[0]
+        raise ValueError(f"image {ids[k // width]!r}: {exc}") from exc
     id_tokens = map(_json_str, ids)
     if classes is None:
         lines = map('{"id": %s, "score": %s, "label": %s}\n'.__mod__,
-                    zip(id_tokens, _float_tokens(scores), score_labels(scores).tolist()))
+                    zip(id_tokens, tokens, score_labels(scores).tolist()))
     else:
         keys = ", ".join(_json_str(c).replace("%", "%%") + ": %s" for c in classes)
         template = '{"id": %s, "scores": {' + keys + '}}\n'
-        tokens, width = _float_tokens(scores), len(classes)
         rows = (tokens[k * width:(k + 1) * width] for k in range(len(scores)))
         lines = (template % (i, *row) for i, row in zip(id_tokens, rows))
     atomic_write_text(path, "".join(lines))
@@ -390,7 +441,8 @@ def _hyper_from_dict(d: dict) -> Hyperparameters:
 
 def serialize_model(model: TrainedModel, unseen_classes: list[str] | None = None) -> str:
     """The model file of `model`; a zero-shot model when `unseen_classes` is
-    non-empty, a binary one otherwise."""
+    non-empty, a binary one otherwise. A non-finite number, which `read_model`
+    refuses, raises ValueError naming its field, or its example's corpus and id."""
     p, q = model.S.shape
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -406,7 +458,17 @@ def serialize_model(model: TrainedModel, unseen_classes: list[str] | None = None
         "final_objective": model.final_objective,
         "unseen_classes": unseen_classes or [],
     }
-    return json.dumps(doc)
+    try:
+        return _RECORD_ENCODER.encode(doc)
+    except ValueError as exc:
+        examples = ((f"{key} {rec['id']!r}", rec)
+                    for key in ("source_texts", "train_images") for rec in doc[key])
+        for name, value in chain(examples, doc.items()):
+            try:
+                _RECORD_ENCODER.encode(value)
+            except ValueError:
+                raise ValueError(f"{name}: {exc}") from exc
+        raise
 
 
 def write_model(model, path, unseen_classes=None) -> None:

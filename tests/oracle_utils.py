@@ -6,10 +6,12 @@ its gradients, the uncached training loop the solver's loop is checked
 against, the full-grid cross-validation crossval_select is checked
 against, the loop forms of the one-vs-rest label matrix, the tie ranks and
 the stratified fold split, the per-example synthetic generator the block generator is checked
-against, the record-by-record dataset and model-corpus readers the block
+against, the stdlib-only JSON decoder the orjson decoder is checked against,
+the record-by-record dataset and model-corpus readers the block
 readers are checked against, the one-shot median bandwidth, and random small
 training instances."""
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -503,9 +505,29 @@ def _ref_example(rec: dict, kind: str, dims: dict) -> CorpusExample:
     return CorpusExample(rec["id"], _ref_features(rec, "features", dims, kind), _ref_parse_label(rec))
 
 
+def _ref_reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+_REF_DECODER = json.JSONDecoder(parse_constant=_ref_reject_constant)
+
+
+def reference_loads_object(raw, what: str) -> dict:
+    """data_io.loads_object as it was before it decoded with orjson: the
+    stdlib's decoder alone, refusing NaN and Infinity tokens."""
+    try:
+        doc = _REF_DECODER.decode(raw if isinstance(raw, str) else raw.decode("utf-8"))
+    except (RecursionError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} must be a JSON object")
+    return doc
+
+
 def reference_parse_dataset(path: str) -> Corpora:
     """data_io.parse_dataset as it was before it checked feature vectors a
-    block at a time: each record read and checked on its own, in file order."""
+    block at a time: each record read and checked on its own, in file order,
+    and decoded by `reference_loads_object`."""
     corpora = Corpora()
     dims: dict[str, int] = {}
     seen_ids: dict[str, set] = {"text": set(), "image": set(), "pair": set()}
@@ -532,7 +554,7 @@ def reference_parse_dataset(path: str) -> Corpora:
         for lineno, line in enumerate(fh, start=1):
             try:
                 if line.strip():
-                    take(data_io.loads_object(line, "record"))
+                    take(reference_loads_object(line, "record"))
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
     return corpora

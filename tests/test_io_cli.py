@@ -846,6 +846,23 @@ class TestCli:
             f"data error: {model}: invalid model file: binary model with training images")
         assert not pred.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_predict_non_finite_score_exit_3(self, tmp_path, capsys):
+        # A linear kernel on huge features overflows; no prediction file may hold the inf.
+        kernel = KernelSpec("linear")
+        model, images, out = tmp_path / "model.json", tmp_path / "images.jsonl", tmp_path / "p"
+        data_io.write_model(TrainedModel(
+            S=np.eye(2), alpha=np.ones(1), source_texts=[CorpusExample("t0", np.ones(2), 1)],
+            train_images=[CorpusExample("i0", np.full(2, 1e200), 1)], kernel=kernel,
+            hyper=Hyperparameters(kernel=kernel)), str(model))
+        images.write_text('{"kind": "image", "id": "q0", "features": [0.5, 0.5]}\n'
+                          '{"kind": "image", "id": "q1", "features": [1e200, 1e200]}\n')
+        assert main(["predict", "--model", str(model), "--images", str(images),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: {images}: image 'q1': Out of range float")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("kind", ["prediction", "truth"])
     def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys, kind):
         huge = "1" + "0" * 400
@@ -1354,6 +1371,41 @@ class TestAtomicWrites:
         assert [f.name for f in tmp_path.iterdir()] == ([] if existing is None else [target.name])
         if existing is not None:
             assert target.read_bytes() == existing
+
+    @pytest.mark.parametrize("existing", [None, b"the previous file\n"])
+    @pytest.mark.parametrize("classes", [None, ["a", "b"]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_refused(self, tmp_path, bad, classes, existing):
+        # read_predictions refuses NaN and Infinity tokens, so write_predictions writes none.
+        scores = np.arange(6.0) if classes is None else np.arange(6.0).reshape(3, 2)
+        scores.flat[3] = bad
+        ids = ["q0", "q1", "q2", "q3", "q4", "q5"][:len(scores)]
+        target = tmp_path / "pred.jsonl"
+        if existing is not None:
+            target.write_bytes(existing)
+        bad_id = "q3" if classes is None else "q1"  # the fourth score's image
+        with pytest.raises(ValueError, match=f"^image '{bad_id}': Out of range float"):
+            data_io.write_predictions(str(target), ids, scores, classes)
+        assert [f.name for f in tmp_path.iterdir()] == ([] if existing is None else [target.name])
+        if existing is not None:
+            assert target.read_bytes() == existing
+
+    @pytest.mark.parametrize("field, name", [
+        ("S", "S"), ("alpha", "alpha"), ("final_objective", "final_objective"),
+        ("source_texts", "source_texts 't0'"), ("train_images", "train_images 'i1'")])
+    def test_non_finite_model_number_refused(self, tmp_path, field, name):
+        # read_model refuses NaN and Infinity tokens, so write_model writes none.
+        model = TestModelIO().trained_model()
+        if field in ("S", "alpha"):  # set after construction, which refuses a non-finite S
+            getattr(model, field).flat[-1] = np.nan
+        elif field == "final_objective":
+            object.__setattr__(model, field, np.inf)
+        else:
+            getattr(model, field)[-1].features[0] = -np.inf
+        target = tmp_path / "model.json"
+        with pytest.raises(ValueError, match=f"^{name}: Out of range float"):
+            data_io.write_model(model, str(target))
+        assert list(tmp_path.iterdir()) == []
 
     def test_dataset_write_memory_does_not_grow_with_the_file(self, tmp_path):
         # write_dataset holds one record's line at a time, so the peak of what

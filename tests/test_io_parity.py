@@ -1,5 +1,6 @@
-"""The block readers against the record-by-record ones, and the dataset and
-prediction writers against `json.dumps`.
+"""The block readers against the record-by-record ones, the dataset and
+prediction writers against `json.dumps`, and the orjson decoder against the
+stdlib's alone (`oracle_utils.reference_loads_object`).
 
 `data_io.parse_dataset` and the embedded corpora of `data_io.parse_model`
 check feature vectors a block of records at a time, and check them one by
@@ -7,9 +8,12 @@ one before raising a record's error or when the block's check fails. Files of on
 two faults, must read to the same arrays or fail with the same message as
 `oracle_utils.reference_parse_dataset` and `reference_model_examples`.
 """
+import decimal
 import json
+import math
 import os
 import tempfile
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -18,10 +22,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossmodal import data_io
+from crossmodal.cli import main
 from crossmodal.errors import DataError
 from crossmodal.model import CooccurrencePair, CorpusExample, score_labels
 from crossmodal.synth import SynthConfig, generate
-from oracle_utils import reference_model_examples, reference_parse_dataset
+from oracle_utils import (
+    reference_loads_object,
+    reference_model_examples,
+    reference_parse_dataset,
+)
 import test_io_cli
 
 # Valid feature values beyond standard normals: signed zeros, subnormals, the
@@ -298,7 +307,7 @@ def reference_prediction_text(ids, scores, classes=None) -> str:
 
 
 EDGES = test_io_cli.TestFloatsWrittenAsBefore.EDGES.tolist()
-SCORE = st.one_of(st.sampled_from(EDGES), st.floats())  # nan and inf too: json writes them
+SCORE = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=False, allow_infinity=False))
 NAME = st.text(max_size=6)  # non-ASCII, quotes, backslashes and % included
 
 
@@ -379,3 +388,291 @@ class TestDatasetLinesAreJsonDumps:
                    for k in range(6)])
         self.assert_written_as_dumps(corpora, tmp_path)
         self.assert_written_as_dumps(data_io.Corpora(), tmp_path)
+
+
+# The JSON decoder ---------------------------------------------------------------
+
+def _same_document(got, want) -> bool:
+    """Whether the decoded `got` is `want`: the same types, key order and float
+    bits, but for an int outside [-2**63, 2**64), which may read as the double
+    nearest it (`TestIntegersOutsideInt64`). Iterative, for any depth."""
+    pending = [(got, want)]
+    while pending:
+        got, want = pending.pop()
+        if type(want) is int and not -2**63 <= want < 2**64 and type(got) is float:
+            want = float(want)
+        if type(got) is not type(want):
+            return False
+        if type(want) is dict:
+            if list(got) != list(want):
+                return False
+            pending += [(got[k], want[k]) for k in want]
+        elif type(want) is list:
+            if len(got) != len(want):
+                return False
+            pending += zip(got, want)
+        elif (got.hex() != want.hex()) if type(want) is float else got != want:
+            return False  # hex tells -0.0 from 0.0
+    return True
+
+
+def _decoding(loads, raw):
+    try:
+        return "read", loads(raw, "doc")
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def assert_decoded_as_stdlib(raw):
+    want = _decoding(reference_loads_object, raw)
+    got = _decoding(data_io.loads_object, raw)
+    if want[0] == "error":
+        assert got == want
+    else:
+        assert got[0] == "read" and _same_document(got[1], want[1])
+
+
+def _halfway(x: float, nudge: int) -> str:
+    """The decimal halfway between the double `x` and the next one up (2**1024
+    past the largest), or, with `nudge` ±1, that decimal moved by one unit in
+    its 40th digit."""
+    up = math.nextafter(x, math.inf)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        mid = (Decimal(x) + (Decimal(2) ** 1024 if math.isinf(up) else Decimal(up))) / 2
+        return str(mid + nudge * Decimal(1).scaleb(mid.adjusted() - 40))
+
+
+INT_EDGES = [2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64 - 1, 2**64, 2**64 + 1, -2**64,
+             10**30, 10**308, 2**1024 - 2**970, 2**1024 - 2**970 - 1, 10**400]
+NUMBER = st.one_of(
+    st.sampled_from(EDGES).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(INT_EDGES + [-v for v in INT_EDGES]).map(str),
+    st.integers().map(str),
+    # Mantissas of up to 55 digits, exponents up to 999 either way.
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,30})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+    st.builds(_halfway, st.floats(min_value=-1e308, max_value=1e308), st.sampled_from([-1, 0, 1])),
+    st.sampled_from(["1e999", "-1e999", "2.4703282292062327e-324", "1e-400"]),
+)
+# Escapes, non-ASCII text and lone surrogates, escaped or as raw characters.
+STRING = st.one_of(
+    st.text(max_size=6).flatmap(
+        lambda s: st.sampled_from([json.dumps(s), json.dumps(s, ensure_ascii=False)])),
+    st.sampled_from(['"\\ud800"', '"a\\udc80b"', '"\\ud83d\\ude00"', '"\\ud83d"', '"\ud800"',
+                     '"\\u00e9\\n\\t\\"\\\\\\/"', '"\\u0000"', '"é☃"', '"\x01"', '"\\x"']),
+)
+SCALAR = st.one_of(NUMBER, STRING, st.sampled_from(
+    ["true", "false", "null", "NaN", "Infinity", "-Infinity"]))
+KEY = st.one_of(st.sampled_from(['"a"', '"b"', '"id"', '"é"']), STRING)  # repeated keys too
+VALUE = st.recursive(SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4).map(lambda vs: "[" + ", ".join(vs) + "]"),
+    st.lists(st.tuples(KEY, inner), max_size=4).map(
+        lambda kvs: "{" + ", ".join(f"{k}: {v}" for k, v in kvs) + "}")), max_leaves=12)
+DOCUMENT = st.one_of(
+    st.lists(st.tuples(KEY, VALUE), max_size=5).map(
+        lambda kvs: "{" + ",".join(f"{k}:{v}" for k, v in kvs) + "}"),
+    VALUE)
+
+
+def _edit(text: str, edit) -> bytes:
+    """`text` as UTF-8, lone surrogates as the bytes they would be, then `edit`ed."""
+    raw = text.encode("utf-8", "surrogatepass")
+    if edit is None:
+        return raw
+    kind, at, byte = edit
+    at %= len(raw) + 1
+    return {"insert": raw[:at] + byte + raw[at:], "delete": raw[:at] + raw[at + 1:],
+            "truncate": raw[:at], "bom": b"\xef\xbb\xbf" + raw,
+            "space": b" \t" + raw + b"\r\n"}[kind]
+
+
+EDIT = st.one_of(st.none(), st.tuples(
+    st.sampled_from(["insert", "delete", "truncate", "bom", "space"]),
+    st.integers(0, 2**16), st.binary(min_size=1, max_size=1)))
+
+
+class TestDecoderMatchesStdlib:
+    """`data_io.loads_object` decodes with orjson where it can, and must read
+    what the stdlib decoder alone reads (`reference_loads_object`), or refuse
+    with its message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=DOCUMENT, edit=EDIT, as_str=st.booleans())
+    def test_same_document_or_same_error(self, text, edit, as_str):
+        assert_decoded_as_stdlib(text if as_str and edit is None else _edit(text, edit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(numbers=st.lists(NUMBER, min_size=1, max_size=20))
+    def test_same_doubles(self, numbers):
+        assert_decoded_as_stdlib(('{"x": [' + ", ".join(numbers) + "]}").encode())
+
+    @pytest.mark.parametrize("raw", [
+        '{"edges": [' + ", ".join(map(repr, EDGES)) + "]}",
+        '{"ints": [' + ", ".join(str(v) for v in INT_EDGES + [-v for v in INT_EDGES]) + "]}",
+        '{"halfway": [' + ", ".join(_halfway(x, n) for x in EDGES + [2.0**53, 2.0**64, 1e23]
+                                    for n in (-1, 0, 1)) + "]}",
+        '{"a": 0.1234567890123456789012345, "b": 1.00000000000000011102230246251565404e0}',
+        '{"id": "\\ud800", "x": [NaN]}', '{"x": 1e999}', '{"x": [-Infinity]}',
+        '{"a": 1, "a": 2, "b": {"a": 3, "a": [4]}}',
+        b'{"id": "\xe9"}', b'\xef\xbb\xbf{"a": 1}', '\ufeff{"a": 1}', "[1, 2]", "",
+        '{"a": "\ud800"}',
+    ])
+    def test_cases(self, raw):
+        assert_decoded_as_stdlib(raw)
+        if isinstance(raw, str):
+            assert_decoded_as_stdlib(raw.encode("utf-8", "surrogatepass"))
+
+    @pytest.mark.parametrize("depth", [1, 63, 64, 65, 66, 900, 1000, 100000])
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": ', "}")])
+    def test_nesting(self, depth, opening, closing):
+        # orjson reads any depth; beyond data_io._MAX_DEPTH the stdlib decides.
+        assert_decoded_as_stdlib(('{"x": ' + opening * (depth - 1) + "0" + closing * (depth - 1)
+                                  + "}").encode())
+        inner = "[1, " * (depth - 1) + "1" + "]" * (depth - 1)
+        assert_decoded_as_stdlib(f'{{"x": {inner}, "s": "{"]" * 200}"}}')
+
+    @pytest.mark.parametrize("escapes", ["\\\\", '\\"', '\\\\\\"', "\\\\\\\\", '\\"]]', "\\n"])
+    @pytest.mark.parametrize("depth", [65, 100000])
+    def test_nesting_after_escapes(self, escapes, depth):
+        # Which quotes end a string decides which brackets nest.
+        for s in (escapes, "]" * 100 + escapes, escapes + "[" * 100):
+            assert_decoded_as_stdlib(f'{{"s": "{s}", "x": {"[" * depth}{"]" * depth}}}'.encode())
+
+    def test_brackets_in_strings_keep_orjson(self):
+        raw = ('{"s": "' + "[{" * 100 + '\\"[", "x": [[1]]}').encode()
+        with mock.patch.object(data_io, "_DECODER", None):  # any use of it raises
+            assert data_io.loads_object(raw, "doc") == {"s": "[{" * 100 + '"[', "x": [[1]]}
+
+
+class TestIntegersOutsideInt64:
+    """The one difference from the stdlib decoder: orjson reads an integer
+    literal outside [-2**63, 2**64) as the double nearest it, not an int. A
+    feature, a score or an objective reads the same; a field that must be an
+    integer refuses it."""
+
+    LITERAL = "18446744073709551617"  # 2**64 + 1
+
+    def test_read_as_the_nearest_double(self):
+        doc = data_io.loads_object(
+            b'{"a": 18446744073709551617, "b": -9223372036854775809, "c": 18446744073709551615}',
+            "doc")
+        assert [(type(v), v) for v in doc.values()] == [
+            (float, 2.0**64), (float, -2.0**63), (int, 2**64 - 1)]
+
+    def test_feature_reads_as_before(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"kind": "text", "id": "t0", "label": 1, "features": [%s, 0.5]}\n'
+                        '{"kind": "image", "id": "i0", "features": [-%s]}\n'
+                        % (self.LITERAL, self.LITERAL))
+        got = _outcome(data_io.parse_dataset, str(path))
+        assert got == _outcome(reference_parse_dataset, str(path))
+        assert got[1][0][-1] == np.array([2.0**64, 0.5]).tobytes()
+
+    def test_score_reads_as_before(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text('{"id": "i0", "score": %s, "label": 1}\n' % self.LITERAL)
+        with mock.patch.object(data_io, "loads_object", reference_loads_object):
+            want = data_io.read_predictions(str(path)).scores
+        assert data_io.read_predictions(str(path)).scores.tobytes() == want.tobytes()
+
+    def test_label_and_model_p_still_refused(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"kind": "text", "id": "t0", "label": %s, "features": [0.5]}\n'
+                        % self.LITERAL)
+        for read in (data_io.parse_dataset, reference_parse_dataset):
+            with pytest.raises(DataError, match=":1: label must be 1 or -1, got 1"):
+                read(str(path))
+        doc = json.loads(_model_text(np.random.default_rng(0), 2, 2, True, []))
+        text = json.dumps(doc).replace(f'"p": {doc["p"]}', f'"p": {self.LITERAL}')
+        with pytest.raises(DataError, match="p must be a non-negative integer, got 1.8446744"):
+            data_io.parse_model(text)
+        with mock.patch.object(data_io, "loads_object", reference_loads_object):
+            with pytest.raises(DataError, match="S has"):
+                data_io.parse_model(text)
+
+    def test_integer_fields_refuse_it(self, tmp_path):
+        # The stdlib's int passed these checks: a model's max_iter and a synth
+        # config's seed of 2**64 or more are now refused.
+        doc = json.loads(_model_text(np.random.default_rng(0), 2, 2, True, []))
+        text = json.dumps(doc).replace('"max_iter": 10', f'"max_iter": {self.LITERAL}')
+        with mock.patch.object(data_io, "loads_object", reference_loads_object):
+            assert data_io.parse_model(text)[0].hyper.max_iter == 2**64 + 1
+        with pytest.raises(DataError, match="max_iter must be an integer"):
+            data_io.parse_model(text)
+        config, out = tmp_path / "config.json", tmp_path / "data.jsonl"
+        config.write_text('{"p": 4, "q": 3, "r_true": 1, "n_texts": 10, "m_images": 6, '
+                          '"l_pairs": 10, "seed": %s}' % self.LITERAL)
+        with mock.patch.object(data_io, "loads_object", reference_loads_object):
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        out.unlink()
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def _read_all(p: dict) -> tuple:
+    """The files `p` of a CLI run read back: both corpora, the model and the predictions."""
+    model, mode, unseen = data_io.read_model(p["model.json"])
+    preds = data_io.read_predictions(p["pred.jsonl"])
+    return (_outcome(data_io.parse_dataset, p["train.jsonl"]),
+            _outcome(data_io.parse_dataset, p["test.jsonl"]),
+            (mode, unseen, model.S.tobytes(), model.alpha.tobytes(),
+             _examples_summary(model.source_texts), _examples_summary(model.train_images),
+             model.kernel, model.hyper, repr(model.final_objective)),
+            (preds.ids, preds.classes, preds.scores.dtype, preds.scores.tobytes(),
+             None if preds.labels is None else preds.labels.tolist()))
+
+
+class TestStdlibParityEndToEnd:
+    """The CLI on synth files reads the same arrays, bit for bit, and writes
+    the same bytes with the orjson decoder as with the stdlib's alone."""
+
+    def run(self, workdir, classes, seed):
+        workdir.mkdir(exist_ok=True)
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"p": 8, "q": 6, "r_true": 2, "classes": classes, "n_texts": 60,
+                                   "m_images": 30, "l_pairs": 120, "n_test": 40, "seed": seed}))
+        p = {n: str(workdir / n) for n in ("train.jsonl", "test.jsonl", "model.json", "pred.jsonl")}
+        assert main(["synth", "--config", str(cfg), "--out", p["train.jsonl"],
+                     "--test-out", p["test.jsonl"]]) == 0
+        if classes == 2:
+            fit = ["train", "--data", p["train.jsonl"], "--out", p["model.json"]]
+        else:
+            fit = ["zeroshot", "--data", p["train.jsonl"], "--unseen", "c3,c4",
+                   "--out", p["model.json"]]
+        assert main(fit + ["--max-iter", "10"]) == 0
+        assert main(["predict", "--model", p["model.json"], "--images", p["test.jsonl"],
+                     "--out", p["pred.jsonl"]]) == 0
+        return p
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_arrays_and_bytes(self, tmp_path, seed, classes):
+        new = self.run(tmp_path / "new", classes, seed)
+        with mock.patch.object(data_io, "loads_object", reference_loads_object):
+            old = self.run(tmp_path / "old", classes, seed)
+            want = _read_all(old)
+        assert _read_all(new) == want
+        for name in new:
+            with open(new[name], "rb") as a, open(old[name], "rb") as b:
+                assert a.read() == b.read(), name
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_written_files_need_no_stdlib_decoder(self, tmp_path, classes):
+        p = self.run(tmp_path, classes, 0)
+        with mock.patch.object(data_io, "_DECODER", None):  # any use of it raises
+            _read_all(p)
+
+    def test_lone_surrogate_id_predicted_and_written_back(self, tmp_path):
+        # orjson refuses the escape \ud800, so the stdlib decoder reads that line.
+        p = self.run(tmp_path, 2, 0)
+        with open(p["test.jsonl"]) as fh:
+            records = [json.loads(line) for line in fh]
+        records[1]["id"] = "\ud800"
+        with open(p["test.jsonl"], "w") as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in records)
+        assert main(["predict", "--model", p["model.json"], "--images", p["test.jsonl"],
+                     "--out", p["pred.jsonl"]]) == 0
+        with open(p["pred.jsonl"], "rb") as fh:
+            assert fh.read().splitlines()[1].startswith(b'{"id": "\\ud800", "score": ')
+        assert data_io.read_predictions(p["pred.jsonl"]).ids[1] == "\ud800"
