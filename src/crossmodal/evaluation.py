@@ -173,10 +173,10 @@ def crossval_select(
     same (lam, gamma) and fold without a fork runs the same path as the fit
     at C, and its error is reused. And a point is picked only if its mean
     error is strictly below the best so far, so its remaining fold is not
-    fitted once the mean with that fold's error taken as 0 is not. A fit
-    that does run resumes the fit at the largest smaller C from its fork
-    (`_Fold.fit_error`), and every fit of a fold trains on one problem per
-    sign of lam, built at its first fit (`solver.binary_problem`).
+    fitted once the mean with that fold's error taken as 0 is not. Every
+    fit of a fold trains on one problem per sign of lam, built at its first
+    fit (`solver.binary_problem`), and so continues the fit at the largest
+    smaller C from its fork (`solver._fit`).
     """
     if base is None:
         base = Hyperparameters()
@@ -236,31 +236,25 @@ class _Fold:
     fits: dict = field(default_factory=dict)
     problems: dict = field(default_factory=dict)
 
-    def _below(self, hyper: Hyperparameters):
-        """The (C_fit, report, error) of the fit run so far at the largest
-        C_fit <= hyper.C of the same (lam, gamma), or None."""
-        return max((fit for fit in self.fits.get((hyper.lam, hyper.gamma), ())
-                    if fit[0] <= hyper.C), key=lambda fit: fit[0], default=None)
-
     def known_error(self, hyper: Hyperparameters) -> float | None:
         """The error of a fit already run whose path a fit at `hyper` repeats:
-        the fit below it (`_below`) when that is at the same C, or has no
-        fork and so is the fit at every larger C."""
-        below = self._below(hyper)
+        the fit of the same (lam, gamma) at the largest C_fit <= hyper.C, when
+        that is at the same C, or has no fork and so is the fit at every
+        larger C."""
+        below = max((fit for fit in self.fits.get((hyper.lam, hyper.gamma), ())
+                     if fit[0] <= hyper.C), key=lambda fit: fit[0], default=None)
         return below[2] if below and (below[0] == hyper.C or below[1].fork is None) else None
 
     def fit_error(self, hyper: Hyperparameters) -> float:
         """Fit at `hyper` and return its error rate on the held-out images.
-        When `known_error` has none, the fit below (`_below`) has a fork, if
-        there is one, and the fit resumes it there. Every hyper of a
-        crossval_select call shares its kernel and normalize, so the fold's
-        problem at lam > 0 is the same for all of them, and likewise at 0."""
-        below = self._below(hyper)
+        Every hyper of a crossval_select call shares its kernel and
+        normalize, so the fold's problem at lam > 0 is the same for all of
+        them, and likewise at 0; a fit on it continues the fit of the
+        largest smaller C from its fork (`solver._fit`)."""
         key = hyper.lam > 0
         if key not in self.problems:
             self.problems[key] = binary_problem(self.data, hyper)
-        model, report = train(self.data, hyper, resume=None if below is None else below[1],
-                              problem=self.problems[key])
+        model, report = train(self.data, hyper, problem=self.problems[key])
         err = error_rate(score_labels(scores(model, self.Z_val)), self.truth_val)
         self.fits.setdefault((hyper.lam, hyper.gamma), []).append((hyper.C, report, err))
         return err

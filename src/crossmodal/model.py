@@ -100,6 +100,8 @@ class Hyperparameters:
             raise ValueError("C must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.max_iter >= 2**63:  # so that either JSON decoder reads it back as an int
+            raise ValueError("max_iter must be < 2**63")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
 

@@ -60,7 +60,8 @@ class TrainData:
 
 
 class _State(NamedTuple):
-    """The training loop's state at the start of an iteration."""
+    """The training loop's state at the start of an iteration. A report's
+    `fork` is one, and holds no (n, m) or (l,) array."""
 
     iteration: int
     factors: linalg.SvdResult  # S = U diag(sigma) V'
@@ -68,21 +69,6 @@ class _State(NamedTuple):
     L: float
     eps: float
     float64_from: int | None  # None while the S step is float32 (`_train_loop`)
-
-
-class Fork(NamedTuple):
-    """The loop state at the start of the iteration whose alpha step first
-    proposed a value above C, and the fit's hyperparameters and data: a fit
-    at a larger C runs the same path up to there, so `train(..., resume=)`
-    continues from it. The state holds no (n, m) or (l,) array."""
-
-    state: _State
-    hyper: Hyperparameters
-    data: weakref.ref | None  # to the TrainData the fit was made on
-
-    def __reduce__(self):
-        # A weak reference does not pickle; no `resume` takes a fork without data.
-        return Fork, (self.state, self.hyper, None)
 
 
 @dataclass
@@ -93,9 +79,11 @@ class TrainReport:
     # The first iteration whose S step took the float64 pair gradient: 1 when
     # the fit never used float32, None when every iteration did.
     float64_from: int | None
-    # Where a larger C first parts from this fit: a fit without a fork (alpha
-    # off, or no alpha probe above C) is also the fit at every larger C.
-    fork: Fork | None = None
+    # The state at the start of the iteration whose alpha step first proposed
+    # a value above C, where a larger C first parts from this fit: a fit
+    # without a fork (alpha off, or no alpha probe above C) is also the fit
+    # at every larger C.
+    fork: _State | None = None
 
     @property
     def iterations(self) -> int:
@@ -157,7 +145,8 @@ def _float32_pairs(pair_X: np.ndarray, pair_Z: np.ndarray) -> _Float32Pairs | No
 
 @dataclass
 class _Problem:
-    """Array form of the smooth objective part.
+    """Array form of the smooth objective part, with the texts and images the
+    model keeps and the forks of the fits made on it.
 
     The hinge term supports several one-vs-rest labelings ("blocks") sharing one
     S over the same texts and images; ordinary binary training is the single
@@ -173,6 +162,13 @@ class _Problem:
     K: np.ndarray | None  # (m, m) kernel Gram matrix; None (as when m = 0) disables alpha
     kernel: KernelSpec | None  # the resolved kernel K was built with
     pair32: _Float32Pairs | None  # None keeps the float64 pair gradient
+    texts: list[CorpusExample]
+    images: list[CorpusExample]
+    data: weakref.ref        # to the TrainData it was built from
+    hyper: Hyperparameters   # the hyperparameters it was built at
+    # Per hyperparameters other than C, the (C, report) of every fit of this
+    # problem whose report has a fork (`_fit`).
+    forks: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -184,10 +180,10 @@ class _Problem:
 
 
 def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None,
-                   hyper: Hyperparameters):
+                   hyper: Hyperparameters) -> _Problem:
     """Stack the corpora of `data` into arrays, with (n, B) and (m, B) label
-    blocks for texts and images. Returns the problem and the texts and images
-    as the model keeps them.
+    blocks for texts and images, and keep the texts and images as the model
+    keeps them.
 
     Every text is stacked, so every text's width is checked, but a text whose
     label row is all zero is left out of the problem. The pairs are stacked
@@ -216,7 +212,7 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None,
         kernel = KernelSpec(kind="gaussian", bandwidth=bandwidth)
     K = kernel_matrix(kernel, img_Z, img_Z) if kernel is not None and img_Z.shape[0] > 0 else None
     labelled = np.any(text_Y != 0, axis=1)
-    pb = _Problem(
+    return _Problem(
         text_X=text_X[labelled],
         text_Y=text_Y[labelled],
         img_Z=img_Z,
@@ -226,8 +222,11 @@ def _build_problem(data: TrainData, text_Y, img_Y, kernel: KernelSpec | None,
         K=K,
         kernel=kernel,
         pair32=_float32_pairs(pair_X, pair_Z) if hyper.lam > 0 else None,
+        texts=texts,
+        images=images,
+        data=weakref.ref(data),
+        hyper=hyper,
     )
-    return pb, texts, images
 
 
 @dataclass
@@ -381,7 +380,7 @@ def project_alpha(alpha, C: float) -> np.ndarray:
 # Training loop ----------------------------------------------------------------
 
 def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
-                resume: TrainReport | None = None, source: weakref.ref | None = None):
+                resume: TrainReport | None = None):
     """Alternating prox/projected-gradient loop over the array problem.
 
     Each S probe evaluates its text terms once (`_text_terms`). It adds its
@@ -398,11 +397,13 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
     failed line search, instead moves the loop to the float64 gradient for
     the rest of the fit, so only a float64 iteration reports such a stop.
 
-    The loop records a `Fork` (with `source`, the data it was built from) at
-    the first alpha probe above C. `resume`, a report of this problem with a
-    fork at a smaller C (see `train`), starts the loop from the fork's state
-    and trace, not S = 0, alpha = 0: `cur`, `F` and `f` are functions of S's
-    factors and alpha, so they come out as the fit from the start had them.
+    The report's `fork` is the state at the start of the iteration of the
+    first alpha probe above C. `resume`, a report of this problem with a fork
+    at a smaller C and every other hyperparameter equal (see `_fit`), starts
+    the loop from the fork and the trace before it, not S = 0, alpha = 0:
+    `cur`, `F` and `f` are functions of S's factors and alpha, so they come
+    out as the fit from the start had them, which the objective at the fork
+    checks (a problem whose arrays changed since fails it).
     """
     if resume is None:
         p, q = pb.text_X.shape[1], pb.img_Z.shape[1]
@@ -410,7 +411,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
         state = _State(1, zero, np.zeros(pb.m if pb.K is not None else 0), _L0, _EPS_ALPHA0,
                        None if pb.pair32 is not None else 1)
     else:
-        state = resume.fork.state
+        state = resume.fork
     first, factors, alpha, L, eps, float64_from = state
     trace = [] if resume is None else resume.objective_trace[:first - 1]
     cur = _pair_terms(_text_terms(factors, pb), pb, hyper)
@@ -455,7 +456,7 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
             for _ in range(_MAX_BACKTRACKS):
                 step = alpha - eps * ga
                 if fork is None and np.max(step) > hyper.C:
-                    fork = Fork(start, hyper, source)
+                    fork = start
                 cand = project_alpha(step, hyper.C)
                 delta = cand - alpha
                 bound = f + float(ga @ delta) + float(delta @ delta) / (2.0 * eps)
@@ -494,18 +495,28 @@ def _train_loop(pb: _Problem, hyper: Hyperparameters, log=None,
     return cur.S, alpha, report
 
 
-def _fit(pb: _Problem, texts, images, hyper: Hyperparameters, log=None,
-         resume: TrainReport | None = None, source: weakref.ref | None = None):
-    """Fit the problem `pb` with the texts and images the model keeps (see
-    `_build_problem`) and return (TrainedModel, TrainReport). With a kernel,
-    alpha is learned and the model keeps the training images and the resolved
-    kernel; without, it keeps no images and `hyper.kernel`."""
-    S, alpha, report = _train_loop(pb, hyper, log, resume, source)
+def _fit(pb: _Problem, hyper: Hyperparameters, log=None):
+    """Fit the problem `pb` (see `_build_problem`) and return (TrainedModel,
+    TrainReport). With a kernel, alpha is learned and the model keeps the
+    training images and the resolved kernel; without, it keeps no images and
+    `hyper.kernel`.
+
+    A fit at C runs the path of a fit at a smaller C, every other
+    hyperparameter equal, up to that fit's fork, so the fit continues from
+    the fork of the largest such C in `pb.forks` (`_train_loop`), and
+    records its own fork there."""
+    key = tuple(getattr(hyper, f.name) for f in fields(hyper) if f.name != "C")
+    forks = pb.forks.setdefault(key, [])
+    _, resume = max((fork for fork in forks if fork[0] < hyper.C), key=lambda fork: fork[0],
+                    default=(None, None))
+    S, alpha, report = _train_loop(pb, hyper, log, resume)
+    if report.fork is not None:
+        forks.append((hyper.C, report))
     model = TrainedModel(
         S=S,
         alpha=alpha,
-        source_texts=texts,
-        train_images=images if pb.kernel is not None else [],
+        source_texts=pb.texts,
+        train_images=pb.images if pb.kernel is not None else [],
         kernel=pb.kernel if pb.kernel is not None else hyper.kernel,
         hyper=hyper,
         final_objective=report.final_objective,
@@ -513,49 +524,19 @@ def _fit(pb: _Problem, texts, images, hyper: Hyperparameters, log=None,
     return model, report
 
 
-class BinaryProblem(NamedTuple):
-    """The problem a binary fit of `data` at `hyper` trains on
-    (`binary_problem`): the arrays, the texts and images the model keeps, a
-    weak reference to the data and the hyperparameters it was built at. It
+def binary_problem(data: TrainData, hyper: Hyperparameters) -> _Problem:
+    """Stack, normalize and label the corpora of `data` for a binary fit at
+    `hyper`: the texts' and images' +1/-1 labels are the one label block, and
+    `hyper.kernel` (its bandwidth resolved) gives the Gram matrix. The problem
     depends on `hyper` only through `kernel`, `normalize` and whether lam > 0,
     so fits of the same data that agree on these can share it
     (`train(..., problem=)`)."""
-
-    arrays: _Problem
-    texts: list[CorpusExample]
-    images: list[CorpusExample]
-    data: weakref.ref
-    hyper: Hyperparameters
-
-
-def binary_problem(data: TrainData, hyper: Hyperparameters) -> BinaryProblem:
-    """Stack, normalize and label the corpora of `data` for a binary fit at
-    `hyper`: the texts' and images' +1/-1 labels are the one label block, and
-    `hyper.kernel` (its bandwidth resolved) gives the Gram matrix."""
     text_Y = signs(data.source_texts, "source text")[:, None]
     img_Y = signs(data.train_images, "training image")[:, None]
-    pb, texts, images = _build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
-    return BinaryProblem(pb, texts, images, weakref.ref(data), hyper)
+    return _build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
 
 
-def _check_resume(resume: TrainReport, data: TrainData, hyper: Hyperparameters):
-    """Raise ValueError unless `resume` can continue a fit of `data` at `hyper`."""
-    fork = resume.fork
-    if fork is None:
-        raise ValueError("resume: the report has no fork; its fit never proposed an "
-                         "alpha above its C")
-    if not hyper.C > fork.hyper.C:
-        raise ValueError(f"resume: C {hyper.C!r} is not larger than the fork's C "
-                         f"{fork.hyper.C!r}")
-    differ = [f.name for f in fields(hyper)
-              if f.name != "C" and getattr(hyper, f.name) != getattr(fork.hyper, f.name)]
-    if differ:
-        raise ValueError(f"resume: {', '.join(differ)} differ from the fork's")
-    if fork.data is None or fork.data() is not data:
-        raise ValueError("resume: the fork was taken on another data object")
-
-
-def _check_problem(problem: BinaryProblem, data: TrainData, hyper: Hyperparameters):
+def _check_problem(problem: _Problem, data: TrainData, hyper: Hyperparameters):
     """Raise ValueError unless `problem` is the one `binary_problem` builds
     for `data` at `hyper`."""
     if problem.data() is not data:
@@ -570,8 +551,7 @@ def _check_problem(problem: BinaryProblem, data: TrainData, hyper: Hyperparamete
         raise ValueError(f"problem: {', '.join(differ)} differ from the problem's")
 
 
-def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport | None = None,
-          *, problem: BinaryProblem | None = None):
+def train(data: TrainData, hyper: Hyperparameters, log=None, *, problem: _Problem | None = None):
     """Run the alternating optimization from S = 0, alpha = 0.
 
     Returns (TrainedModel, TrainReport). The objective trace is non-increasing
@@ -580,24 +560,16 @@ def train(data: TrainData, hyper: Hyperparameters, log=None, resume: TrainReport
     `log`, when given, receives one line per iteration (see `_train_loop`);
     None trains silently.
 
-    `resume`, the report of an earlier fit of this same `data` object whose
-    `fork` was taken at a C below hyper.C, every other hyperparameter equal,
-    continues that fit at hyper.C from the fork's iteration: it returns
-    exactly what a fit from the start returns, without rerunning the
-    iterations before the fork (`log` receives lines from there on). A
-    `resume` that does not fit, or whose data changed, raises ValueError.
-
     `problem`, built by `binary_problem` from this same `data` object at the
     same `kernel`, `normalize` and lam > 0 (else ValueError), is fitted as it
-    is; without it the fit builds its own. It is read, never written, so
-    several fits can share it, but it holds the data as they were when it was
-    built.
+    is; without it the fit builds its own. Several fits can share it: it
+    holds the data as they were when it was built, and the forks of its fits,
+    so a fit at a larger C continues an earlier one from its fork (`_fit`)
+    and returns exactly what a fit from the start returns, without rerunning
+    the iterations before the fork (`log` receives lines from there on).
     """
-    if resume is not None:
-        _check_resume(resume, data, hyper)
     if problem is None:
         problem = binary_problem(data, hyper)
     else:
         _check_problem(problem, data, hyper)
-    pb, texts, images, source, _ = problem
-    return _fit(pb, texts, images, hyper, log, resume, source)
+    return _fit(problem, hyper, log)

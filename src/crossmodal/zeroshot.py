@@ -58,7 +58,6 @@ def train_zeroshot(
         raise DataError("no seen-class texts or pairs for S to learn from")
     # All-zero label rows keep the other texts out of the problem.
     text_Y = np.where(in_seen[:, None], text_Y, 0.0)
-    pb, texts, images = _build_problem(TrainData(texts, images, pairs), text_Y,
-                                       ovr_labels([i.label for i in images], classes),
-                                       None, hyper)
-    return _fit(pb, texts, images, hyper, log)
+    pb = _build_problem(TrainData(texts, images, pairs), text_Y,
+                        ovr_labels([i.label for i in images], classes), None, hyper)
+    return _fit(pb, hyper, log)

@@ -175,7 +175,7 @@ def numerical_rank(M: np.ndarray) -> int:
 
 def evaluate_at(S, alpha, data: TrainData, hyper: Hyperparameters):
     """(problem, iterate of S, margins, smooth value) at (S, alpha)."""
-    pb = binary_problem(data, hyper).arrays
+    pb = binary_problem(data, hyper)
     alpha = np.asarray(alpha, dtype=float)
     factors = linalg.shrink(linalg.svd(np.asarray(S, dtype=float)), 0.0)
     it = _pair_terms(_text_terms(factors, pb), pb, hyper)
@@ -267,11 +267,11 @@ def _dense_grad_alpha(S, alpha, pb, hyper: Hyperparameters) -> np.ndarray:
     return grad
 
 
-def reference_train_loop(pb, hyper: Hyperparameters, log=None, resume=None, source=None):
+def reference_train_loop(pb, hyper: Hyperparameters, log=None, resume=None):
     """solver._train_loop without its caches, its float32 phase or its forks,
     with the same signature and results; it reads the solver's step constants
     and solver._MAX_BACKTRACKS, so a test can patch both loops at once. It
-    runs every fit from its start, so it takes no `resume`."""
+    records no fork, so no fit on its problem resumes one: `resume` is None."""
     assert resume is None
     S = np.zeros((pb.text_X.shape[1], pb.img_Z.shape[1]))
     alpha = np.zeros(pb.m if pb.K is not None else 0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossmodal import evaluation, linalg
+from crossmodal import evaluation, linalg, solver
 from crossmodal.errors import DataError
 from crossmodal.evaluation import (
     DEFAULT_GRID,
@@ -443,15 +443,16 @@ class TestCrossval:
         # that fit's fork. A fit at C runs only when that fit proposed an
         # alpha above its own C, hence has a fork.
         fits = _count_fits(monkeypatch)
+        loops = _count_loops(monkeypatch)
         svds = _count_svds(monkeypatch)
         crossval_select(self.small_data(seed), base=self.base(), seed=seed)
-        resumed = [(k, report) for k, (_, _, report) in enumerate(fits) if report is not None]
+        resumed = [k for k, (_, resume) in enumerate(loops) if resume is not None]
         assert resumed
-        for k, report in resumed:
-            data, hyper, _ = fits[k]
-            forked = [h.C for d, h, _ in fits[:k] if d is data and h.C < hyper.C
-                      and (h.lam, h.gamma) == (hyper.lam, hyper.gamma)]
-            assert report.fork.hyper == replace(hyper, C=max(forked))
+        for k in resumed:
+            _, hyper, problem = fits[k]
+            below = [(h.C, loops[j][0]) for j, (_, h, p) in enumerate(fits[:k]) if p is problem
+                     and h.C < hyper.C and (h.lam, h.gamma) == (hyper.lam, hyper.gamma)]
+            assert loops[k][1] is max(below, key=lambda fit: fit[0])[1]
         shared = len(svds)
         for data, hyper, _ in fits:
             train(data, hyper)
@@ -461,7 +462,7 @@ class TestCrossval:
         # The benchmark's crossval_grid at seed 0: the same 14 fits through
         # `train` as when each fit built its own problem, on one problem per
         # fold, built from that fold's data at lam > 0.
-        fits = _count_fits(monkeypatch, "problem")
+        fits = _count_fits(monkeypatch)
         ds = generate(SynthConfig(n_test=1000, seed=0))
         data = TrainData(ds.texts, ds.images, ds.pairs)
         grid = {"lam": (0.5, 2.0), "gamma": (0.1, 1.0), "C": (1.0, 10.0)}
@@ -472,7 +473,7 @@ class TestCrossval:
         assert len({id(d) for d, _, _ in fits}) == len({id(p) for _, _, p in fits}) == 2
 
     def test_one_problem_per_fold_and_sign_of_lam(self, monkeypatch):
-        fits = _count_fits(monkeypatch, "problem")
+        fits = _count_fits(monkeypatch)
         grid = {"lam": (0.0, 1.0, 0.0), "gamma": (0.5,), "C": (1.0,)}
         crossval_select(self.small_data(), base=self.base(), grid=grid)
         keys = {(id(d), h.lam > 0): p for d, h, p in fits}
@@ -488,18 +489,32 @@ class TestCrossval:
             crossval_select(TrainData(train_images=images), base=self.base())
 
 
-def _count_fits(monkeypatch, keyword="resume") -> list:
+def _count_fits(monkeypatch) -> list:
     """Every fit crossval_select runs from here on, as (data, hyper, the
-    `keyword` argument of `train`): `resume` is the report the fit resumed,
-    None for a fit from the start; `problem` is the problem it was given."""
+    problem `train` was given)."""
     calls = []
     original = evaluation.train
 
     def counted(data, hyper, **kwargs):
-        calls.append((data, hyper, kwargs.get(keyword)))
+        calls.append((data, hyper, kwargs.get("problem")))
         return original(data, hyper, **kwargs)
 
     monkeypatch.setattr(evaluation, "train", counted)
+    return calls
+
+
+def _count_loops(monkeypatch) -> list:
+    """Every training loop run from here on, as (its report, the report
+    whose fork it resumed, or None)."""
+    calls = []
+    original = solver._train_loop
+
+    def counted(pb, hyper, log=None, resume=None):
+        S, alpha, report = original(pb, hyper, log, resume)
+        calls.append((report, resume))
+        return S, alpha, report
+
+    monkeypatch.setattr(solver, "_train_loop", counted)
     return calls
 
 

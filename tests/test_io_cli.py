@@ -667,6 +667,8 @@ class TestCli:
         ("--gamma", "-1", "gamma and lam must be >= 0"),
         ("--tol", "0", "tol must be > 0"),
         ("--max-iter", "0", "max_iter must be >= 1"),
+        # A model file would hold it, and orjson reads it back as a float.
+        ("--max-iter", "18446744073709551616", "max_iter must be < 2**63"),
         ("--tol", "nan", "hyperparameters must be finite"),
         ("--lambda", "inf", "hyperparameters must be finite"),
         ("--bandwidth", "nan", "bandwidth must be positive and finite"),
@@ -962,20 +964,20 @@ class TestCli:
         # The CI walkthrough's binary config and crossval command. At
         # --max-iter 5 no fit proposes an alpha above its C; at 20 some fit
         # at a larger C resumes one at a smaller C.
-        from crossmodal import evaluation
+        from crossmodal import solver
 
         config, data = tmp_path / "bin.json", tmp_path / "train.jsonl"
         config.write_text(json.dumps({"p": 8, "q": 6, "r_true": 2, "n_texts": 40,
                                       "m_images": 16, "l_pairs": 80, "n_test": 30}))
         assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
         resumed = []
-        original = evaluation.train
+        original = solver._train_loop
 
-        def counted(data, hyper, **kwargs):
-            resumed.append(kwargs.get("resume") is not None)
-            return original(data, hyper, **kwargs)
+        def counted(pb, hyper, log=None, resume=None):
+            resumed.append(resume is not None)
+            return original(pb, hyper, log, resume)
 
-        monkeypatch.setattr(evaluation, "train", counted)
+        monkeypatch.setattr(solver, "_train_loop", counted)
         assert main(["crossval", "--data", str(data), "--max-iter", "20"]) == 0
         assert any(resumed)
         assert capsys.readouterr().out.splitlines()[-3:] == ["lambda 0.5", "gamma 2.0", "C 1.0"]

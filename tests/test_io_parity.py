@@ -592,12 +592,14 @@ class TestIntegersOutsideInt64:
                 data_io.parse_model(text)
 
     def test_integer_fields_refuse_it(self, tmp_path):
-        # The stdlib's int passed these checks: a model's max_iter and a synth
-        # config's seed of 2**64 or more are now refused.
+        # A model's max_iter of 2**63 or more is refused by `Hyperparameters`
+        # whichever decoder reads it. The stdlib's int passed a synth
+        # config's seed of 2**64 or more, which is now refused.
         doc = json.loads(_model_text(np.random.default_rng(0), 2, 2, True, []))
         text = json.dumps(doc).replace('"max_iter": 10', f'"max_iter": {self.LITERAL}')
         with mock.patch.object(data_io, "loads_object", reference_loads_object):
-            assert data_io.parse_model(text)[0].hyper.max_iter == 2**64 + 1
+            with pytest.raises(DataError, match=r"max_iter must be < 2\*\*63"):
+                data_io.parse_model(text)
         with pytest.raises(DataError, match="max_iter must be an integer"):
             data_io.parse_model(text)
         config, out = tmp_path / "config.json", tmp_path / "data.jsonl"

@@ -565,7 +565,7 @@ class TestAlphaPeak:
         _, report = train(_small_data(0), hyper, log=lines.append)
         assert len(seen) > report.iterations
         first = min(it for it, peak in seen if peak > hyper.C)
-        assert report.fork.state.iteration == first > 1
+        assert report.fork.iteration == first > 1
 
     def test_no_fork_without_alpha(self):
         # C 0.01 is below the first alpha probe of these problems.
@@ -591,9 +591,11 @@ def _assert_identical_fit(got, want):
 
 class TestResume:
     """A fit at C and one at a larger C run the same path up to the first
-    alpha probe above C; `train(..., resume=report)` continues from the
-    start of that iteration and must return the fit from the start, bit for
-    bit."""
+    alpha probe above C, where the first fit's report records its fork. A
+    later fit on the same problem (`train(..., problem=P)`) at a larger C,
+    every other hyperparameter equal, continues from that fork and must
+    return the fit from the start, bit for bit; its `log` lines start at the
+    fork's iteration."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("lam, gamma, C1, C2", [
@@ -602,10 +604,12 @@ class TestResume:
     def test_resumed_fit_is_the_fit_from_the_start(self, seed, lam, gamma, C1, C2):
         data = _small_data(seed)
         hyper = Hyperparameters(lam=lam, gamma=gamma, C=C1, max_iter=200)
-        _, report = train(data, hyper)
+        P = solver.binary_problem(data, hyper)
+        _, report = train(data, hyper, problem=P)
         assert report.fork is not None
-        larger = replace(hyper, C=C2)
-        _assert_identical_fit(train(data, larger, resume=report), train(data, larger))
+        larger, lines = replace(hyper, C=C2), []
+        _assert_identical_fit(train(data, larger, lines.append, problem=P), train(data, larger))
+        assert lines[0].startswith(f"{report.fork.iteration},")
 
     @pytest.mark.parametrize("seed, lam, gamma, Cs", [
         (5, 2.0, 0.5, (0.3, 0.5, 1.0)),   # forks at iterations 2, 4 and 9
@@ -614,13 +618,15 @@ class TestResume:
     def test_chain_resumes_from_a_resumed_fit(self, seed, lam, gamma, Cs):
         data = _small_data(seed)
         hyper = Hyperparameters(lam=lam, gamma=gamma, C=Cs[0], max_iter=200)
-        fit = train(data, hyper)
-        forks = [fit[1].fork.state.iteration]
+        P = solver.binary_problem(data, hyper)
+        fit = train(data, hyper, problem=P)
+        forks = [fit[1].fork.iteration]
         for C in Cs[1:]:
-            cold = train(data, replace(hyper, C=C))
-            fit = train(data, replace(hyper, C=C), resume=fit[1])
+            cold, lines = train(data, replace(hyper, C=C)), []
+            fit = train(data, replace(hyper, C=C), lines.append, problem=P)
             _assert_identical_fit(fit, cold)
-            forks.append(fit[1].fork.state.iteration)
+            assert lines[0].startswith(f"{forks[-1]},")
+            forks.append(fit[1].fork.iteration)
         assert forks == sorted(forks) and forks[-1] > forks[0] > 0
 
     @pytest.mark.parametrize("seed, C, float64_from", [(5, 0.27, 11), (0, 0.25, 18)])
@@ -630,22 +636,24 @@ class TestResume:
         # the switch, the first float64 one.
         data = _small_data(seed)
         hyper = Hyperparameters(lam=1.0, gamma=0.5, C=C, max_iter=200, tol=1e-2)
-        _, report = train(data, hyper)
-        state = report.fork.state
+        P = solver.binary_problem(data, hyper)
+        _, report = train(data, hyper, problem=P)
+        state = report.fork
         assert state.float64_from == report.float64_from == float64_from
         assert state.iteration >= float64_from > 1
         larger = replace(hyper, C=1.0)
-        _assert_identical_fit(train(data, larger, resume=report), train(data, larger))
+        _assert_identical_fit(train(data, larger, problem=P), train(data, larger))
 
     def test_log_receives_lines_from_the_fork_on(self):
         data = _small_data(0)
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
-        _, report = train(data, hyper)
-        k = report.fork.state.iteration
+        P = solver.binary_problem(data, hyper)
+        _, report = train(data, hyper, problem=P)
+        k = report.fork.iteration
         assert k > 1
         cold, resumed = [], []
         train(data, replace(hyper, C=1.0), log=cold.append)
-        train(data, replace(hyper, C=1.0), log=resumed.append, resume=report)
+        train(data, replace(hyper, C=1.0), log=resumed.append, problem=P)
         assert resumed == cold[k - 1:]
         assert resumed[0].startswith(f"{k},")
 
@@ -654,11 +662,10 @@ class TestResume:
         data = _small_data(0)
         _, report = train(data, Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200))
         fork = report.fork
-        factors = fork.state.factors
-        r = factors.sigma.size
-        assert factors.U.shape == (20, r) and factors.V.shape == (15, r)
-        assert fork.state.alpha.shape == (30,)
-        assert fork.data() is data
+        r = fork.factors.sigma.size
+        assert fork.factors.U.shape == (20, r) and fork.factors.V.shape == (15, r)
+        assert fork.alpha.shape == (30,)
+        assert [type(x) for x in fork[3:]] == [float, float, type(None)]
 
     def test_no_fork(self):
         # alpha off is TestAlphaPeak.test_no_fork_without_alpha.
@@ -668,74 +675,76 @@ class TestResume:
         # No alpha probe exceeds C.
         assert train(data, replace(hyper, C=1e6))[1].fork is None
 
-    @pytest.mark.parametrize("change, expected", [
-        ({"C": 0.3}, "C 0.3 is not larger than the fork's C 0.3"),
-        ({"C": 0.1}, "C 0.1 is not larger than the fork's C 0.3"),
-        ({"C": 1.0, "lam": 1.0}, "lam differ from the fork's"),
-        ({"C": 1.0, "max_iter": 50, "normalize": True}, "max_iter, normalize differ"),
-        ({"C": 1.0, "kernel": KernelSpec(kind="linear")}, "kernel differ"),
-    ])
-    def test_mismatched_hyperparameters_rejected(self, change, expected):
-        data = _small_data(0)
-        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
-        _, report = train(data, hyper)
-        with pytest.raises(ValueError, match=re.escape(f"resume: {expected}")):
-            train(data, replace(hyper, **change), resume=report)
-
-    def test_other_misuse_rejected(self):
-        data = _small_data(0)
-        hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
-        _, report = train(data, hyper)
-        larger = replace(hyper, C=1.0)
-        # The same corpora in another TrainData are another data object.
-        with pytest.raises(ValueError, match="fork was taken on another data object"):
-            train(replace(data), larger, resume=report)
-        _, no_fork = train(data, replace(hyper, C=1e6))
-        with pytest.raises(ValueError, match="the report has no fork"):
-            train(data, replace(hyper, C=1e7), resume=no_fork)
-
     def test_data_changed_at_the_fork_rejected(self):
-        # The same data object, one training image negated in place after the
-        # fit: the fork's state no longer gives the trace's objective. Without
-        # the check the resumed fit ends at 114.79, the fit from the start at
-        # 105.44.
+        # One image row of the shared problem negated in place after the fit:
+        # the fork's state no longer gives the trace's objective.
         ds = generate(SynthConfig(seed=0))
         data = TrainData(ds.texts, ds.images, ds.pairs)
         hyper = Hyperparameters(gamma=0.5, lam=2.0, C=1.0, max_iter=60)
-        _, report = train(data, hyper)
-        assert report.fork.state.iteration == 7
-        image = data.train_images[0]
-        image.features *= -1.0
-        image.label = -image.label
-        with pytest.raises(ValueError, match="resume: the objective at the fork is 243.10"):
-            train(data, replace(hyper, C=10.0), resume=report)
-
+        P = solver.binary_problem(data, hyper)
+        _, report = train(data, hyper, problem=P)
+        assert report.fork.iteration == 7
+        P.img_Z[0] *= -1.0
+        with pytest.raises(ValueError, match="resume: the objective at the fork is 251.30"):
+            train(data, replace(hyper, C=10.0), problem=P)
 
     def test_hyperparameters_are_frozen(self):
-        # A fork keeps the Hyperparameters object its fit used, so a field
-        # changed on it afterwards would pass the checks above.
+        # A problem keeps the Hyperparameters object it was built at, which
+        # `train` checks each fit against, so a field changed on it
+        # afterwards would pass that check.
         data = _small_data(0)
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
-        _, report = train(data, hyper)
+        P = solver.binary_problem(data, hyper)
         for f in fields(hyper):
             with pytest.raises(FrozenInstanceError):
-                setattr(report.fork.hyper, f.name, getattr(hyper, f.name))
+                setattr(P.hyper, f.name, getattr(hyper, f.name))
         with pytest.raises(FrozenInstanceError):
             hyper.C = -5.0
 
     def test_report_with_a_fork_pickles(self):
-        # The fork pickles without its data: the unpickled report keeps its
-        # trace and fork state, but no resume accepts it.
+        # The fork is the loop's state, which pickles as it is.
         data = _small_data(0)
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
         _, report = train(data, hyper)
         unpickled = pickle.loads(pickle.dumps(report))
         assert unpickled.objective_trace == report.objective_trace
-        assert unpickled.fork.state.iteration == report.fork.state.iteration
-        assert np.array_equal(unpickled.fork.state.alpha, report.fork.state.alpha)
-        assert unpickled.fork.hyper == hyper and unpickled.fork.data is None
-        with pytest.raises(ValueError, match="fork was taken on another data object"):
-            train(data, replace(hyper, C=1.0), resume=unpickled)
+        fork, want = unpickled.fork, report.fork
+        assert fork.iteration == want.iteration and fork[3:] == want[3:]
+        for name in ("U", "sigma", "V"):
+            assert np.array_equal(getattr(fork.factors, name), getattr(want.factors, name))
+        assert np.array_equal(fork.alpha, want.alpha)
+
+    # Hyperparameters of the property below: the fields besides C take two
+    # values each, so some fits share every field but C and others do not.
+    Cs = (0.1, 0.3, 1.0, 3.0)
+    KEYS = [dict(lam=lam, gamma=gamma, max_iter=max_iter, tol=tol) for lam in (1.0, 2.0)
+            for gamma in (0.5, 1.0) for max_iter in (30, 45) for tol in (1e-6, 1e-3)]
+    _cold = {}
+
+    @classmethod
+    def cold(cls, seed, hyper):
+        """The fit from the start, once per seed and hyperparameters."""
+        if (seed, hyper) not in cls._cold:
+            cls._cold[seed, hyper] = train(_small_data(seed), hyper)
+        return cls._cold[seed, hyper]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2),
+           fits=st.lists(st.tuples(st.sampled_from(Cs), st.integers(0, len(KEYS) - 1)),
+                         min_size=2, max_size=7))
+    def test_fits_in_any_order_resume_only_from_a_smaller_C(self, seed, fits):
+        data = _small_data(seed)
+        P = solver.binary_problem(data, Hyperparameters(lam=1.0))
+        run = []
+        for C, key in fits:
+            hyper = Hyperparameters(C=C, **self.KEYS[key])
+            cold, lines = self.cold(seed, hyper), []
+            _assert_identical_fit(train(data, hyper, lines.append, problem=P), cold)
+            # The fork of the largest smaller C run so far under this key.
+            below = [(c, f) for c, k, f in run if k == key and c < C and f is not None]
+            first = max(below)[1] if below else 1
+            assert len(lines) == cold[1].iterations - first + 1
+            run.append((C, key, None if cold[1].fork is None else cold[1].fork.iteration))
 
 
 class TestSharedProblem:
@@ -758,13 +767,16 @@ class TestSharedProblem:
             _assert_identical_fit(train(data, hyper, problem=problem), train(data, hyper))
 
     def test_shared_problem_with_resume(self):
+        # The forks are kept per fit's hyperparameters, whatever the problem
+        # was built at: a fit at C 1.0 continues the fit at C 0.3.
         data = _small_data(0)
+        problem = solver.binary_problem(data, Hyperparameters(lam=1.0, C=5.0))
         hyper = Hyperparameters(lam=2.0, gamma=0.5, C=0.3, max_iter=200)
-        problem = solver.binary_problem(data, hyper)
         _, report = train(data, hyper, problem=problem)
-        larger = replace(hyper, C=1.0)
-        _assert_identical_fit(train(data, larger, resume=report, problem=problem),
+        larger, lines = replace(hyper, C=1.0), []
+        _assert_identical_fit(train(data, larger, lines.append, problem=problem),
                               train(data, larger))
+        assert report.fork.iteration > 1 and lines[0].startswith(f"{report.fork.iteration},")
 
     @pytest.mark.parametrize("change, expected", [
         ({"kernel": KernelSpec(kind="linear")}, "kernel differ"),
@@ -799,7 +811,7 @@ class TestSharedProblem:
         data = _small_data(0)
         hyper = Hyperparameters(max_iter=5)
         with pytest.raises(TypeError):
-            train(data, hyper, None, None, solver.binary_problem(data, hyper))
+            train(data, hyper, None, solver.binary_problem(data, hyper))
 
 
 class TestPairTermsAtLamZero:
@@ -809,7 +821,7 @@ class TestPairTermsAtLamZero:
     def test_no_pair_scores(self):
         data = _small_data(0)
         hyper = Hyperparameters(lam=0.0)
-        pb = solver.binary_problem(data, hyper).arrays
+        pb = solver.binary_problem(data, hyper)
         rng = np.random.default_rng(0)
         S = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 15))
         it = solver._pair_terms(solver._text_terms(linalg.shrink(linalg.svd(S), 0.0), pb), pb, hyper)
@@ -984,7 +996,7 @@ class TestFloat32Phase:
         data = TrainData(ds.texts, ds.images, ds.pairs)
         hyper = Hyperparameters(lam=0.0, max_iter=20)
         text_Y, img_Y = signs(ds.texts, "text")[:, None], signs(ds.images, "image")[:, None]
-        pb, _, _ = solver._build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
+        pb = solver._build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
         assert pb.pair32 is None
         _, report = train(data, hyper)
         assert report.float64_from == 1
@@ -1016,8 +1028,8 @@ class TestFastPathOracles:
         img_Y = rng.choice([-1.0, 1.0], (m, B))
         hyper = Hyperparameters(gamma=float(rng.uniform(0.2, 2.0)), lam=0.0, normalize=normalize,
                                 kernel=KernelSpec(bandwidth=float(rng.uniform(0.5, 2.0))))
-        pb, _, _ = solver._build_problem(TrainData(texts, images, pairs), text_Y, img_Y,
-                                         hyper.kernel if kernel else None, hyper)
+        pb = solver._build_problem(TrainData(texts, images, pairs), text_Y, img_Y,
+                                   hyper.kernel if kernel else None, hyper)
         return pb, hyper
 
     @settings(max_examples=200, deadline=None)
@@ -1071,7 +1083,7 @@ class TestFastPathOracles:
         data = TrainData(ds.texts, ds.images, ds.pairs)
         hyper = Hyperparameters(normalize=normalize)
         text_Y, img_Y = signs(ds.texts, "text")[:, None], signs(ds.images, "image")[:, None]
-        pb, _, _ = solver._build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
+        pb = solver._build_problem(data, text_Y, img_Y, hyper.kernel, hyper)
         assert pb.pair_X.shape == (l, 20) and pb.pair_Z.shape == (l, 15)
         assert pb.pair_X.flags.f_contiguous and pb.pair_Z.flags.f_contiguous
         assert pb.pair32.X.flags.c_contiguous and pb.pair32.Z.flags.c_contiguous
