@@ -1,17 +1,19 @@
 """Line-delimited JSON dataset files and the JSON model file.
 
 Dataset records are self-describing objects with a `kind` of text, image, or
-pair. Floats round-trip exactly because json prints shortest-round-trip
-decimals, and both decoders `_decode` uses round each decimal to the nearest
-double.
+pair. Every written file is `json.dumps` of its records, byte for byte; the
+text of its floats comes from orjson where it equals json's (`_float_rows`).
+Floats round-trip exactly because both print shortest-round-trip decimals,
+and both decoders `_decode` uses round each decimal to the nearest double.
 """
 from __future__ import annotations
 
 import json
 import os
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, groupby, islice
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 import numpy as np
 import orjson
@@ -62,41 +64,115 @@ def _floats(values) -> list:
     return np.asarray(values, dtype=float).tolist()
 
 
-def _example_record(kind: str, ex: CorpusExample) -> dict:
-    rec = {"kind": kind, "id": ex.id, "features": _floats(ex.features)}
-    if ex.label is not None:
-        rec["label" if is_sign(ex.label) else "class"] = ex.label
-    return rec
-
-
-def _pair_record(idx: int, pair: CooccurrencePair) -> dict:
-    rec = {
-        "kind": "pair",
-        "id": f"p{idx}",
-        "text_features": _floats(pair.text_features),
-        "image_features": _floats(pair.image_features),
-    }
-    if pair.class_id is not None:
-        rec["class"] = pair.class_id
-    return rec
-
-
 # json.dumps's encoder, except that it refuses the NaN and Infinity tokens the readers refuse.
 _RECORD_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
+def _float_rows(X: np.ndarray) -> list[str]:
+    """The entries of each row of the finite (N, d) float array `X` as json
+    writes them, joined by ", ".
+
+    orjson writes the shortest decimal that rounds to each entry, as
+    `float.__repr__` does, and writes it as json does inside [1e-4, 1e16) and
+    at ±0.0. Outside it orjson writes `0.00001` and `1e16` where json writes
+    `1e-05` and `1e+16`, and such an entry takes `float.__repr__`. Numbers
+    hold no commas, so each comma of orjson's text gets the space json writes
+    after it."""
+    if not len(X):
+        return []
+    X = np.ascontiguousarray(X, dtype=float)
+    text = orjson.dumps(X, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].replace(b",", b", ")
+    rows = text.decode("ascii").split("], [")
+    a = np.abs(X)
+    ks, js = np.nonzero(((a < 1e-4) & (a != 0)) | (a >= 1e16))
+    odd = zip(ks.tolist(), js.tolist(), X[ks, js].tolist())
+    for k, entries in groupby(odd, key=itemgetter(0)):  # row by row, as nonzero lists them
+        tokens = rows[k].split(", ")
+        for _, j, x in entries:
+            tokens[j] = repr(x)
+        rows[k] = ", ".join(tokens)
+    return rows
+
+
+def _stacked(vectors: list) -> np.ndarray | None:
+    """The vectors as the rows of one finite float array, or None when they are
+    not 1-D vectors of one width or an entry is not finite."""
+    try:
+        X = np.array(vectors, dtype=float)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    return X if X.ndim == 2 and np.isfinite(X).all() else None
+
+
+# The feature vectors of a record of each kind: its key, and the modality whose width it shares.
+_VECTOR_KEYS = {"text": (("features", "text"),), "image": (("features", "image"),),
+                "pair": (("text_features", "text"), ("image_features", "image"))}
+
+
+def _records(corpora: Corpora):
+    """The records of the dataset file of `corpora`, each as (kind, id, feature
+    vectors in `_VECTOR_KEYS` order, label key, label or None)."""
+    for kind, examples in (("text", corpora.texts), ("image", corpora.images)):
+        for ex in examples:
+            yield kind, ex.id, (ex.features,), "label" if is_sign(ex.label) else "class", ex.label
+    for k, pair in enumerate(corpora.pairs):
+        yield "pair", f"p{k}", (pair.text_features, pair.image_features), "class", pair.class_id
+
+
+def _record_dict(record: tuple) -> dict:
+    kind, rid, vectors, label_key, label = record
+    rec = {"kind": kind, "id": rid}
+    rec.update((key, _floats(v)) for (key, _), v in zip(_VECTOR_KEYS[kind], vectors))
+    if label is not None:
+        rec[label_key] = label
+    return rec
+
+
+def _json_record(record: tuple) -> str:
+    """`json.dumps` of the record; a non-finite feature raises ValueError
+    naming its kind and id."""
+    rec = _record_dict(record)
+    try:
+        return _RECORD_ENCODER.encode(rec)
+    except ValueError as exc:
+        raise ValueError(f"{rec['kind']} {rec['id']!r}: {exc}") from exc
+
+
+def _templated_records(records: list) -> list[str] | None:
+    """`json.dumps` of each of `records`, their floats from one `_float_rows`
+    call per modality; None where `_json_record` must write them: when a
+    modality's vectors do not stack (`_stacked`), or an id or label does not
+    encode."""
+    vectors = {"text": [], "image": []}
+    for kind, _, vs, _, _ in records:
+        for (_, modality), v in zip(_VECTOR_KEYS[kind], vs):
+            vectors[modality].append(v)
+    arrays = {m: _stacked(vs) for m, vs in vectors.items() if vs}
+    if any(X is None for X in arrays.values()):
+        return None
+    rows = {m: iter(_float_rows(X)) for m, X in arrays.items()}
+    encode, texts = _RECORD_ENCODER.encode, []
+    try:
+        for kind, rid, _, label_key, label in records:
+            text = f'{{"kind": "{kind}", "id": {encode(rid)}'
+            for key, modality in _VECTOR_KEYS[kind]:
+                text += f', "{key}": [{next(rows[modality])}]'
+            if label is not None:
+                text += f', "{label_key}": {encode(label)}'
+            texts.append(text + "}")
+    except ValueError:
+        return None
+    return texts
+
+
 def _dataset_lines(corpora: Corpora):
-    """The lines of the dataset file of `corpora`, one record at a time: each
-    is `json.dumps` of the record and a newline. A non-finite feature raises
-    ValueError naming the record's kind and id."""
-    records = chain((_example_record("text", t) for t in corpora.texts),
-                    (_example_record("image", i) for i in corpora.images),
-                    (_pair_record(k, c) for k, c in enumerate(corpora.pairs)))
-    for rec in records:
-        try:
-            yield _RECORD_ENCODER.encode(rec) + "\n"
-        except ValueError as exc:
-            raise ValueError(f"{rec['kind']} {rec['id']!r}: {exc}") from exc
+    """The text of the dataset file of `corpora`, `_BLOCK` lines at a time:
+    each line is `json.dumps` of its record and a newline. A non-finite
+    feature raises ValueError naming the record's kind and id."""
+    records = _records(corpora)
+    while block := list(islice(records, _BLOCK)):
+        # No name holds a block's lines while the next is formatted; "" ends the last line.
+        yield "\n".join([*(_templated_records(block) or map(_json_record, block)), ""])
 
 
 def serialize_dataset(corpora: Corpora) -> str:
@@ -104,7 +180,7 @@ def serialize_dataset(corpora: Corpora) -> str:
 
 
 def write_dataset(corpora: Corpora, path: str) -> None:
-    """Write the dataset file of `corpora` a record at a time, atomically."""
+    """Write the dataset file of `corpora` a block at a time, atomically."""
     _write_atomic(path, _dataset_lines(corpora))
 
 
@@ -261,11 +337,6 @@ def _new_kind(rec: dict, seen_ids: dict[str, set]) -> str:
     return kind
 
 
-# The feature vectors of a record of each kind: its key, and the modality whose width it shares.
-_VECTOR_KEYS = {"text": (("features", "text"),), "image": (("features", "image"),),
-                "pair": (("text_features", "text"), ("image_features", "image"))}
-
-
 def _vectors(records: list, dims: dict[str, int], where) -> dict:
     """Iterators over the feature vectors of `records`, (tag, record, kind) in
     file order, one per modality. They are checked as one `_rows_array` per
@@ -339,28 +410,24 @@ class Predictions:
     classes: list[str] | None = None
 
 
-def _float_tokens(values) -> list[str]:
-    """The text json writes for each entry of the array `values`, in C order;
-    a non-finite entry raises ValueError."""
-    flat = _floats(np.ravel(values))
-    return _RECORD_ENCODER.encode(flat)[1:-1].split(", ") if flat else []
-
-
 def write_predictions(path: str, ids: list[str], scores, classes: list[str] | None = None) -> None:
     """Write the scores of the images `ids`: an (N,) binary score vector, each
     with its `score_labels` label, or, given `classes`, distinct names, an
     (N, B) zero-shot table with one column per class.
 
     Each line is `json.dumps` of its record, built from a template around the
-    tokens json writes for the id, the class names and the floats. A
-    non-finite score, which `read_predictions` refuses, raises ValueError
-    naming its image, and nothing is written."""
+    tokens json writes for the id, the class names and the floats
+    (`_float_rows`). A non-finite score, which `read_predictions` refuses,
+    raises json's ValueError naming its image, and nothing is written."""
     width = 1 if classes is None else len(classes)
-    try:
-        tokens = _float_tokens(scores)
-    except ValueError as exc:
-        k = np.flatnonzero(~np.isfinite(np.ravel(scores)))[0]
-        raise ValueError(f"image {ids[k // width]!r}: {exc}") from exc
+    flat = np.asarray(scores, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        try:
+            _RECORD_ENCODER.encode(float(flat[bad[0]]))
+        except ValueError as exc:
+            raise ValueError(f"image {ids[bad[0] // width]!r}: {exc}") from exc
+    tokens = _float_rows(flat[:, None])
     id_tokens = map(_json_str, ids)
     if classes is None:
         lines = map('{"id": %s, "score": %s, "label": %s}\n'.__mod__,
@@ -441,23 +508,42 @@ def _hyper_from_dict(d: dict) -> Hyperparameters:
 
 def serialize_model(model: TrainedModel, unseen_classes: list[str] | None = None) -> str:
     """The model file of `model`; a zero-shot model when `unseen_classes` is
-    non-empty, a binary one otherwise. A non-finite number, which `read_model`
-    refuses, raises ValueError naming its field, or its example's corpus and id."""
+    non-empty, a binary one otherwise. It is `json.dumps` of the model's
+    document, its floats from `_float_rows`. A non-finite number, which
+    `read_model` refuses, sends it to json, whose ValueError is raised naming
+    its field, or its example's corpus and id."""
     p, q = model.S.shape
+    vectors = {"S": model.S.ravel(), "alpha": model.alpha}
+    records = {"source_texts": list(_records(Corpora(texts=model.source_texts))),
+               "train_images": list(_records(Corpora(images=model.train_images)))}
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "mode": "zeroshot" if unseen_classes else "binary",
         "p": p,
         "q": q,
-        "S": _floats(model.S.ravel()),
-        "alpha": _floats(model.alpha),
+        "S": None,
+        "alpha": None,
         "kernel": asdict(model.kernel),
-        "source_texts": [_example_record("text", t) for t in model.source_texts],
-        "train_images": [_example_record("image", i) for i in model.train_images],
+        "source_texts": None,
+        "train_images": None,
         "hyper": {"lambda" if k == "lam" else k: v for k, v in asdict(model.hyper).items()},
         "final_objective": model.final_objective,
         "unseen_classes": unseen_classes or [],
     }
+    # The JSON text of each array field: a list of its items' texts.
+    arrays = {key: _stacked([v]) for key, v in vectors.items()}
+    items = {key: _templated_records(recs) for key, recs in records.items()}
+    if all(x is not None for x in chain(arrays.values(), items.values())):
+        items.update((key, _float_rows(X)) for key, X in arrays.items())
+        try:
+            return "{" + ", ".join(
+                f'"{k}": ' + ("[" + ", ".join(items[k]) + "]" if k in items
+                              else _RECORD_ENCODER.encode(v))
+                for k, v in doc.items()) + "}"
+        except ValueError:
+            pass  # json's ValueError below names the field
+    doc.update((key, _floats(v)) for key, v in vectors.items())
+    doc.update((key, list(map(_record_dict, recs))) for key, recs in records.items())
     try:
         return _RECORD_ENCODER.encode(doc)
     except ValueError as exc:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -360,58 +362,90 @@ class TestModelIO:
             data_io.parse_model(json.dumps(doc))
 
 
-def _float_by_float(values):
-    """The writers' earlier per-entry conversion: `float` of each entry."""
-    a = np.asarray(values)
-    return [_float_by_float(row) for row in a] if a.ndim > 1 else list(map(float, a))
+def _tolist_record(kind: str, ex) -> dict:
+    rec = {"kind": kind, "id": ex.id, "features": ex.features.tolist()}
+    if ex.label is not None:
+        rec["label" if isinstance(ex.label, int) else "class"] = ex.label
+    return rec
 
 
 class TestFloatsWrittenAsBefore:
-    """The writers convert float arrays with one ndarray.tolist() in
-    `data_io._floats`; the files are byte for byte those of `float` taken
-    entry by entry. The dataset and model writers pass those floats to
-    `json.dumps`; `write_predictions` fills its line template with the tokens
-    json writes for them, and `test_io_parity.TestPredictionLinesAreJsonDumps`
-    checks its lines against `json.dumps` of each record."""
+    """Every written file is byte for byte `json.dumps` of its records, their
+    floats taken with ndarray.tolist(). The writers take a float's text from
+    orjson where it equals json's (`data_io._float_rows`): values json writes
+    in exponent form (EDGES, mostly) are written one at a time, values it
+    writes as plain decimals (IN_RANGE) come from orjson, and most rows mix
+    both."""
 
     EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072009e-308,
                       2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
                       0.1, 1 / 3, -1e16, 123456789.0])
+    IN_RANGE = np.array([1e-4, -0.00012345, 0.1, 1 / 3, -1.0, 2.5, 123456789.0, 1e15,
+                         -9999999999999998.0, 2.0**53, 0.0, -0.0])
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_same_bytes(self, monkeypatch, tmp_path, seed):
+    def test_same_bytes(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        pool = np.concatenate([self.EDGES, rng.standard_normal(50) * 10.0 ** rng.integers(-320, 308, 50)])
+        wide = rng.standard_normal(50) * 10.0 ** rng.integers(-320, 308, 50)
+        usual = rng.standard_normal(50) * 10.0 ** rng.integers(-3, 15, 50)
+        pool = np.concatenate([self.EDGES, wide, self.IN_RANGE, usual])
 
-        def values(*shape):
+        def values(*shape, pool=pool):
             return rng.choice(pool, shape)
 
+        def in_range(*shape):  # rows whose every float comes from orjson
+            return values(*shape, pool=np.concatenate([self.IN_RANGE, usual]))
+
         corpora = data_io.Corpora(
-            texts=[CorpusExample(f"t{k}", values(5), k % 2 * 2 - 1) for k in range(6)],
-            images=[CorpusExample(f"i{k}", values(7), "c0") for k in range(6)],
-            pairs=[CooccurrencePair(values(5), values(7), None) for _ in range(6)])
+            texts=[CorpusExample(f"t{k}", values(5), k % 2 * 2 - 1) for k in range(6)]
+            + [CorpusExample("t6", in_range(5), "c1")],
+            images=[CorpusExample(f"i{k}", values(7), "c0") for k in range(6)]
+            + [CorpusExample("i6", in_range(7))],
+            pairs=[CooccurrencePair(values(5), values(7), None) for _ in range(6)]
+            + [CooccurrencePair(in_range(5), in_range(7), "c2")])
+        records = [_tolist_record("text", t) for t in corpora.texts]
+        records += [_tolist_record("image", i) for i in corpora.images]
+        for k, c in enumerate(corpora.pairs):
+            records.append({"kind": "pair", "id": f"p{k}",
+                            "text_features": c.text_features.tolist(),
+                            "image_features": c.image_features.tolist()})
+            if c.class_id is not None:
+                records[-1]["class"] = c.class_id
+
         kernel = KernelSpec(bandwidth=1.3)
         model = TrainedModel(
-            S=rng.permutation(self.EDGES).reshape(2, 7), alpha=values(2),
+            S=rng.permutation(self.EDGES).reshape(2, 7), alpha=values(3),
             source_texts=[CorpusExample("t0", values(2), 1)],
-            train_images=[CorpusExample("i0", values(7), 1), CorpusExample("i1", values(7), -1)],
-            kernel=kernel, hyper=Hyperparameters(kernel=kernel))
+            train_images=[CorpusExample("i0", values(7), 1), CorpusExample("i1", values(7), -1),
+                          CorpusExample("i2", in_range(7), 1)],
+            kernel=kernel, hyper=Hyperparameters(kernel=kernel), final_objective=1e-5)
+        model_doc = {
+            "format_version": 1, "mode": "binary", "p": 2, "q": 7,
+            "S": model.S.ravel().tolist(), "alpha": model.alpha.tolist(),
+            "kernel": {"kind": "gaussian", "bandwidth": 1.3},
+            "source_texts": [_tolist_record("text", t) for t in model.source_texts],
+            "train_images": [_tolist_record("image", i) for i in model.train_images],
+            "hyper": {"lambda" if k == "lam" else k: v
+                      for k, v in dataclasses.asdict(model.hyper).items()},
+            "final_objective": 1e-5, "unseen_classes": []}
+
         ids = [f"q{k}" for k in range(8)]
         path = tmp_path / "pred.jsonl"
-
-        def write_all():
-            out = [data_io.serialize_dataset(corpora), data_io.serialize_model(model)]
-            for scores, classes in ((values(8), None), (values(8, 3), ["a", "b", "c"])):
-                data_io.write_predictions(str(path), ids, scores, classes)
-                out.append(path.read_bytes())
-            return out
-
-        state = rng.bit_generator.state
-        now = write_all()
-        assert all(repr(v) in now[1] for v in self.EDGES.tolist())
-        rng.bit_generator.state = state
-        monkeypatch.setattr(data_io, "_floats", _float_by_float)
-        assert write_all() == now
+        with mock.patch.object(data_io, "_record_dict", side_effect=AssertionError("json path")):
+            assert data_io.serialize_dataset(corpora) == "".join(json.dumps(r) + "\n" for r in records)
+            text = data_io.serialize_model(model)
+        assert text == json.dumps(model_doc)
+        assert all(repr(v) in text for v in self.EDGES.tolist())
+        for scores in (values(8), in_range(8)):
+            data_io.write_predictions(str(path), ids, scores)
+            assert path.read_text() == "".join(
+                json.dumps({"id": i, "score": s, "label": 1 if s > 0 else -1}) + "\n"
+                for i, s in zip(ids, scores.tolist()))
+        for table in (values(8, 3), in_range(8, 3)):
+            data_io.write_predictions(str(path), ids, table, ["a", "b", "c"])
+            assert path.read_text() == "".join(
+                json.dumps({"id": i, "scores": dict(zip("abc", row))}) + "\n"
+                for i, row in zip(ids, table.tolist()))
 
 
 class TestOneDecoder:
@@ -1410,8 +1444,8 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
     def test_dataset_write_memory_does_not_grow_with_the_file(self, tmp_path):
-        # write_dataset holds one record's line at a time, so the peak of what
-        # it allocates stays put while the file grows four-fold.
+        # write_dataset holds the lines of one block of records at a time, so
+        # the peak of what it allocates stays put while the file grows four-fold.
         rng = np.random.default_rng(0)
         sizes, peaks = [], []
         for n_pairs in (2000, 8000):

@@ -17,6 +17,7 @@ from decimal import Decimal
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -336,10 +337,16 @@ class TestPredictionLinesAreJsonDumps:
                     assert fh.read() == reference_prediction_text(ids, scores, names)
 
 
+def _float_by_float(values):
+    """`float` of each entry of the array `values`, as (nested) lists."""
+    a = np.asarray(values)
+    return [_float_by_float(row) for row in a] if a.ndim > 1 else list(map(float, a))
+
+
 def reference_dataset_text(corpora) -> str:
     """The dataset file as `json.dumps` writes each record, its floats taken entry by entry."""
     def example_record(kind, ex):
-        rec = {"kind": kind, "id": ex.id, "features": [float(v) for v in ex.features]}
+        rec = {"kind": kind, "id": ex.id, "features": _float_by_float(ex.features)}
         if ex.label is not None:
             rec["class" if isinstance(ex.label, str) else "label"] = ex.label
         return rec
@@ -348,16 +355,18 @@ def reference_dataset_text(corpora) -> str:
     records += [example_record("image", i) for i in corpora.images]
     for k, pair in enumerate(corpora.pairs):
         records.append({"kind": "pair", "id": f"p{k}",
-                        "text_features": [float(v) for v in pair.text_features],
-                        "image_features": [float(v) for v in pair.image_features]})
+                        "text_features": _float_by_float(pair.text_features),
+                        "image_features": _float_by_float(pair.image_features)})
         if pair.class_id is not None:
             records[-1]["class"] = pair.class_id
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
 class TestDatasetLinesAreJsonDumps:
-    """`write_dataset` writes a record at a time the lines `serialize_dataset`
-    joins, and each is `json.dumps` of its record."""
+    """`write_dataset` writes a block at a time the lines `serialize_dataset`
+    joins, and each is `json.dumps` of its record. A block whose vectors of a
+    modality stack into one finite array takes its floats from
+    `data_io._float_rows`; any other block is written by json."""
 
     @staticmethod
     def assert_written_as_dumps(corpora, tmp_path):
@@ -373,8 +382,9 @@ class TestDatasetLinesAreJsonDumps:
         # Binary synth pairs have no class, multi-class ones have one.
         ds = generate(SynthConfig(p=8, q=6, r_true=2, n_texts=60, m_images=30, l_pairs=120,
                                   n_test=40, classes=classes, seed=seed))
-        self.assert_written_as_dumps(ds, tmp_path)
-        self.assert_written_as_dumps(data_io.Corpora(images=ds.test_images), tmp_path)
+        with mock.patch.object(data_io, "_record_dict", side_effect=AssertionError("json path")):
+            self.assert_written_as_dumps(ds, tmp_path)
+            self.assert_written_as_dumps(data_io.Corpora(images=ds.test_images), tmp_path)
 
     def test_edges_and_odd_ids(self, tmp_path):
         ids = ['q"\\', "é-", "☃", "%s", ""]
@@ -388,6 +398,72 @@ class TestDatasetLinesAreJsonDumps:
                    for k in range(6)])
         self.assert_written_as_dumps(corpora, tmp_path)
         self.assert_written_as_dumps(data_io.Corpora(), tmp_path)
+
+    ODD_VECTORS = {  # of the k-th vector of the modality's rows of the second block
+        "widths that differ": lambda rng, k: rng.standard_normal(4 + (k == 10)),
+        "an empty vector": lambda rng, k: rng.standard_normal(0 if k == 10 else 4),
+        "all empty": lambda rng, k: np.zeros(0),
+        "2-D features": lambda rng, k: rng.standard_normal((2, 2)),
+    }
+
+    @pytest.mark.parametrize("modality", ["text", "image"])
+    @pytest.mark.parametrize("odd", ODD_VECTORS)
+    def test_vectors_that_do_not_stack(self, tmp_path, odd, modality):
+        # The odd vectors sit in the second block, among texts, images and
+        # pairs (the 10th of either modality is pair p2's); the first and
+        # third blocks stack.
+        rng = np.random.default_rng(0)
+        n = data_io._BLOCK
+
+        def vector(k, of):
+            return self.ODD_VECTORS[odd](rng, k - n) if of == modality and n <= k < 2 * n \
+                else rng.standard_normal(4)
+
+        texts = [CorpusExample(f"t{k}", vector(k, "text"), k % 2 * 2 - 1) for k in range(n + 4)]
+        images = [CorpusExample(f"i{k}", vector(n + 4 + k, "image"), "c0") for k in range(4)]
+        pairs = [CooccurrencePair(vector(n + 8 + k, "text"), vector(n + 8 + k, "image"), "c1")
+                 for k in range(n)]
+        self.assert_written_as_dumps(data_io.Corpora(texts, images, pairs), tmp_path)
+
+
+class TestFloatRowsAreJsonDumps:
+    """`data_io._float_rows` against `json.dumps` of each row's list. orjson
+    writes the shortest round-trip digits as json does only inside [1e-4,
+    1e16) and at ±0.0; the sweep checks that rule on the installed orjson."""
+
+    @staticmethod
+    def assert_rows_are_dumps(X):
+        assert data_io._float_rows(X) == [json.dumps(row)[1:-1] for row in X.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d),
+        min_size=1, max_size=6)))
+    def test_rows(self, rows):
+        self.assert_rows_are_dumps(np.array(rows))
+
+    def test_range_rule(self):
+        powers = [10.0 ** k for k in range(-6, 19)]
+        below = [np.nextafter(x, 0.0) for x in powers]
+        above = [np.nextafter(x, np.inf) for x in powers]
+        values = np.array(powers + below + above + [0.0, 5e-324, 2.2250738585072009e-308,
+                                                    2.2250738585072014e-308, 1.7976931348623157e308])
+        values = np.concatenate([values, -values])
+        inside = (values == 0) | ((np.abs(values) >= 1e-4) & (np.abs(values) < 1e16))
+        # 1e-4 to 1e15 with both neighbours, less 1e-4's lower one, plus 1e16's lower one and 0.0.
+        assert inside.sum() == 2 * (3 * 20 + 1)
+        for x in values[inside].tolist():
+            text = orjson.dumps(np.array([x]), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+            assert text == repr(x), f"orjson {orjson.__version__} writes {x!r} as {text}"
+        self.assert_rows_are_dumps(values[None, :])
+        self.assert_rows_are_dumps(values[:, None])
+        self.assert_rows_are_dumps(values.reshape(4, -1))
+
+    def test_shapes(self):
+        assert data_io._float_rows(np.zeros((0, 3))) == []
+        assert data_io._float_rows(np.zeros((2, 0))) == ["", ""]
+        self.assert_rows_are_dumps(np.arange(12.0).reshape(3, 4)[:, ::2])  # not contiguous
+        self.assert_rows_are_dumps(np.arange(6, dtype=np.float32).reshape(2, 3) / 3)
 
 
 # The JSON decoder ---------------------------------------------------------------
